@@ -3,8 +3,9 @@
 Not a paper figure, but useful engineering data: how long the ASDF
 reproduction takes to compile each benchmark at a realistic size, how
 the cost splits across passes (via the PassManager instrumentation),
-and how the polynomial-time span checker scales (paper §4.1 claims
-O(k^2 log k) instead of the naive exponential).
+how the polynomial-time span checker scales (paper §4.1 claims
+O(k^2 log k) instead of the naive exponential), and that the strict
+peephole stays linear in the op count.
 """
 
 import time
@@ -17,6 +18,7 @@ from repro import CompileOptions
 from repro.basis import Basis
 from repro.basis.span import check_span_equivalence
 from repro.evaluation import ALGORITHMS, asdf_kernel
+from repro.qcircuit import decompose_multi_controlled, run_peephole
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -87,6 +89,41 @@ def test_compile_cache_speedup(benchmark):
         ],
     )
     assert warm is cold
+
+
+def test_strict_peephole_scales_linearly():
+    """The strict peephole alone on Selinger-decomposed Grover.
+
+    The cancellation window keeps a stack of live op indices per qubit,
+    so the pass is linear in the op count: from n=32 to n=128 the time
+    ratio must stay under twice the op ratio.  Each record carries its
+    input op count as ``ops``.
+    """
+    timings = {}
+    for n in (32, 64, 128):
+        optimized = asdf_kernel("grover", n).compile().optimized_circuit
+        decomposed = decompose_multi_controlled(optimized, use_selinger=True)
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            run_peephole(decomposed, relaxed=False)
+            best = min(best, time.perf_counter() - start)
+        timings[n] = (len(decomposed.instructions), best)
+    write_bench_json(
+        "compiler_speed",
+        [
+            {
+                **bench_record(
+                    f"peephole-strict-grover-n{n}", "selinger", wall * 1e3
+                ),
+                "ops": ops,
+            }
+            for n, (ops, wall) in timings.items()
+        ],
+    )
+    ops32, wall32 = timings[32]
+    ops128, wall128 = timings[128]
+    assert wall128 / wall32 < 2 * (ops128 / ops32), timings
 
 
 @pytest.mark.parametrize("k", [16, 64, 256])

@@ -22,6 +22,13 @@ from repro.errors import (
     QwertyError,
     SourceSpan,
 )
+
+# Load the ``repro.classical`` subpackage before the ``classical``
+# decorator is bound below.  The import system sets a package attribute
+# when it first loads a subpackage, so a later lazy import (the
+# decorator loads ``repro.classical.pyast`` on first use) would
+# otherwise rebind ``repro.classical`` to the subpackage.
+import repro.classical  # noqa: E402,F401
 from repro.frontend.decorators import (
     Bits,
     DimVar,

@@ -34,6 +34,17 @@ _ADJOINT_PAIRS = {
 _TWO_PI = 2 * math.pi
 
 
+def _period(gate: CircuitGate) -> float:
+    """A rotation's angle period: 2π, but 4π for controlled rx/ry/rz,
+    whose 2π rotation is -I — a global phase only when uncontrolled."""
+    return 2 * _TWO_PI if gate.controls and gate.name != "p" else _TWO_PI
+
+
+def _is_zero_angle(angle: float, period: float) -> bool:
+    angle %= period
+    return abs(angle) < 1e-12 or abs(angle - period) < 1e-12
+
+
 def _same_wires(a: CircuitGate, b: CircuitGate) -> bool:
     return (
         a.targets == b.targets
@@ -57,9 +68,7 @@ def _cancels(a: CircuitGate, b: CircuitGate) -> bool:
             # symbolic angles (theta + -theta) collapse to 0.0 in the
             # ParamExpr arithmetic and never reach this branch.
             return False
-        return abs(total % _TWO_PI) < 1e-12 or (
-            abs((total % _TWO_PI) - _TWO_PI) < 1e-12
-        )
+        return _is_zero_angle(total, _period(a))
     return False
 
 
@@ -69,8 +78,8 @@ def _merge(a: CircuitGate, b: CircuitGate) -> CircuitGate | None:
         return None
     if a.name == b.name and a.name in {"p", "rx", "ry", "rz"}:
         # A symbolic sum merges un-normalized (ParamExpr.__mod__ is the
-        # identity); a concrete sum normalizes into [0, 2π) as before.
-        angle = (a.params[0] + b.params[0]) % _TWO_PI
+        # identity); a concrete sum normalizes into one period.
+        angle = (a.params[0] + b.params[0]) % _period(a)
         return CircuitGate(
             a.name, a.targets, a.controls, (angle,), a.ctrl_states, a.condition,
             loc=a.loc,
@@ -82,26 +91,46 @@ def _is_identity(gate: CircuitGate) -> bool:
     if gate.name in {"p", "rx", "ry", "rz"}:
         if gate.is_symbolic:
             return False
-        angle = gate.params[0] % _TWO_PI
-        return abs(angle) < 1e-12 or abs(angle - _TWO_PI) < 1e-12
+        return _is_zero_angle(gate.params[0], _period(gate))
     return False
 
 
 class _Window:
-    """Streaming peephole: tracks the last live gate per qubit."""
+    """Streaming peephole over per-qubit stacks of live output indices.
+
+    ``wire[q]`` holds, in program order, the ``out`` indices of the live
+    instructions touching qubit ``q``, so its top is the last live op on
+    the wire.  Every gate the window kills is the top of each of its
+    wires' stacks — cancel and merge need the same top on every wire of
+    the gate, and H·X·H needs the controls untouched since the
+    sandwiched gate, with the outer H directly below it on the target —
+    so a kill is one pop per wire and the pass costs O(ops × qubits per
+    gate).
+    """
 
     def __init__(self) -> None:
         self.out: list = []
-        self.alive: list[bool] = []
-        self.last: dict[int, int] = {}
+        self.wire: dict[int, list[int]] = {}
+
+    def _append(self, inst, qubits) -> None:
+        index = len(self.out)
+        self.out.append(inst)
+        for qubit in qubits:
+            self.wire.setdefault(qubit, []).append(index)
+
+    def _kill(self, index: int, qubits) -> None:
+        self.out[index] = None
+        for qubit in qubits:
+            self.wire[qubit].pop()
 
     def _prev_index(self, gate: CircuitGate) -> int | None:
-        indices = {self.last.get(q) for q in gate.qubits}
+        indices = {
+            stack[-1] if (stack := self.wire.get(q)) else None
+            for q in gate.qubits
+        }
         if len(indices) != 1 or None in indices:
             return None
         (index,) = indices
-        if not self.alive[index]:
-            return None
         prev = self.out[index]
         if not isinstance(prev, CircuitGate):
             return None
@@ -109,24 +138,9 @@ class _Window:
             return None
         return index
 
-    def _prev_on_qubit(self, qubit: int, before: int) -> int | None:
-        """The last live gate index touching ``qubit`` before ``before``."""
-        for index in range(before - 1, -1, -1):
-            if not self.alive[index]:
-                continue
-            inst = self.out[index]
-            if isinstance(inst, CircuitGate) and qubit in inst.qubits:
-                return index
-            if isinstance(inst, (Measurement, Reset)) and inst.qubit == qubit:
-                return index
-        return None
-
     def push(self, inst) -> None:
         if isinstance(inst, (Measurement, Reset)):
-            index = len(self.out)
-            self.out.append(inst)
-            self.alive.append(True)
-            self.last[inst.qubit] = index
+            self._append(inst, (inst.qubit,))
             return
         gate: CircuitGate = inst
         if _is_identity(gate):
@@ -135,22 +149,16 @@ class _Window:
         if prev_index is not None:
             prev = self.out[prev_index]
             if _cancels(prev, gate):
-                self.alive[prev_index] = False
-                self._refresh_last(prev.qubits)
+                self._kill(prev_index, prev.qubits)
                 return
             merged = _merge(prev, gate)
             if merged is not None:
-                self.alive[prev_index] = False
-                self._refresh_last(prev.qubits)
+                self._kill(prev_index, prev.qubits)
                 self.push(merged)
                 return
         if self._try_hxh(gate):
             return
-        index = len(self.out)
-        self.out.append(gate)
-        self.alive.append(True)
-        for qubit in gate.qubits:
-            self.last[qubit] = index
+        self._append(gate, gate.qubits)
 
     def _try_hxh(self, gate: CircuitGate) -> bool:
         """H (X|Z) H on one target -> swap X and Z, dropping both H.
@@ -165,9 +173,10 @@ class _Window:
         ):
             return False
         target = gate.targets[0]
-        prev_index = self.last.get(target)
-        if prev_index is None or not self.alive[prev_index]:
+        stack = self.wire.get(target)
+        if stack is None or len(stack) < 2:
             return False
+        before_index, prev_index = stack[-2:]
         prev = self.out[prev_index]
         if not (
             isinstance(prev, CircuitGate)
@@ -176,9 +185,6 @@ class _Window:
             and prev.condition is None
             and target not in prev.controls
         ):
-            return False
-        before_index = self._prev_on_qubit(target, prev_index)
-        if before_index is None:
             return False
         before = self.out[before_index]
         if not (
@@ -191,14 +197,12 @@ class _Window:
             return False
         # The controls of the sandwiched gate must not be touched
         # between the two H gates (only `prev` sits between them on the
-        # target wire; check control wires saw nothing since `before`).
+        # target wire; check control wires saw nothing since `prev`).
         for control in prev.controls:
-            last_on_control = self.last.get(control)
-            if last_on_control is not None and last_on_control > prev_index:
+            if self.wire[control][-1] != prev_index:
                 return False
-        self.alive[prev_index] = False
-        self.alive[before_index] = False
-        self._refresh_last(prev.qubits)
+        self._kill(prev_index, prev.qubits)
+        self._kill(before_index, before.qubits)
         self.push(
             CircuitGate(
                 "z" if prev.name == "x" else "x",
@@ -211,28 +215,8 @@ class _Window:
         )
         return True
 
-    def _refresh_last(self, qubits) -> None:
-        for qubit in qubits:
-            self.last[qubit] = None  # type: ignore[assignment]
-            for index in range(len(self.out) - 1, -1, -1):
-                if not self.alive[index]:
-                    continue
-                inst = self.out[index]
-                touched = (
-                    inst.qubits
-                    if isinstance(inst, CircuitGate)
-                    else (inst.qubit,)
-                )
-                if qubit in touched:
-                    self.last[qubit] = index
-                    break
-            else:
-                self.last.pop(qubit, None)
-            if self.last.get(qubit) is None:
-                self.last.pop(qubit, None)
-
     def result(self) -> list:
-        return [inst for inst, alive in zip(self.out, self.alive) if alive]
+        return [inst for inst in self.out if inst is not None]
 
 
 def _cancellation_pass(instructions: list) -> list:
@@ -386,8 +370,6 @@ def _dead_reset_pass(instructions: list) -> list:
             continue
         if isinstance(inst, CircuitGate):
             live.update(inst.qubits)
-            if inst.condition is not None:
-                pass  # Classical bits do not keep wires alive.
         else:
             live.add(inst.qubit)
         out_reversed.append(inst)
@@ -402,10 +384,14 @@ def compact_qubits(circuit: Circuit) -> Circuit:
             used.update(inst.qubits)
         else:
             used.add(inst.qubit)
-    mapping = {old: new for new, old in enumerate(sorted(used))}
     new = Circuit(
-        len(mapping), circuit.num_bits, output_bits=list(circuit.output_bits)
+        len(used), circuit.num_bits, output_bits=list(circuit.output_bits)
     )
+    if not used or max(used) == len(used) - 1:
+        # Wires 0..k-1 are all in use: the renumbering is the identity.
+        new.instructions = list(circuit.instructions)
+        return new
+    mapping = {old: index for index, old in enumerate(sorted(used))}
     for inst in circuit.instructions:
         if isinstance(inst, CircuitGate):
             new.add(inst.remapped(mapping))

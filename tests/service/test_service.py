@@ -136,6 +136,44 @@ def test_source_kernels_compile_and_run():
     assert response["result"]["counts"] == {"01": 64}
 
 
+CLASSICAL_SOURCE = '''\
+from repro import Bits, N, bit, cfunc, classical, qpu
+
+SECRET = Bits.from_str("{secret}")
+
+
+@classical[N](SECRET)
+def f(secret: bit[N], x: bit[N]) -> bit:
+    return (secret & x).xor_reduce()
+
+
+@qpu[N](f)
+def kernel(f: cfunc[N, 1]) -> bit[N]:
+    return 'p'[N] | f.sign | pm[N] >> std[N] | std[N].measure
+'''
+
+
+def test_repeated_source_kernels_keep_the_classical_decorator():
+    # Compiling the first kernel imports the repro.classical subpackage;
+    # that must not rebind `from repro import classical` to the module.
+    async def scenario():
+        async with ExecutionService(make_config()) as service:
+            client = ServiceClient(service)
+            return [
+                await client.run(
+                    id=i, source=CLASSICAL_SOURCE.format(secret=secret),
+                    shots=16, seed=1,
+                )
+                for i, secret in enumerate(("1010", "0110"))
+            ]
+
+    first, second = run_async(scenario())
+    assert first["ok"], first
+    assert second["ok"], second
+    assert first["result"]["counts"] == {"1010": 16}
+    assert second["result"]["counts"] == {"0110": 16}
+
+
 def test_source_diagnostics_render_against_service_source():
     bad = (
         "from repro import qpu\n"
@@ -240,15 +278,26 @@ def test_deadline_cancels_mid_execution_promptly():
 
 def test_deadline_expired_while_queued_skips_execution():
     async def scenario():
-        # One executor busy with a long run; a short-deadline request
-        # behind it must expire in the queue without spending compute.
-        config = make_config(executors=1)
+        # One executor busy with a run that hangs for 0.3 s; a
+        # short-deadline request behind it must expire in the queue
+        # without spending compute (it never runs, so the hang plan
+        # never touches it).
+        config = make_config(
+            executors=1,
+            fault_plan=FaultPlan({"worker_hang": 1.0}, hang_seconds=0.3),
+        )
         async with ExecutionService(config) as service:
             client = ServiceClient(service)
             blocker = asyncio.create_task(
-                client.run(id=1, kernel="grover", n=7, shots=2048)
+                client.run(id=1, kernel="bv", n=4, shots=16)
             )
-            await asyncio.sleep(0.05)  # let the blocker start
+            # Wait until the blocker is executing, however fast it
+            # compiles; the hang keeps it there far past one poll.
+            async def blocker_executing():
+                while (await client.health())["result"]["in_flight"] == 0:
+                    await asyncio.sleep(0.001)
+
+            await asyncio.wait_for(blocker_executing(), timeout=30)
             rushed = await client.run(
                 id=2, kernel="bv", n=4, shots=16, deadline=0.001
             )
