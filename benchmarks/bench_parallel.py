@@ -16,9 +16,9 @@ Two claims, both recorded in BENCH_parallel.json:
   measurement is honest end-to-end (unpickle + source-fingerprint salt
   included) and never touches the developer's real cache.
 
-The 1-worker leg runs the *identical chunk plan* in-process, so the
-throughput comparison isolates process dispatch — not a different
-sampling strategy.
+The 1-worker leg runs all shots as one in-process chunk; the sharded
+legs split the same shots into one chunk per worker, on the same
+batched engine, so the comparison isolates process dispatch.
 """
 
 import json
@@ -33,10 +33,9 @@ from repro.exec import parallel_run_with_info, shutdown_pools
 from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement
 
 #: Shard-throughput workload geometry: 2048 shots of an 11-qubit
-#: trajectory circuit under an artificially small 8 MiB batch envelope
-#: -> 8 chunks of 256 shots, enough work units to keep 4 workers busy.
+#: trajectory circuit, one chunk per worker (32 MiB of batch state in
+#: total, well under the batched engine's envelope).
 SHOTS = 2048
-MAX_BATCH_BYTES = 1 << 23
 WORKER_COUNTS = (1, 2, 4)
 
 
@@ -71,14 +70,13 @@ def test_shard_throughput_vs_workers():
     for workers in WORKER_COUNTS:
         start = time.perf_counter()
         results, info = parallel_run_with_info(
-            circuit, SHOTS, seed=0, workers=workers,
-            max_batch_bytes=MAX_BATCH_BYTES,
+            circuit, SHOTS, seed=0, workers=workers
         )
         seconds = time.perf_counter() - start
         wall[workers] = seconds
         assert len(results) == SHOTS
         assert info.workers == workers
-        assert info.chunks == 8
+        assert info.chunks == workers
         records.append(
             bench_record(
                 f"shard-throughput-{SHOTS}shots",

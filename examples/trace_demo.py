@@ -51,7 +51,6 @@ def teleport_minus() -> bit:
 SHOTS = 256
 SEED = 7
 WORKERS = 2
-TELEPORT_QUBITS = 3
 
 #: The span vocabulary one traced service request must produce
 #: (docs/observability.md) — the acceptance bar for this demo.
@@ -73,7 +72,7 @@ def find_fault_plan() -> FaultPlan:
     attempt)``, so the right plan seed can be *searched for* without
     running anything — the demo is deterministic end to end.
     """
-    sizes = chunk_plan(SHOTS, TELEPORT_QUBITS, WORKERS)
+    sizes = chunk_plan(SHOTS, WORKERS)
     seeds = derive_chunk_seeds(SEED, len(sizes))
     for fault_seed in range(10_000):
         plan = FaultPlan(rates={"worker_crash": 0.3}, seed=fault_seed)

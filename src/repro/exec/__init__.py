@@ -3,11 +3,13 @@
 Four capabilities turn the single-process simulator into something a
 multi-tenant service can sit on (ROADMAP: async execution service):
 
-- :mod:`repro.exec.parallel` — shard a run's shot chunks across a
-  reusable :class:`~concurrent.futures.ProcessPoolExecutor` with
-  per-chunk derived seeds and merged :class:`~repro.sim.backend.RunInfo`
-  telemetry; threaded through every entry point as
-  ``parallel_workers=``.
+- :mod:`repro.exec.parallel` — the one way shots are run: every entry
+  point (``run_circuit``, ``simulate_kernel``, ``kernel()``, the
+  service) splits its shots into a chunk plan with per-chunk derived
+  seeds, runs the chunks in-process or across a reusable
+  :class:`~concurrent.futures.ProcessPoolExecutor`, and merges their
+  :class:`~repro.sim.backend.RunInfo` telemetry.  ``parallel_workers=``
+  picks the worker count (``None`` means 1, ``0`` one per core).
 - :mod:`repro.exec.diskcache` — a persistent on-disk compile cache
   (atomic writes, version-salted keys, stale-tmpfile sweeping) layered
   under the in-memory LRU of :mod:`repro.pipeline`, so fresh processes
@@ -16,9 +18,10 @@ multi-tenant service can sit on (ROADMAP: async execution service):
   injection (worker crash/hang, cache corruption, compile errors) so
   every recovery path below is exercised in CI, not discovered in
   production.
-- :mod:`repro.exec.retry` — chunk-granular recovery: per-wave
-  timeouts, bounded retry with decorrelated-jitter backoff, pool
-  recycling on ``BrokenProcessPool``, and graceful serial degradation.
+- :mod:`repro.exec.retry` — the one chunk dispatcher, with
+  chunk-granular recovery: per-wave timeouts (none for library calls),
+  bounded retry with decorrelated-jitter backoff, pool recycling on
+  ``BrokenProcessPool``, and graceful serial degradation.
 
 See docs/performance.md ("Parallel execution & the persistent cache")
 and docs/service.md (fault injection, retry, and the service on top).
@@ -29,7 +32,6 @@ _PARALLEL_EXPORTS = (
     "START_METHOD_ENV",
     "chunk_plan",
     "derive_chunk_seeds",
-    "parallel_run",
     "parallel_run_with_info",
     "recycle_pool",
     "resolve_workers",

@@ -1,29 +1,33 @@
-"""The parallel shot executor: shard shot chunks across processes.
+"""The parallel shot executor: the one way shots are run.
 
-Every engine in :mod:`repro.sim` scales *within* one process; the
-batched trajectory engine already splits an over-envelope run into
-memory-bounded chunks (:func:`repro.sim.batched.batch_chunk_size`),
-but those chunks ran serially on one core.  This module dispatches
-them to a :class:`concurrent.futures.ProcessPoolExecutor` instead:
+Every shot-running entry point — ``run_circuit``,
+``run_circuit_with_info``, ``simulate_kernel(_with_info)``,
+``kernel()`` and the service — calls :func:`parallel_run_with_info`,
+so there is one seed convention and one dispatcher:
 
-- :func:`chunk_plan` splits a shot count into the **same work units**
-  the batched engine's 256 MiB envelope defines, additionally splitting
-  until every worker has work (an under-envelope run on 4 workers still
-  parallelizes);
+- :func:`chunk_plan` ceil-splits a shot count into at most ``workers``
+  chunks (``parallel_workers=None`` means one worker, so one chunk).
+  Memory is not its concern: the batched engine already caps every
+  sweep at :data:`~repro.sim.batched.MAX_BATCH_BYTES`;
 - each chunk gets a **derived seed** from
   ``numpy.random.SeedSequence(seed).spawn(...)`` — statistically
   independent streams, so the sharded histogram is statistically
   equivalent to a single-process run and *fully deterministic* for a
   fixed ``(seed, workers)`` pair;
+- every chunk is dispatched by
+  :func:`repro.exec.retry.execute_with_retry`, in-process for one
+  worker and on a cached :class:`~concurrent.futures.ProcessPoolExecutor`
+  otherwise;
 - per-chunk results concatenate in plan order and per-chunk
   :class:`~repro.sim.backend.RunInfo` telemetry merges via
   :meth:`RunInfo.merge`, with ``workers``/``chunks`` recorded.
 
 Determinism contract: the output depends only on the chunk plan and
 the derived seeds — **not** on which process (or whether a process at
-all) executed a chunk.  A pool that cannot start (sandboxed
-environments, missing semaphores) silently falls back to in-process
-execution of the identical plan and produces bit-identical results.
+all) executed a chunk, nor on how many attempts it took.  A pool that
+cannot start (sandboxed environments, missing semaphores) degrades to
+in-process execution of the identical plan and produces bit-identical
+results.
 
 Statelessness: the worker entry point re-resolves everything it needs
 from explicit task fields — backend *name* (resolved in the parent, so
@@ -37,20 +41,19 @@ registered only in the parent are visible under ``fork`` but must be
 registered at import time (module level) to work under ``spawn``.
 
 Pools are cached per ``(workers, start method)`` and reused across
-calls — the process-warmup cost is paid once, which is what a
-long-lived service (ROADMAP: async execution service) needs.  See
+calls, so the process-warmup cost is paid once.  See
 docs/performance.md ("Parallel execution & the persistent cache").
 """
 
 from __future__ import annotations
 
 import atexit
+import dataclasses
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -60,6 +63,7 @@ from repro.exec.faults import (
     active_fault_plan,
     maybe_inject_chunk_fault,
 )
+from repro.exec.retry import RetryPolicy, execute_with_retry
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.qcircuit.circuit import Circuit
@@ -69,7 +73,6 @@ from repro.sim.backend import (
     SimBackend,
     get_backend,
 )
-from repro.sim.batched import MAX_BATCH_BYTES, batch_chunk_size
 from repro.sim.kernels import active_kernel_name, use_kernel
 
 #: Environment override for the multiprocessing start method used by
@@ -78,6 +81,10 @@ from repro.sim.kernels import active_kernel_name, use_kernel
 #: determinism contract above); this only trades startup cost against
 #: fork-safety.
 START_METHOD_ENV = "REPRO_PARALLEL_START_METHOD"
+
+#: The retry policy of library calls: the service's bounds, but no
+#: per-wave timeout, so a long library run is never killed as hung.
+LIBRARY_RETRY = RetryPolicy(timeout=None)
 
 _DISPATCHES = _metrics.counter(
     "repro_exec_dispatches_total",
@@ -92,10 +99,12 @@ _CHUNKS = _metrics.counter(
 def resolve_workers(workers: Optional[int]) -> int:
     """Normalize a ``parallel_workers`` request to a concrete count.
 
-    ``None`` and ``0`` mean "one per available core"; negative counts
-    are rejected.
+    ``None`` means one worker, ``0`` means "one per available core";
+    negative counts are rejected.
     """
-    if workers is None or workers == 0:
+    if workers is None:
+        return 1
+    if workers == 0:
         return max(os.cpu_count() or 1, 1)
     if workers < 0:
         raise SimulationError(
@@ -104,26 +113,16 @@ def resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def chunk_plan(
-    shots: int,
-    num_qubits: int,
-    workers: int,
-    max_batch_bytes: int = MAX_BATCH_BYTES,
-) -> list[int]:
-    """Split ``shots`` into per-chunk shot counts.
+def chunk_plan(shots: int, workers: int) -> list[int]:
+    """Split ``shots`` into at most ``workers`` per-chunk shot counts.
 
-    The base unit is the batched engine's memory envelope
-    (:func:`~repro.sim.batched.batch_chunk_size`); when that yields
-    fewer chunks than ``workers``, the run is split further so every
-    worker has work.  The plan is a pure function of
-    ``(shots, num_qubits, workers, max_batch_bytes)`` — the anchor of
-    the determinism contract.
+    Chunks are ceil-sized, so every chunk but a short final one has
+    the same size.  The plan is a pure function of ``(shots, workers)``
+    — the anchor of the determinism contract.
     """
     if shots < 1:
         raise SimulationError("a parallel run needs at least one shot")
-    envelope = batch_chunk_size(num_qubits, max_batch_bytes)
-    target_chunks = max(-(-shots // envelope), max(workers, 1))
-    size = -(-shots // target_chunks)  # ceil division
+    size = -(-shots // max(workers, 1))  # ceil division
     full, remainder = divmod(shots, size)
     return [size] * full + ([remainder] if remainder else [])
 
@@ -178,6 +177,9 @@ def _run_chunk_body(
         maybe_inject_chunk_fault(task.faults, task.seed, task.attempt)
         backend = get_backend(task.backend)
         with use_kernel(task.kernel):
+            # The one place noise_model is forwarded only when set, so
+            # backends predating the noise subsystem keep serving ideal
+            # runs unchanged.
             if task.noise_model is None:
                 return backend.run_with_info(
                     task.circuit, task.shots, task.seed
@@ -271,37 +273,6 @@ def recycle_pool(workers: int) -> None:
 atexit.register(shutdown_pools)
 
 
-def _execute_tasks(
-    tasks: Sequence[_ChunkTask], workers: int, use_processes: bool
-) -> list[tuple[list[tuple[int, ...]], RunInfo, Optional[list[dict]]]]:
-    """Run the chunk tasks, preserving plan order.
-
-    One worker, one chunk, or ``use_processes=False`` stays in-process.
-    A pool that cannot *start* (sandboxed environments, missing
-    semaphores -> ``OSError``/``PermissionError``) or that *breaks*
-    mid-run (``BrokenProcessPool``: a worker died) falls back to
-    in-process execution of the same plan — per-chunk seeding makes
-    the result identical to the pooled run.  Nothing else is caught:
-    a genuine error raised by a chunk (a backend bug, an injected
-    ``worker_crash``) propagates to the caller instead of being
-    silently masked by a whole-plan re-run.  Chunk-granular recovery
-    with budgets lives in :mod:`repro.exec.retry`.
-    """
-    if not use_processes or workers <= 1 or len(tasks) <= 1:
-        return [_run_chunk(task) for task in tasks]
-    try:
-        pool = _get_pool(workers)
-    except OSError:
-        return [_run_chunk(task) for task in tasks]
-    try:
-        return list(pool.map(_run_chunk, tasks))
-    except BrokenProcessPool:
-        # The pool died (worker crash / kill): drop it so the next call
-        # builds a fresh one, then finish this plan serially.
-        recycle_pool(workers)
-        return [_run_chunk(task) for task in tasks]
-
-
 def parallel_run_with_info(
     circuit: Circuit,
     shots: int,
@@ -309,9 +280,8 @@ def parallel_run_with_info(
     workers: Optional[int] = None,
     backend: "str | SimBackend | None" = None,
     noise_model=None,
-    max_batch_bytes: int = MAX_BATCH_BYTES,
     use_processes: bool = True,
-    retry=None,
+    retry: RetryPolicy = LIBRARY_RETRY,
     cancel_event=None,
 ) -> tuple[list[tuple[int, ...]], RunInfo]:
     """Run ``shots`` sharded across ``workers`` processes.
@@ -321,27 +291,28 @@ def parallel_run_with_info(
     the per-chunk records with ``workers`` and ``chunks`` filled in.
     Deterministic for fixed ``(seed, workers)`` (and the workload);
     different worker counts give statistically equivalent histograms
-    drawn from independent derived streams.
+    drawn from independent derived streams.  ``workers=None`` means
+    one worker (one chunk, run in-process); ``0`` means one per core.
 
     ``backend`` may be a registry name or a (picklable) instance;
     ``None`` resolves to the registry default *here in the parent*, so
     workers can never disagree with the dispatcher about the default.
     The parent's context-local apply-kernel selection is shipped along
     for the same reason.  ``use_processes=False`` executes the same
-    plan in-process (bit-identical results; used by tests and the
-    broken-pool fallback).
+    plan in-process (bit-identical results).
 
-    ``retry`` (a :class:`repro.exec.retry.RetryPolicy`) switches chunk
-    dispatch to the fault-tolerant path: per-chunk timeouts, bounded
-    retry with backoff, pool recycling on ``BrokenProcessPool``, and
-    graceful serial degradation — with the recovery telemetry merged
-    into ``info`` (``retries`` / ``faults_injected`` / ``degraded``).
-    ``cancel_event`` (a :class:`threading.Event`) cooperatively cancels
-    the remaining work between chunk waves (the service's deadline
-    path).  The parent's active fault plan
-    (:func:`repro.exec.faults.active_fault_plan`) is shipped on every
-    chunk task, so injected faults reach pool workers under any start
-    method.
+    Chunks are dispatched by :func:`repro.exec.retry.execute_with_retry`
+    under ``retry`` (a :class:`~repro.exec.retry.RetryPolicy`):
+    per-wave timeouts, bounded retry with backoff, pool recycling on
+    ``BrokenProcessPool``, and graceful serial degradation — with the
+    recovery telemetry merged into ``info`` (``retries`` /
+    ``faults_injected`` / ``degraded``).  The default,
+    :data:`LIBRARY_RETRY`, sets no timeout.  ``cancel_event`` (a
+    :class:`threading.Event`) cooperatively cancels the remaining work
+    between chunk waves (the service's deadline path).  The parent's
+    active fault plan (:func:`repro.exec.faults.active_fault_plan`) is
+    shipped on every chunk task, so injected faults reach pool workers
+    under any start method.
     """
     workers = resolve_workers(workers)
     if isinstance(backend, SimBackend):
@@ -349,7 +320,7 @@ def parallel_run_with_info(
     else:
         resolved_backend = backend or DEFAULT_BACKEND
         get_backend(resolved_backend)  # fail fast on unknown names
-    plan = chunk_plan(shots, circuit.num_qubits, workers, max_batch_bytes)
+    plan = chunk_plan(shots, workers)
     seeds = derive_chunk_seeds(seed, len(plan))
     kernel = active_kernel_name()
     fault_plan = active_fault_plan()
@@ -368,57 +339,24 @@ def parallel_run_with_info(
         ]
         _DISPATCHES.inc()
         _CHUNKS.inc(len(tasks))
-        telemetry = None
-        if retry is not None:
-            from repro.exec.retry import execute_with_retry
-
-            outcomes, telemetry = execute_with_retry(
-                tasks, workers, retry,
-                use_processes=use_processes,
-                cancel_event=cancel_event,
-            )
-        else:
-            outcomes = _execute_tasks(tasks, workers, use_processes)
+        outcomes, telemetry = execute_with_retry(
+            tasks, workers, retry,
+            use_processes=use_processes,
+            cancel_event=cancel_event,
+        )
         results: list[tuple[int, ...]] = []
         infos: list[RunInfo] = []
         for chunk_results, chunk_info, chunk_spans in outcomes:
             results.extend(chunk_results)
             infos.append(chunk_info)
             _trace.absorb_spans(chunk_spans)
-        if telemetry is not None:
-            dispatch_span.set(
-                retries=telemetry.retries, degraded=telemetry.degraded
-            )
-    merged = RunInfo.merge(infos, workers=workers)
-    if telemetry is not None:
-        import dataclasses
-
-        merged = dataclasses.replace(
-            merged,
-            retries=telemetry.retries,
-            faults_injected=telemetry.faults_injected,
-            degraded=telemetry.degraded,
+        dispatch_span.set(
+            retries=telemetry.retries, degraded=telemetry.degraded
         )
-    return results, merged
-
-
-def parallel_run(
-    circuit: Circuit,
-    shots: int,
-    seed: int = 0,
-    workers: Optional[int] = None,
-    backend: "str | SimBackend | None" = None,
-    noise_model=None,
-    max_batch_bytes: int = MAX_BATCH_BYTES,
-) -> list[tuple[int, ...]]:
-    """:func:`parallel_run_with_info` without the telemetry record."""
-    results, _ = parallel_run_with_info(
-        circuit,
-        shots,
-        seed,
-        workers=workers,
-        backend=backend,
-        noise_model=noise_model,
-        max_batch_bytes=max_batch_bytes,
+    merged = dataclasses.replace(
+        RunInfo.merge(infos, workers=workers),
+        retries=telemetry.retries,
+        faults_injected=telemetry.faults_injected,
+        degraded=telemetry.degraded,
     )
-    return results
+    return results, merged

@@ -1,8 +1,9 @@
 """Fault-tolerant chunk dispatch: timeouts, bounded retry, recycling.
 
-The plain dispatcher (:func:`repro.exec.parallel._execute_tasks`)
-assumes chunks succeed; a service cannot.  This module replaces its
-all-or-nothing semantics with **chunk-granular recovery**:
+:func:`execute_with_retry` is the one chunk dispatcher: every shot run
+(:func:`repro.exec.parallel.parallel_run_with_info`) sends its chunks
+through it.  One worker or one chunk runs in-process; otherwise chunks
+go to a cached process pool, with **chunk-granular recovery**:
 
 - every pending chunk is submitted as its own future and the wave is
   awaited with :func:`concurrent.futures.wait` under
@@ -83,7 +84,8 @@ class RetryPolicy:
     the whole request, so a request-wide fault storm fails fast
     instead of multiplying per-chunk limits.  ``timeout`` is the
     per-wave wall-clock bound in seconds (``None`` waits forever —
-    only sensible without hang faults); ``backoff_base`` /
+    the library default, :data:`repro.exec.parallel.LIBRARY_RETRY`, so
+    a long run is never killed as hung); ``backoff_base`` /
     ``backoff_cap`` shape the decorrelated-jitter sleep between a
     chunk's attempts; ``degrade_after`` is how many pool recycles are
     tolerated before falling back to serial in-process execution.
@@ -169,9 +171,10 @@ def execute_with_retry(
 ) -> tuple[list, RetryTelemetry]:
     """Run chunk tasks with recovery; returns ``(outcomes, telemetry)``.
 
-    ``outcomes`` preserves plan order, exactly like the plain
-    dispatcher.  ``tasks`` are :class:`repro.exec.parallel._ChunkTask`
-    instances (shipped with their fault plan and ``attempt=0``).
+    ``outcomes`` preserves plan order.  ``tasks`` are
+    :class:`repro.exec.parallel._ChunkTask` instances (shipped with
+    their fault plan and ``attempt=0``).  One worker, one task, or
+    ``use_processes=False`` runs in-process.
     """
     from repro.exec.parallel import _get_pool, _run_chunk, recycle_pool
 
@@ -204,7 +207,7 @@ def execute_with_retry(
             injected=injected,
         )
 
-    serial = not use_processes or workers <= 1 or telemetry.degraded
+    serial = not use_processes or workers <= 1 or len(tasks) <= 1
 
     while pending:
         _check_cancel(cancel_event)

@@ -322,10 +322,10 @@ class QpuKernel:
         return types
 
     # ------------------------------------------------------------------
-    def compile(self, **options):
+    def compile(self, options=None, *, pipeline=None, cache=False):
         from repro.pipeline import compile_kernel
 
-        return compile_kernel(self, **options)
+        return compile_kernel(self, options, pipeline=pipeline, cache=cache)
 
     def __call__(
         self,

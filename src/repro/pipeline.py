@@ -74,10 +74,13 @@ class CompileOptions:
     (:mod:`repro.sim.kernels`; ``None`` keeps the process default),
     ``noise_model`` (a :class:`repro.noise.NoiseModel`) makes those
     executions noisy, and ``parallel_workers`` shards the run's shot
-    chunks across a process pool (:mod:`repro.exec`; ``None`` keeps
-    the single-process path, ``0`` means one worker per core); none of
-    the four affects compilation itself, and all four are excluded
-    from the compile-cache key.
+    chunks across a process pool (:mod:`repro.exec`; ``None`` means
+    one worker, ``0`` one worker per core); none of the four affects
+    compilation itself, and all four are excluded from the
+    compile-cache key.
+
+    Build options from a named preset (:meth:`preset`, the
+    :data:`PRESETS` table) or by setting the spec fields directly.
     """
 
     qwerty_spec: str = QWERTY_OPT_SPEC
@@ -104,36 +107,6 @@ class CompileOptions:
             )
         return dataclasses.replace(base, **overrides)
 
-    @classmethod
-    def from_flags(
-        cls,
-        inline: bool = True,
-        peephole: bool = True,
-        relaxed_peephole: bool = True,
-        selinger: bool = True,
-        to_circuit: bool = True,
-        verify: bool = True,
-    ) -> "CompileOptions":
-        """Translate the legacy boolean flags into pipeline specs."""
-        if peephole:
-            optimize_spec = (
-                "peephole{relaxed=true}"
-                if relaxed_peephole
-                else "peephole{relaxed=false}"
-            )
-        else:
-            optimize_spec = ""
-        scheme = "selinger" if selinger else "naive"
-        return cls(
-            qwerty_spec=QWERTY_OPT_SPEC if inline else QWERTY_NOOPT_SPEC,
-            optimize_spec=optimize_spec,
-            decompose_spec=(
-                f"decompose-multi-controlled{{scheme={scheme}}},"
-                f"peephole{{relaxed=false}}"
-            ),
-            to_circuit=to_circuit and inline,
-            verify=verify,
-        )
 
 #: Presets matching the paper's configurations: "default" is the full
 #: pipeline, "no-opt" is Table 1's "Asdf (No Opt)", and the remaining
@@ -528,16 +501,14 @@ def compile_kernel(
     *,
     pipeline: Optional[str] = None,
     cache: bool = False,
-    **flags,
 ) -> CompileResult:
     """Compile a ``@qpu`` kernel through the full pipeline.
 
-    The configuration comes from exactly one of: ``options`` (a
-    :class:`CompileOptions`), ``pipeline`` (a preset name such as
-    ``"no-opt"``), or the legacy boolean flags (``inline``,
-    ``peephole``, ``relaxed_peephole``, ``selinger``, ``to_circuit``,
-    ``verify``).  ``inline=False`` reproduces the paper's "Asdf (No
-    Opt)" Table 1 configuration; the result then has no flat circuit
+    The configuration comes from at most one of ``options`` (a
+    :class:`CompileOptions`) or ``pipeline`` (a preset name such as
+    ``"no-opt"``); with neither, the ``"default"`` preset applies.
+    ``pipeline="no-opt"`` reproduces the paper's "Asdf (No Opt)"
+    Table 1 configuration; the result then has no flat circuit
     (function values survive as QIR callables).
 
     ``cache=True`` consults the per-process compile cache; the returned
@@ -549,7 +520,7 @@ def compile_kernel(
         cache=cache,
     ) as span:
         result = _compile_kernel_impl(
-            kernel, options, pipeline=pipeline, cache=cache, **flags
+            kernel, options, pipeline=pipeline, cache=cache
         )
         span.set(provenance=result.provenance)
     _COMPILES.inc(provenance=result.provenance)
@@ -561,21 +532,16 @@ def _compile_kernel_impl(
     options: Optional[CompileOptions] = None,
     pipeline: Optional[str] = None,
     cache: bool = False,
-    **flags,
 ) -> CompileResult:
-    if sum(x is not None for x in (options, pipeline)) + bool(flags) > 1:
-        raise TypeError(
-            "pass exactly one of options=, pipeline=, or boolean flags"
-        )
+    if options is not None and pipeline is not None:
+        raise TypeError("pass at most one of options= and pipeline=")
     # Chaos hook: an active `compile_error` fault plan fails the
     # compile up front with a coded diagnostic (before any cache
     # consultation, so a warm cache cannot hide the injection).
     _faults.maybe_inject_compile_error(kernel.name)
     if options is None:
-        options = (
-            CompileOptions.preset(pipeline)
-            if pipeline is not None
-            else CompileOptions.from_flags(**flags)
+        options = CompileOptions.preset(
+            "default" if pipeline is None else pipeline
         )
 
     cache_key = None
@@ -702,21 +668,17 @@ def simulate_kernel_with_info(
     run executed.
     """
     from repro.frontend.decorators import Bits
-    from repro.sim import get_backend, use_kernel
+    from repro.sim import use_kernel
     from repro.sim.backend import run_circuit_with_info
 
-    sim_kernel = None
+    def explicit_or(value, fallback):
+        # Explicit arguments win over the options' execution fields.
+        return fallback if value is None else value
+
     if options is None:
-        result = compile_kernel(kernel, cache=cache)
-        chosen = backend
-    else:
-        result = compile_kernel(kernel, options, cache=cache)
-        chosen = backend if backend is not None else options.sim_backend
-        sim_kernel = options.sim_kernel
-        if noise_model is None:
-            noise_model = options.noise_model
-        if parallel_workers is None:
-            parallel_workers = options.parallel_workers
+        options = CompileOptions()
+    result = compile_kernel(kernel, options, cache=cache)
+    noise_model = explicit_or(noise_model, options.noise_model)
     provenance = result.provenance
     if params:
         # bind() never writes to the compile cache, so a sweep reuses
@@ -728,29 +690,17 @@ def simulate_kernel_with_info(
         # Noise channels attach by gate name, so noisy runs execute the
         # unfused circuit (fused blocks would silently drop channels).
         circuit = result.optimized_circuit
-    with use_kernel(sim_kernel):
-        if parallel_workers is not None:
-            outcomes, info = run_circuit_with_info(
-                circuit,
-                shots=shots,
-                seed=seed,
-                backend=chosen,
-                noise_model=noise_model,
-                parallel_workers=parallel_workers,
-            )
-        else:
-            resolved = get_backend(chosen)
-            if noise_model is None:
-                outcomes, info = resolved.run_with_info(
-                    circuit, shots=shots, seed=seed
-                )
-            else:
-                outcomes, info = resolved.run_with_info(
-                    circuit,
-                    shots=shots,
-                    seed=seed,
-                    noise_model=noise_model,
-                )
+    with use_kernel(options.sim_kernel):
+        outcomes, info = run_circuit_with_info(
+            circuit,
+            shots=shots,
+            seed=seed,
+            backend=explicit_or(backend, options.sim_backend),
+            noise_model=noise_model,
+            parallel_workers=explicit_or(
+                parallel_workers, options.parallel_workers
+            ),
+        )
     info = dataclasses.replace(info, compile_cache=provenance)
     return [Bits(outcome) for outcome in outcomes], info
 
@@ -796,10 +746,13 @@ def simulate_kernel(
 
         simulate_kernel(kernel, shots=1024, params={"theta": 45.0})
 
-    ``parallel_workers`` shards the run's shot chunks across a process
-    pool with per-chunk derived seeds (:mod:`repro.exec`; ``0`` means
-    one worker per core — deterministic per ``(seed, workers)``, best
-    for trajectory workloads)::
+    Every run goes through the parallel shot executor
+    (:mod:`repro.exec`), the same path the service takes:
+    ``parallel_workers`` shards the shot chunks across a process pool
+    with per-chunk derived seeds (``None`` falls back to
+    ``options.parallel_workers`` and then means one worker; ``0`` means
+    one worker per core).  Results are deterministic per
+    ``(seed, workers)``; sharding is best for trajectory workloads::
 
         simulate_kernel(kernel, shots=100_000, parallel_workers=4)
     """

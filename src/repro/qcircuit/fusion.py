@@ -19,10 +19,9 @@ This pass shrinks the count at compile time, in two composed moves:
 The result is a :class:`FusedUnitary` instruction stream that every
 backend executes natively — the per-shot interpreter, the vectorized
 statevector sampler, the shot-batched trajectory engine, and the
-density-matrix backend all benefit, instead of only the statevector
-backend's terminal-measurement fast path (whose private
-``fuse_single_qubit_gates`` used to be the only fusion in the tree and
-now lives here).  Classically conditioned gates are fusion barriers on
+density-matrix backend all benefit.  This is the only fusion in the
+tree: the simulators apply the execution circuit's instructions as
+they are.  Classically conditioned gates are fusion barriers on
 the qubits they touch; measurements and resets flush every pending
 block, so fused circuits preserve terminal-measurement structure.
 
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -376,84 +375,3 @@ def _fusion_factory(options: dict) -> FusionPass:
 
 
 register_pass("fuse", _fusion_factory)
-
-
-# ----------------------------------------------------------------------
-# Evolution-step fusion (the statevector fast path's form).
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FusedGate:
-    """One fused evolution step: a raw unitary on explicit qubits.
-
-    The *simulator-internal* cousin of :class:`FusedUnitary`: it keeps
-    controls explicit (the statevector engines apply them by slicing)
-    and exists only inside an evolution loop, never in circuits.
-    Produced by :func:`fuse_single_qubit_gates`.
-    """
-
-    matrix: np.ndarray
-    targets: tuple[int, ...]
-    controls: tuple[int, ...] = ()
-    ctrl_states: tuple[int, ...] = ()
-
-
-def fuse_single_qubit_gates(
-    gates: Sequence,
-) -> list[FusedGate]:
-    """Fuse runs of adjacent single-qubit gates into single unitaries.
-
-    Uncontrolled single-qubit gates on the same qubit are accumulated
-    into one 2x2 product until a multi-qubit or controlled gate touches
-    that qubit; single-qubit gates on *different* qubits commute, so
-    each qubit keeps its own pending product.  The result applies the
-    same unitary as the input with (usually far) fewer statevector
-    sweeps.  :class:`FusedUnitary` entries (compile-time fusion output)
-    pass through as their own steps.
-
-    This is the statevector backend's terminal-measurement fast-path
-    fusion; the general compile-time pass (:func:`fuse_adjacent_gates`)
-    subsumes it for whole circuits.  Classically conditioned gates are
-    rejected: whether they apply depends on per-shot measurement
-    outcomes, so their circuits must be executed as trajectories, not
-    fused evolutions.
-    """
-    from repro.sim.kernels import gate_matrix
-
-    fused: list[FusedGate] = []
-    pending: dict[int, np.ndarray] = {}
-
-    def flush(qubit: int) -> None:
-        matrix = pending.pop(qubit, None)
-        if matrix is not None:
-            fused.append(FusedGate(matrix, (qubit,)))
-
-    for gate in gates:
-        if isinstance(gate, FusedUnitary):
-            for qubit in gate.targets:
-                flush(qubit)
-            fused.append(FusedGate(gate.matrix, gate.targets))
-            continue
-        if gate.condition is not None:
-            raise SimulationError(
-                "cannot fuse classically conditioned gates; execute the "
-                "circuit as per-shot trajectories instead"
-            )
-        matrix = gate_matrix(gate.name, gate.params)
-        if not gate.controls and len(gate.targets) == 1:
-            qubit = gate.targets[0]
-            previous = pending.get(qubit)
-            # New gate acts after the accumulated run: left-multiply.
-            pending[qubit] = (
-                matrix if previous is None else matrix @ previous
-            )
-        else:
-            for qubit in gate.qubits:
-                flush(qubit)
-            fused.append(
-                FusedGate(
-                    matrix, gate.targets, gate.controls, gate.ctrl_states
-                )
-            )
-    for qubit in sorted(pending):
-        flush(qubit)
-    return fused

@@ -17,7 +17,7 @@ Request fields (``op: "run"``, the default)::
      "shots": 256, "seed": 0,
      "priority": 5,             # lower runs sooner
      "deadline": 10.0,          # seconds, capped by the server
-     "workers": 2}              # shot-sharding worker count
+     "workers": 2}              # shot-sharding workers, <= MAX_WORKERS
 
 ``op: "health"`` and ``op: "stats"`` take no other fields.  Responses
 are ``{"id", "ok": true, "result": {...}}`` or ``{"id", "ok": false,
@@ -52,6 +52,11 @@ OPS = ("run", "health", "stats", "metrics")
 #: Hard ceiling on per-request shots (one request must never occupy
 #: the executor for unbounded time; split larger sweeps client-side).
 MAX_SHOTS = 1 << 20
+
+#: Hard ceiling on per-request shot-sharding workers.  The worker count
+#: sizes a process pool, and each distinct count caches one more pool
+#: for the life of the server, so it must not be client-unbounded.
+MAX_WORKERS = 32
 
 #: Noise-channel vocabulary: request ``noise`` keys map to the
 #: single-parameter constructors in :mod:`repro.noise`.
@@ -108,6 +113,11 @@ class RunRequest:
             raise BadRequestError(
                 f"shots={request.shots} exceeds the per-request ceiling "
                 f"of {MAX_SHOTS}; split the sweep across requests"
+            )
+        if request.workers is not None and request.workers > MAX_WORKERS:
+            raise BadRequestError(
+                f"workers={request.workers} exceeds the per-request "
+                f"ceiling of {MAX_WORKERS}"
             )
         if request.noise is not None:
             if not isinstance(request.noise, Mapping):

@@ -5,6 +5,9 @@ answered with one line; responses may interleave across a
 connection's in-flight requests (pipelining), so clients match on
 ``id``.  A malformed line gets a ``QW604`` error line instead of a
 dropped connection — a misbehaving client learns what it did wrong.
+A line longer than :data:`MAX_LINE_BYTES` also gets a ``QW604`` line;
+the connection then stops reading (the rest of that line cannot be
+framed), answers its in-flight requests, and closes.
 
 Graceful shutdown: :func:`serve` installs SIGINT/SIGTERM handlers
 that drain the service (stop admitting -> ``QW605``, finish queued
@@ -25,6 +28,7 @@ from __future__ import annotations
 import asyncio
 from typing import Optional
 
+from repro.errors import BadRequestError
 from repro.obs.logging import get_logger
 from repro.service.protocol import (
     encode_response,
@@ -34,6 +38,10 @@ from repro.service.protocol import (
 from repro.service.service import ExecutionService, ServiceConfig
 
 _LOG = get_logger("service.server")
+
+#: Longest request line the server reads (the ``limit`` of its stream
+#: readers): asyncio's 64 KiB default, written down.
+MAX_LINE_BYTES = 1 << 16
 
 
 async def handle_connection(
@@ -55,7 +63,16 @@ async def handle_connection(
 
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                # Over MAX_LINE_BYTES: answer, then stop reading and let
+                # the in-flight requests finish before closing.
+                await respond(error_response(None, BadRequestError(
+                    f"request line exceeds the {MAX_LINE_BYTES}-byte "
+                    f"limit; closing the connection"
+                )))
+                break
             if not line:
                 break
             if not line.strip():
@@ -116,7 +133,10 @@ async def serve(
             except (NotImplementedError, RuntimeError):
                 pass  # platform without loop signal support
     server = await asyncio.start_server(
-        lambda r, w: handle_connection(service, r, w), host, port
+        lambda r, w: handle_connection(service, r, w),
+        host,
+        port,
+        limit=MAX_LINE_BYTES,
     )
     async with server:
         bound = server.sockets[0].getsockname()

@@ -6,7 +6,6 @@ Execution is organized around pluggable backends — see
 
 # Import order matters: statevector (and through it repro.qcircuit.fusion)
 # must initialize before backend/density, which build on its primitives.
-from repro.qcircuit.fusion import FusedGate, fuse_single_qubit_gates
 from repro.sim.kernels import (
     active_kernel_name,
     available_kernels,
@@ -57,7 +56,6 @@ __all__ = [
     "BatchedStatevector",
     "DensityMatrixBackend",
     "DensityMatrixSimulator",
-    "FusedGate",
     "InterpreterBackend",
     "ModuleInterpreter",
     "RunInfo",
@@ -73,7 +71,6 @@ __all__ = [
     "batched_run",
     "controlled_matrix",
     "current_kernel_selection",
-    "fuse_single_qubit_gates",
     "gate_matrix",
     "get_backend",
     "get_kernel",

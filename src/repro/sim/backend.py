@@ -12,13 +12,13 @@ Three backends ship in-tree:
 ``"interpreter"``
     One independent statevector trajectory per shot, seeded
     ``seed + shot``.  O(shots x gates x 2^n), but handles every circuit
-    and reproduces the repository's historical shot sequences exactly.
+    one instruction at a time: the simple reference engine.
 
 ``"statevector"``
     The vectorized sampler.  For *terminal-measurement* circuits (all
     measurements after the last gate, no classical control, no reset
-    before a measurement) it evolves the state **once** — through a
-    gate-fused, matrix-cached evolution — and draws all shots from
+    before a measurement) it evolves the state **once**, one step per
+    execution-circuit gate or fused block, and draws all shots from
     |psi|^2 with a single ``np.random.Generator.choice`` call, making
     shot count a near-constant cost.  Circuits with genuine mid-circuit
     measurement, classically conditioned gates, or mid-evolution reset
@@ -54,11 +54,7 @@ from repro.errors import SimulationError
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement, Reset
-from repro.qcircuit.fusion import (
-    FusedUnitary,
-    fuse_single_qubit_gates,
-    fused_gate_savings,
-)
+from repro.qcircuit.fusion import FusedUnitary, fused_gate_savings
 from repro.sim.batched import batched_run
 from repro.sim.kernels import active_kernel_name
 from repro.sim.statevector import StatevectorSimulator
@@ -94,8 +90,8 @@ class RunInfo:
     1 (one rho evolution serves every shot).  ``batched`` is True when
     the batched engine ran (so an ``evolutions`` of 1 means one sweep
     over all shots at once, not one single-shot evolution).
-    ``fused_ops`` is the post-fusion evolution step count on the fast
-    path (``None`` otherwise).
+    ``fused_ops`` is the evolution step count on the fast path — the
+    execution circuit's gates and fused blocks (``None`` otherwise).
 
     ``channel_applications`` / ``readout_applications`` count noise
     events the engine actually performed; the granularity differs per
@@ -216,36 +212,14 @@ class RunInfo:
 class SimBackend:
     """Protocol for simulation backends.
 
-    Subclasses implement :meth:`run_with_info`; :meth:`run` and
-    :meth:`make_simulator` have default implementations.  Instances
-    must be stateless across calls (one backend object may serve many
-    threads of the evaluation harness).
+    Subclasses implement :meth:`run_with_info`; :meth:`make_simulator`
+    has a default implementation.  Instances must be stateless across
+    calls (one backend object may serve many threads of the evaluation
+    harness).
     """
 
     #: Registry name; subclasses override.
     name = "abstract"
-
-    def run(
-        self,
-        circuit: Circuit,
-        shots: int = 1,
-        seed: int = 0,
-        noise_model=None,
-    ) -> list[tuple[int, ...]]:
-        """Sample ``shots`` output-bit tuples from ``circuit``.
-
-        ``noise_model`` is an optional :class:`repro.noise.NoiseModel`;
-        backends that cannot execute under noise must raise
-        :class:`~repro.errors.SimulationError` rather than silently
-        ignore it.
-        """
-        if noise_model is None:
-            results, _ = self.run_with_info(circuit, shots, seed)
-        else:
-            results, _ = self.run_with_info(
-                circuit, shots, seed, noise_model=noise_model
-            )
-        return results
 
     def run_with_info(
         self,
@@ -254,7 +228,15 @@ class SimBackend:
         seed: int = 0,
         noise_model=None,
     ) -> tuple[list[tuple[int, ...]], RunInfo]:
-        """Like :meth:`run`, also returning a :class:`RunInfo`."""
+        """Sample ``shots`` output-bit tuples from ``circuit``; returns
+        ``(results, RunInfo)``.
+
+        ``noise_model`` is an optional :class:`repro.noise.NoiseModel`;
+        backends that cannot execute under noise must raise
+        :class:`~repro.errors.SimulationError` rather than silently
+        ignore it.  Backends may omit the parameter: the dispatcher
+        passes it only when set.
+        """
         raise NotImplementedError
 
     def make_simulator(
@@ -432,21 +414,20 @@ class VectorizedStatevectorBackend(SimBackend):
                 kernel=active_kernel_name(),
             )
 
-        # The unitary prefix may mix plain gates with FusedUnitary
-        # blocks from the compile-time fusion pass; both fuse into the
-        # evolution step list (single-qubit runs still collapse here).
+        # The unitary prefix mixes plain gates with FusedUnitary blocks
+        # from the compile-time fusion pass; each is one evolution step.
         prefix = [
             inst
             for inst in circuit.instructions
             if isinstance(inst, (CircuitGate, FusedUnitary))
         ]
-        fused = fuse_single_qubit_gates(prefix)
         with _trace.span(
             "sim.sweep",
             engine="fast-path", shots=shots, qubits=circuit.num_qubits,
         ):
             sim = StatevectorSimulator(circuit.num_qubits, circuit.num_bits)
-            sim.apply_fused(fused)
+            for inst in prefix:
+                sim.apply(inst)
             results = _sample_terminal(
                 sim.state, circuit, plan, shots, np.random.default_rng(seed)
             )
@@ -456,7 +437,7 @@ class VectorizedStatevectorBackend(SimBackend):
             shots,
             evolutions=1,
             fast_path=True,
-            fused_ops=len(fused),
+            fused_ops=len(prefix),
             gates_fused=fused_gate_savings(circuit),
             kernel=active_kernel_name(),
         )
@@ -579,36 +560,27 @@ def run_circuit_with_info(
     ``backend=None`` resolves to :data:`DEFAULT_BACKEND`, the same
     single resolution point every execution entry point consults.
     ``noise_model`` (a :class:`repro.noise.NoiseModel`) makes the run
-    noisy; it is only forwarded when set, so backends predating the
-    noise subsystem keep working for ideal runs.
+    noisy.
 
-    ``parallel_workers`` routes the run through the parallel shot
-    executor (:mod:`repro.exec`): shot chunks shard across a process
-    pool with per-chunk derived seeds (``0`` means one worker per
-    core).  Leave it ``None`` for the legacy single-process seed
-    convention; any explicit value — including ``1`` — selects the
-    sharded convention, so ``workers=1`` and ``workers=4`` runs are
-    comparable.  Best for trajectory workloads (mid-circuit
-    measurement or noise); the terminal-measurement fast path already
-    makes shots near-free in one process, and sharding it repeats the
-    one evolution per chunk.
+    Every run goes through the parallel shot executor
+    (:func:`repro.exec.parallel.parallel_run_with_info`): the shots
+    split into at most ``parallel_workers`` chunks, each with a seed
+    derived from ``seed``, so results are deterministic per
+    ``(seed, workers)``.  ``None`` means one worker (one in-process
+    chunk), ``0`` one worker per core.  Sharding pays off for
+    trajectory workloads (mid-circuit measurement or noise); the
+    terminal-measurement fast path already makes shots near-free in
+    one process, and sharding it repeats the one evolution per chunk.
     """
-    if parallel_workers is not None:
-        from repro.exec.parallel import parallel_run_with_info
+    from repro.exec.parallel import parallel_run_with_info
 
-        return parallel_run_with_info(
-            circuit,
-            shots,
-            seed,
-            workers=parallel_workers,
-            backend=backend,
-            noise_model=noise_model,
-        )
-    resolved = get_backend(backend)
-    if noise_model is None:
-        return resolved.run_with_info(circuit, shots, seed)
-    return resolved.run_with_info(
-        circuit, shots, seed, noise_model=noise_model
+    return parallel_run_with_info(
+        circuit,
+        shots,
+        seed,
+        workers=parallel_workers,
+        backend=backend,
+        noise_model=noise_model,
     )
 
 

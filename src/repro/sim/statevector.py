@@ -20,14 +20,13 @@ bit ``(x >> (n - 1 - q)) & 1``.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement, Reset
-from repro.qcircuit.fusion import FusedGate, FusedUnitary
+from repro.qcircuit.fusion import FusedUnitary
 from repro.sim.kernels import apply_matrix_inplace, gate_matrix
 
 __all__ = [
@@ -39,27 +38,6 @@ __all__ = [
     "run_circuit",
     "unitary_of_gates",
 ]
-
-
-def __getattr__(name: str):
-    # Deprecation shim: single-qubit-run fusion moved into the compile
-    # pipeline (repro.qcircuit.fusion) so every backend benefits, not
-    # just this module's callers.  Old imports keep working, with a
-    # warning pointing at the new home.
-    if name == "fuse_single_qubit_gates":
-        warnings.warn(
-            f"repro.sim.statevector.{name} has moved to "
-            f"repro.qcircuit.fusion; update the import "
-            f"(see docs/performance.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import repro.qcircuit.fusion as fusion
-
-        return getattr(fusion, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
 
 
 def control_sliced_view(
@@ -134,11 +112,12 @@ class StatevectorSimulator:
             )
         self._apply_matrix(matrix, targets, controls, ctrl_states)
 
-    def apply_fused(self, fused: Sequence[FusedGate]) -> None:
-        """Apply a fused gate list (see
-        :func:`repro.qcircuit.fusion.fuse_single_qubit_gates`)."""
-        for op in fused:
-            self._apply_matrix(op.matrix, op.targets, op.controls, op.ctrl_states)
+    def apply(self, op: "CircuitGate | FusedUnitary") -> None:
+        """Apply one gate or compile-time fused block."""
+        if isinstance(op, FusedUnitary):
+            self._apply_matrix(op.matrix, op.targets)
+        else:
+            self.apply_gate(op)
 
     def _apply_matrix(
         self,
@@ -264,7 +243,7 @@ class StatevectorSimulator:
                         if stats is not None:
                             stats.channel_applications += 1
             elif isinstance(inst, FusedUnitary):
-                self._apply_matrix(inst.matrix, inst.targets)
+                self.apply(inst)
             elif isinstance(inst, Measurement):
                 outcome = self.measure(inst.qubit)
                 error = (
@@ -308,31 +287,26 @@ def run_circuit(
     vectorized ``"statevector"`` sampler — like every other execution
     entry point (``simulate_kernel``, ``kernel()``,
     ``interpret_module``).  Pass ``backend="interpreter"`` for one
-    independent trajectory per shot seeded ``seed + shot``,
-    ``noise_model`` (a :class:`repro.noise.NoiseModel`) to execute
-    under noise (docs/noise.md), and ``parallel_workers`` to shard the
-    shot chunks across a process pool with per-chunk derived seeds
-    (:mod:`repro.exec`; deterministic per ``(seed, workers)``,
-    docs/performance.md).
-    """
-    from repro.sim.backend import get_backend, run_circuit_with_info
+    independent trajectory per shot, and ``noise_model`` (a
+    :class:`repro.noise.NoiseModel`) to execute under noise
+    (docs/noise.md).
 
-    if parallel_workers is not None:
-        results, _ = run_circuit_with_info(
-            circuit,
-            shots,
-            seed,
-            backend=backend,
-            noise_model=noise_model,
-            parallel_workers=parallel_workers,
-        )
-        return results
-    resolved = get_backend(backend)
-    if noise_model is None:
-        # Not forwarded when unset, so backends predating the noise
-        # subsystem keep serving ideal runs unchanged.
-        return resolved.run(circuit, shots, seed)
-    return resolved.run(circuit, shots, seed, noise_model=noise_model)
+    Like every shot run, this goes through the parallel shot executor
+    (:mod:`repro.exec`): ``parallel_workers`` chunks (``None`` means
+    1, ``0`` one per core), each seeded from ``seed``, so results are
+    deterministic per ``(seed, workers)`` (docs/performance.md).
+    """
+    from repro.sim.backend import run_circuit_with_info
+
+    results, _ = run_circuit_with_info(
+        circuit,
+        shots,
+        seed,
+        backend=backend,
+        noise_model=noise_model,
+        parallel_workers=parallel_workers,
+    )
+    return results
 
 
 def apply_gates_to_state(
@@ -352,10 +326,7 @@ def apply_gates_to_state(
             raise SimulationError("initial state has the wrong dimension")
         sim.state = np.array(initial, dtype=complex).reshape((2,) * num_qubits)
     for gate in gates:
-        if isinstance(gate, FusedUnitary):
-            sim.apply_unitary(gate.matrix, gate.targets)
-        else:
-            sim.apply_gate(gate)
+        sim.apply(gate)
     return sim.statevector()
 
 

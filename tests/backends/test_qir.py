@@ -43,9 +43,7 @@ def test_optimized_kernel_has_no_callables():
 
 def test_no_opt_kernel_emits_callables():
     # Paper Table 1, Asdf (No Opt) column: nonzero.
-    result = bernstein_vazirani("1010").compile(
-        inline=False, to_circuit=False
-    )
+    result = bernstein_vazirani("1010").compile(pipeline="no-opt")
     text = result.qir("unrestricted")
     creates, invokes = count_callable_intrinsics(text)
     assert creates > 0 and invokes > 0

@@ -31,7 +31,7 @@ from repro.qcircuit.circuit import (
     Reset,
 )
 from repro.qcircuit.fusion import fuse_adjacent_gates
-from repro.sim import get_backend
+from repro.sim import get_backend, run_circuit
 from repro.sim.kernels import numba_available, use_kernel
 
 from tests.stats import assert_matches_distribution, tvd_threshold
@@ -159,8 +159,8 @@ def test_terminal_circuits_agree_across_engines(circuit, seed):
     configs.append(("interpreter", circuit, "numpy"))
     for backend_name, form, kernel in configs:
         with use_kernel(kernel):
-            outcomes = get_backend(backend_name).run(
-                form, shots=SHOTS, seed=seed
+            outcomes = run_circuit(
+                form, shots=SHOTS, seed=seed, backend=backend_name
             )
         _check_config(
             f"{backend_name}/{kernel}"
@@ -174,8 +174,8 @@ def test_terminal_circuits_agree_across_engines(circuit, seed):
 def test_trajectory_circuits_agree_across_engines(circuit, seed):
     exact = _reference_distribution(circuit)
     for backend_name in ("statevector", "interpreter"):
-        outcomes = get_backend(backend_name).run(
-            circuit, shots=SHOTS, seed=seed
+        outcomes = run_circuit(
+            circuit, shots=SHOTS, seed=seed, backend=backend_name
         )
         _check_config(backend_name, outcomes, exact)
 
@@ -197,8 +197,12 @@ def test_noisy_circuits_agree_with_exact_density(
     noise_model = NoiseModel().add_channel(factory(strength))
     exact = _reference_distribution(circuit, noise_model)
     for backend_name in ("statevector", "interpreter"):
-        outcomes = get_backend(backend_name).run(
-            circuit, shots=SHOTS, seed=seed, noise_model=noise_model
+        outcomes = run_circuit(
+            circuit,
+            shots=SHOTS,
+            seed=seed,
+            backend=backend_name,
+            noise_model=noise_model,
         )
         _check_config(f"{backend_name}/{channel}", outcomes, exact)
 

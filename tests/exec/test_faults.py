@@ -1,5 +1,5 @@
 """Deterministic fault injection (repro.exec.faults) and the recovery
-machinery above it (repro.exec.retry, the narrowed parallel dispatch).
+machinery above it (repro.exec.retry, the one chunk dispatcher).
 
 The load-bearing assertions are the determinism contracts:
 
@@ -15,6 +15,7 @@ The load-bearing assertions are the determinism contracts:
 """
 
 import threading
+from concurrent.futures import Future
 
 import pytest
 
@@ -42,6 +43,8 @@ from repro.exec.retry import (
     execute_with_retry,
 )
 from repro.pipeline import compile_kernel
+from repro.sim.backend import run_circuit_with_info
+from repro.sim.statevector import run_circuit
 
 
 @pytest.fixture(autouse=True)
@@ -65,7 +68,7 @@ def _crash_seed(circuit, shots, seed, workers, rate=0.5):
     hash function's exact output while still guaranteeing that at
     least one fault fires and that no chunk needs a third attempt.
     """
-    sizes = chunk_plan(shots, circuit.num_qubits, workers)
+    sizes = chunk_plan(shots, workers)
     seeds = derive_chunk_seeds(seed, len(sizes))
     for plan_seed in range(2000):
         plan = FaultPlan({"worker_crash": rate}, seed=plan_seed)
@@ -287,7 +290,7 @@ def test_genuine_chunk_errors_propagate_unretried(monkeypatch):
         raise ValueError("a deterministic backend bug")
 
     monkeypatch.setattr(parallel_mod, "_run_chunk", explode)
-    sizes = chunk_plan(64, circuit.num_qubits, 2)
+    sizes = chunk_plan(64, 2)
     seeds = derive_chunk_seeds(5, len(sizes))
     tasks = [
         parallel_mod._ChunkTask(circuit, size, chunk_seed, None, None, None)
@@ -360,12 +363,14 @@ def test_pool_startup_failure_degrades_to_serial(monkeypatch):
 
 
 def test_genuine_pool_dispatch_errors_propagate(monkeypatch):
-    # Before the narrowing, any RuntimeError from pool dispatch fell
-    # back to serial and masked the bug; now only BrokenProcessPool
-    # (and pool startup failure) does.
+    # Only injected faults, BrokenProcessPool and hung waves are
+    # retried; a genuine error a pooled chunk raises must surface, not
+    # be masked by a retry or a serial re-run.
     class AngryPool:
-        def map(self, fn, tasks):
-            raise RuntimeError("a genuine dispatch bug")
+        def submit(self, fn, task):
+            future = Future()
+            future.set_exception(RuntimeError("a genuine dispatch bug"))
+            return future
 
     monkeypatch.setattr(
         parallel_mod, "_get_pool", lambda workers: AngryPool()
@@ -375,6 +380,20 @@ def test_genuine_pool_dispatch_errors_propagate(monkeypatch):
         parallel_run_with_info(
             circuit, 64, seed=5, workers=2, use_processes=True
         )
+
+
+def test_library_run_recovers_from_injected_crashes():
+    # Library calls share the service's dispatcher, so an injected
+    # crash is retried instead of raised, and the recovered run is
+    # bit-identical to a clean one.
+    circuit = _circuit()
+    clean = run_circuit(circuit, 96, seed=5)
+    plan_seed = _crash_seed(circuit, 96, 5, 1)
+    with inject_faults(worker_crash=0.5, seed=plan_seed):
+        recovered, info = run_circuit_with_info(circuit, 96, seed=5)
+    assert recovered == clean
+    assert info.faults_injected >= 1
+    assert info.retries >= 1
 
 
 def test_runinfo_merge_tolerates_old_pickles_missing_counters():

@@ -10,9 +10,11 @@ Three layers of coverage:
   equivalent histograms (margins from tests/stats.py);
 - the ``parallel_workers=`` threading through every public entry point
   (``run_circuit``, ``simulate_kernel``, ``kernel.histogram()``,
-  ``CompileOptions``).
+  ``CompileOptions``), which all run shots through the one chunk plan:
+  ``None`` means one worker, so a default call equals ``workers=1``.
 """
 
+import asyncio
 import os
 
 import pytest
@@ -21,56 +23,58 @@ from repro.errors import SimulationError
 from repro.exec import (
     chunk_plan,
     derive_chunk_seeds,
-    parallel_run,
     parallel_run_with_info,
     resolve_workers,
 )
 from repro.algorithms import alternating_secret, bernstein_vazirani
+from repro.evaluation import asdf_kernel
 from repro.noise import NoiseModel, depolarizing
-from repro.pipeline import CompileOptions, simulate_kernel_with_info
+from repro.pipeline import (
+    CompileOptions,
+    simulate_kernel,
+    simulate_kernel_with_info,
+)
+from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement
 from repro.qcircuit.examples import (
     conditioned_fanout_circuit,
     teleport_circuit,
 )
+from repro.service import ExecutionService, ServiceClient, ServiceConfig
+from repro.service.protocol import counts_of
 from repro.sim.backend import RunInfo, run_circuit_with_info
-from repro.sim.batched import batch_chunk_size
 from repro.sim.statevector import run_circuit
-from tests.stats import assert_histograms_close, histogram
+from tests.stats import assert_histograms_close
 
 
 # ----------------------------------------------------------------------
 # Planning: chunk_plan / derive_chunk_seeds / resolve_workers.
 # ----------------------------------------------------------------------
 def test_chunk_plan_splits_under_envelope_run_across_workers():
-    # 3 qubits fit millions of shots in one envelope chunk; the plan
-    # must still hand every worker a piece.
-    assert chunk_plan(1000, 3, 4) == [250, 250, 250, 250]
+    # The plan hands every worker a piece, however few qubits.
+    assert chunk_plan(1000, 4) == [250, 250, 250, 250]
+    # Never more chunks than shots.
+    assert chunk_plan(3, 4) == [1, 1, 1]
 
 
 def test_chunk_plan_remainder_goes_to_a_short_final_chunk():
-    assert chunk_plan(1001, 3, 4) == [251, 251, 251, 248]
-    assert sum(chunk_plan(1001, 3, 4)) == 1001
-
-
-def test_chunk_plan_honors_memory_envelope():
-    envelope = batch_chunk_size(3, max_batch_bytes=1 << 10)
-    plan = chunk_plan(10 * envelope, 3, 2, max_batch_bytes=1 << 10)
-    assert len(plan) == 10
-    assert all(size <= envelope for size in plan)
-    assert sum(plan) == 10 * envelope
+    assert chunk_plan(1001, 4) == [251, 251, 251, 248]
+    assert sum(chunk_plan(1001, 4)) == 1001
 
 
 def test_chunk_plan_single_worker_under_envelope_is_one_chunk():
-    assert chunk_plan(500, 3, 1) == [500]
+    assert chunk_plan(500, 1) == [500]
+    # No memory-envelope term: a huge run on one worker is one chunk,
+    # and the batched engine bounds each sweep itself.
+    assert chunk_plan(1 << 20, 1) == [1 << 20]
 
 
 def test_chunk_plan_is_a_pure_function():
-    assert chunk_plan(12345, 5, 3) == chunk_plan(12345, 5, 3)
+    assert chunk_plan(12345, 3) == chunk_plan(12345, 3)
 
 
 def test_chunk_plan_rejects_zero_shots():
     with pytest.raises(SimulationError):
-        chunk_plan(0, 3, 2)
+        chunk_plan(0, 2)
 
 
 def test_derive_chunk_seeds_deterministic_distinct_uint63():
@@ -85,8 +89,8 @@ def test_derive_chunk_seeds_deterministic_distinct_uint63():
 
 def test_resolve_workers():
     assert resolve_workers(3) == 3
-    assert resolve_workers(None) == max(os.cpu_count() or 1, 1)
-    assert resolve_workers(0) == resolve_workers(None)
+    assert resolve_workers(None) == 1
+    assert resolve_workers(0) == max(os.cpu_count() or 1, 1)
     with pytest.raises(SimulationError):
         resolve_workers(-1)
 
@@ -174,8 +178,8 @@ def test_merge_rejects_empty_and_mixed_backends():
 # ----------------------------------------------------------------------
 def test_same_seed_and_workers_is_bit_stable():
     circuit = teleport_circuit()
-    first = parallel_run(circuit, 400, seed=3, workers=2)
-    second = parallel_run(circuit, 400, seed=3, workers=2)
+    first, _ = parallel_run_with_info(circuit, 400, seed=3, workers=2)
+    second, _ = parallel_run_with_info(circuit, 400, seed=3, workers=2)
     assert first == second
     assert len(first) == 400
 
@@ -236,8 +240,8 @@ def test_noise_model_rides_through_the_parallel_path():
 
 def test_unknown_backend_fails_fast_in_the_parent():
     with pytest.raises(SimulationError):
-        parallel_run(teleport_circuit(), 10, workers=2,
-                     backend="no-such-backend")
+        parallel_run_with_info(teleport_circuit(), 10, workers=2,
+                               backend="no-such-backend")
 
 
 def test_interpreter_backend_through_the_parallel_path():
@@ -256,7 +260,7 @@ def test_interpreter_backend_through_the_parallel_path():
 def test_run_circuit_threads_parallel_workers():
     circuit = teleport_circuit()
     via_entry = run_circuit(circuit, 400, seed=3, parallel_workers=2)
-    direct = parallel_run(circuit, 400, seed=3, workers=2)
+    direct, _ = parallel_run_with_info(circuit, 400, seed=3, workers=2)
     assert via_entry == direct
 
 
@@ -305,9 +309,53 @@ def test_histogram_accepts_parallel_workers():
     assert set(counts) == set(serial)
 
 
-def test_parallel_none_keeps_the_legacy_single_process_path():
+def test_run_circuit_default_is_bit_identical_to_one_worker():
     circuit = teleport_circuit()
-    legacy = run_circuit(circuit, 400, seed=3)
+    default = run_circuit(circuit, 400, seed=3)
+    assert default == run_circuit(circuit, 400, seed=3, parallel_workers=1)
     _, info = run_circuit_with_info(circuit, 400, seed=3)
     assert (info.workers, info.chunks) == (1, 1)
-    assert histogram(legacy)  # sanity: the legacy path still samples
+
+
+def _ghz(n):
+    circuit = Circuit(num_qubits=n, num_bits=n)
+    circuit.add(CircuitGate("h", (0,)))
+    for q in range(n - 1):
+        circuit.add(CircuitGate("x", (q + 1,), controls=(q,)))
+    for q in range(n):
+        circuit.add(Measurement(q, q))
+    return circuit
+
+
+def test_one_worker_fast_path_is_one_chunk_and_one_evolution():
+    # The plan has no memory-envelope term, so a terminal-measurement
+    # circuit the fast path evolves once is not re-split into
+    # envelope-sized chunks.
+    results, info = run_circuit_with_info(
+        _ghz(18), 4096, seed=0, parallel_workers=1
+    )
+    assert (info.chunks, info.evolutions) == (1, 1)
+    assert info.fast_path
+    assert {sum(bits) for bits in results} <= {0, 18}
+
+
+def test_simulate_kernel_matches_the_service_for_seed_and_workers():
+    # Simon's outputs are spread over many bitstrings, so equal counts
+    # mean equal seeds and chunking, not just a deterministic oracle.
+    library = simulate_kernel(
+        asdf_kernel("simon", 6), shots=256, seed=7, parallel_workers=2
+    )
+
+    async def via_service():
+        config = ServiceConfig(
+            use_processes=False, parallel_workers=2, executors=1
+        )
+        async with ExecutionService(config) as service:
+            return await ServiceClient(service).run(
+                kernel="simon", n=6, shots=256, seed=7, workers=2
+            )
+
+    response = asyncio.run(via_service())
+    assert response["ok"], response
+    assert response["result"]["info"]["chunks"] == 2
+    assert response["result"]["counts"] == counts_of(library)

@@ -120,7 +120,7 @@ def test_no_opt_keeps_function_values():
     from repro.backends.qir import count_callable_intrinsics
 
     kernel = bernstein_vazirani("101")
-    result = kernel.compile(inline=False, to_circuit=False)
+    result = kernel.compile(pipeline="no-opt")
     creates, invokes = count_callable_intrinsics(result.qir("unrestricted"))
     assert creates > 0
     assert invokes > 0

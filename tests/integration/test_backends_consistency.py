@@ -23,7 +23,7 @@ def test_bv_consistent_across_all_representations():
     # 5. Interpreted QCircuit IR (the QIR-unrestricted view).
     assert interpret_module(result.qcircuit_module, num_qubits=12) == expected
     # 6. Interpreted no-opt module (callables view).
-    noopt = kernel.compile(inline=False, to_circuit=False)
+    noopt = kernel.compile(pipeline="no-opt")
     assert interpret_module(noopt.qcircuit_module, num_qubits=12) == expected
 
 

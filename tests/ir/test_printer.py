@@ -20,9 +20,7 @@ def test_printed_bv_module_structure():
 
 
 def test_printed_noopt_module_keeps_function_values():
-    result = bernstein_vazirani("101").compile(
-        inline=False, to_circuit=False
-    )
+    result = bernstein_vazirani("101").compile(pipeline="no-opt")
     text = print_module(result.qwerty_module)
     assert "qwerty.call_indirect" in text
     assert "qwerty.func_const" in text

@@ -5,14 +5,11 @@ equivalent to their sources on random circuits (hypothesis property),
 histograms are equivalent across every backend on the examples suite
 (derived TVD thresholds from tests/stats.py), terminal-measurement
 structure survives fusion (the fast path stays alive), the pass is
-registered in the PassManager, the pipeline produces a fused
-``execution_circuit``, and the relocation of ``fuse_single_qubit_gates``
-keeps a deprecation shim behind it.
+registered in the PassManager, and the pipeline produces a fused
+``execution_circuit``.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -304,21 +301,3 @@ def test_simulate_kernel_matches_unfused_pipeline():
         options=CompileOptions.preset("no-fusion"),
     )
     assert [str(b) for b in fused] == [str(b) for b in unfused]
-
-
-def test_fuse_single_qubit_gates_shim_warns():
-    import repro.sim.statevector as statevector
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DeprecationWarning):
-            statevector.fuse_single_qubit_gates
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        shimmed = statevector.fuse_single_qubit_gates
-    assert any(
-        issubclass(w.category, DeprecationWarning) for w in caught
-    )
-    from repro.qcircuit.fusion import fuse_single_qubit_gates
-
-    assert shimmed is fuse_single_qubit_gates

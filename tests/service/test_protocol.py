@@ -68,6 +68,18 @@ def test_shots_ceiling_is_enforced():
         )
 
 
+def test_workers_ceiling_is_enforced():
+    request = protocol.RunRequest.from_payload(
+        {"kernel": "bv", "workers": protocol.MAX_WORKERS}
+    )
+    assert request.workers == protocol.MAX_WORKERS
+    with pytest.raises(BadRequestError, match="ceiling") as excinfo:
+        protocol.RunRequest.from_payload(
+            {"kernel": "bv", "workers": protocol.MAX_WORKERS + 1}
+        )
+    assert excinfo.value.code == "QW604"
+
+
 def test_integer_fields_reject_floats_bools_and_minima():
     with pytest.raises(BadRequestError, match="'shots'"):
         protocol.RunRequest.from_payload({"kernel": "bv", "shots": 1.5})

@@ -13,7 +13,7 @@ import json
 from repro.exec.faults import FaultPlan
 from repro.exec.retry import RetryPolicy
 from repro.service import ExecutionService, ServiceConfig
-from repro.service.server import handle_connection
+from repro.service.server import MAX_LINE_BYTES, handle_connection
 
 
 async def _with_server(config, scenario):
@@ -22,6 +22,7 @@ async def _with_server(config, scenario):
             lambda r, w: handle_connection(service, r, w),
             "127.0.0.1",
             0,
+            limit=MAX_LINE_BYTES,
         )
         port = server.sockets[0].getsockname()[1]
         async with server:
@@ -103,6 +104,25 @@ def test_malformed_line_gets_an_error_line_not_a_hangup():
     responses = asyncio.run(_with_server(_config(), scenario))
     assert responses[None]["error"]["code"] == "QW604"
     assert responses[2]["ok"]
+
+
+def test_oversized_line_is_answered_after_in_flight_requests():
+    async def scenario(reader, writer):
+        await _send(
+            writer, {"id": 1, "kernel": "bv", "n": 4, "shots": 32},
+        )
+        writer.write(b"x" * (MAX_LINE_BYTES + 1) + b"\n")
+        await writer.drain()
+        responses = await _collect(reader, 2)
+        # The server closes the connection once both are answered.
+        assert await asyncio.wait_for(reader.read(), timeout=60.0) == b""
+        return responses
+
+    responses = asyncio.run(_with_server(_config(), scenario))
+    assert responses[1]["ok"], responses[1]
+    error = responses[None]["error"]
+    assert error["code"] == "QW604"
+    assert str(MAX_LINE_BYTES) in error["message"]
 
 
 def test_blank_lines_are_ignored():

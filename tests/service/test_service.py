@@ -65,7 +65,7 @@ def crash_plan(rate=0.5, n=N, shots=SHOTS, seed=SEED, workers=2):
     circuit = compile_kernel(
         bernstein_vazirani(alternating_secret(n))
     ).execution_circuit
-    sizes = chunk_plan(shots, circuit.num_qubits, workers)
+    sizes = chunk_plan(shots, workers)
     seeds = derive_chunk_seeds(seed, len(sizes))
     for plan_seed in range(2000):
         plan = FaultPlan({"worker_crash": rate}, seed=plan_seed)

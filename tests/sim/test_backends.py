@@ -1,8 +1,9 @@
 """Tests for the pluggable simulation backends (repro.sim.backend).
 
-Covers the registry, terminal-measurement detection, single-qubit gate
-fusion, the gate-matrix cache, and — most importantly — statistical
-equivalence between vectorized sampling and per-shot execution.
+Covers the registry, terminal-measurement detection, the fast path on
+fused and unfused circuits, the gate-matrix cache, and — most
+importantly — statistical equivalence between vectorized sampling and
+per-shot execution.
 """
 
 import math
@@ -12,14 +13,13 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement, Reset
+from repro.qcircuit.fusion import fuse_adjacent_gates
 from repro.sim import (
     InterpreterBackend,
     SimBackend,
-    StatevectorSimulator,
     VectorizedStatevectorBackend,
     apply_gates_to_state,
     available_backends,
-    fuse_single_qubit_gates,
     gate_matrix,
     get_backend,
     register_backend,
@@ -159,6 +159,13 @@ def test_gate_matrix_is_cached_and_frozen():
         gate_matrix("h")[0, 0] = 7
 
 
+def _fuse_single_qubit_runs(gates, num_qubits):
+    circuit = Circuit(num_qubits=num_qubits)
+    for gate in gates:
+        circuit.add(gate)
+    return fuse_adjacent_gates(circuit, max_qubits=1, layer=False).instructions
+
+
 def test_fusion_collapses_single_qubit_runs():
     gates = [
         g("h", [0]),
@@ -168,15 +175,12 @@ def test_fusion_collapses_single_qubit_runs():
         g("h", [1]),
         g("s", [1]),
     ]
-    fused = fuse_single_qubit_gates(gates)
-    # h;t on qubit 0 and x on qubit 1 fuse, then CX, then h;s fuse.
+    fused = _fuse_single_qubit_runs(gates, 2)
+    # h;t on qubit 0 and x on qubit 1 flush before the CX, then h;s fuse.
     assert len(fused) == 4
     assert np.allclose(fused[0].matrix, gate_matrix("t") @ gate_matrix("h"))
-
-    sim = StatevectorSimulator(2)
-    sim.apply_fused(fused)
     assert np.allclose(
-        sim.statevector(), apply_gates_to_state(gates, 2)
+        apply_gates_to_state(fused, 2), apply_gates_to_state(gates, 2)
     )
 
 
@@ -186,23 +190,20 @@ def test_fusion_preserves_program_order_across_controls():
         g("x", [1], controls=[0]),
         g("h", [0]),
     ]
-    fused = fuse_single_qubit_gates(gates)
+    fused = _fuse_single_qubit_runs(gates, 2)
     assert len(fused) == 3
-    sim = StatevectorSimulator(2)
-    sim.apply_fused(fused)
-    assert np.allclose(sim.statevector(), apply_gates_to_state(gates, 2))
-
-
-def test_fusion_rejects_conditioned_gates():
-    with pytest.raises(SimulationError, match="conditioned"):
-        fuse_single_qubit_gates([g("x", [0], condition=(0, 1))])
+    assert np.allclose(
+        apply_gates_to_state(fused, 2), apply_gates_to_state(gates, 2)
+    )
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fusion_matches_unfused_on_random_circuits(seed):
+    # The fast path applies the execution circuit as it is, so a fused
+    # and an unfused form of one circuit must sample the same bits.
     rng = np.random.default_rng(seed)
     names = ["h", "t", "s", "x", "rz", "rx"]
-    gates = []
+    circuit = Circuit(num_qubits=3, num_bits=3)
     for _ in range(30):
         name = names[rng.integers(len(names))]
         qubit = int(rng.integers(3))
@@ -210,14 +211,18 @@ def test_fusion_matches_unfused_on_random_circuits(seed):
         if rng.random() < 0.3:
             other = int(rng.integers(3))
             if other != qubit:
-                gates.append(g("x", [qubit], controls=[other]))
+                circuit.add(g("x", [qubit], controls=[other]))
                 continue
-        gates.append(g(name, [qubit], params=params))
-    fused = fuse_single_qubit_gates(gates)
-    assert len(fused) <= len(gates)
-    sim = StatevectorSimulator(3)
-    sim.apply_fused(fused)
-    assert np.allclose(sim.statevector(), apply_gates_to_state(gates, 3))
+        circuit.add(g(name, [qubit], params=params))
+    for q in range(3):
+        circuit.add(Measurement(q, q))
+    fused = fuse_adjacent_gates(circuit)
+    assert len(fused.instructions) <= len(circuit.instructions)
+    plain_bits, plain = run_circuit_with_info(circuit, 500, seed=seed)
+    fused_bits, info = run_circuit_with_info(fused, 500, seed=seed)
+    assert plain.fast_path and info.fast_path
+    assert info.fused_ops == len(fused.instructions) - 3
+    assert fused_bits == plain_bits
 
 
 # ----------------------------------------------------------------------

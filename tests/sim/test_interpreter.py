@@ -10,7 +10,7 @@ from repro.sim.interpreter import interpret_module
 
 def test_no_opt_bv_runs_via_callables():
     kernel = bernstein_vazirani("1011")
-    result = kernel.compile(inline=False, to_circuit=False)
+    result = kernel.compile(pipeline="no-opt")
     bits = interpret_module(result.qcircuit_module, num_qubits=12)
     assert bits == [1, 0, 1, 1]
 
@@ -18,16 +18,14 @@ def test_no_opt_bv_runs_via_callables():
 def test_no_opt_matches_opt():
     kernel = bernstein_vazirani("110")
     opt = kernel()
-    noopt_module = kernel.compile(
-        inline=False, to_circuit=False
-    ).qcircuit_module
+    noopt_module = kernel.compile(pipeline="no-opt").qcircuit_module
     bits = interpret_module(noopt_module, num_qubits=10)
     assert list(opt) == bits
 
 
 def test_no_opt_dj():
     kernel = deutsch_jozsa(3)
-    noopt = kernel.compile(inline=False, to_circuit=False)
+    noopt = kernel.compile(pipeline="no-opt")
     bits = interpret_module(noopt.qcircuit_module, num_qubits=10)
     assert bits == [1, 1, 1]
 
@@ -41,6 +39,6 @@ def test_opt_module_also_interpretable():
 
 def test_interpreter_qubit_exhaustion():
     kernel = bernstein_vazirani("1111")
-    result = kernel.compile(inline=False, to_circuit=False)
+    result = kernel.compile(pipeline="no-opt")
     with pytest.raises(SimulationError, match="ran out"):
         interpret_module(result.qcircuit_module, num_qubits=2)
