@@ -22,6 +22,7 @@ from repro.evaluation import (
     shot_execution_report,
     trajectory_execution_report,
 )
+from repro.sim.backend import clear_marginal_memo
 
 _CACHE = {}
 
@@ -70,6 +71,8 @@ def test_fig12_shot_backend_qubit_scaling():
     O(shots x 2^n) while the vectorized backend pays one evolution, so
     the gap must widen — and never invert — as n grows.
     """
+    # Time real evolutions, not memo hits left by earlier benchmarks.
+    clear_marginal_memo()
     rows = shot_execution_report(
         algorithms=("bv",), sizes=(4, 6, 8, 10), shots=256
     )

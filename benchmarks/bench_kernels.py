@@ -74,9 +74,10 @@ def _bench_kernels():
 
 
 def _deep_circuit(num_qubits=10, layers=20):
-    """Deep, rotation-heavy, and non-terminal (the leading reset keeps
-    the terminal-measurement fast path — which fuses on its own — out
-    of the measurement), so the timing isolates the fusion pass."""
+    """Deep, rotation-heavy, and non-terminal: the leading reset keeps
+    the circuit on the batched trajectory engine, which evolves on
+    every run (the terminal-measurement fast path would serve repeats
+    from its marginal memo), so the timing isolates the fusion pass."""
     circuit = Circuit(num_qubits, num_qubits)
     circuit.add(Reset(0))
     for layer in range(layers):

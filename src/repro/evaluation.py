@@ -11,6 +11,7 @@ inlining (§8.2).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -45,8 +46,14 @@ def _simon_secret(n: int):
     return alternating_secret(n)
 
 
+@functools.lru_cache(maxsize=64)
 def asdf_kernel(algorithm: str, n: int):
-    """The Qwerty program for one benchmark at size ``n``."""
+    """The Qwerty program for one benchmark at size ``n``.
+
+    Memoized per ``(algorithm, n)``: parsing the kernel costs about a
+    millisecond, and the service resolves one per request.  The kernel
+    is shared, so treat it as read-only.
+    """
     if algorithm == "bv":
         return bernstein_vazirani(alternating_secret(n))
     if algorithm == "dj":

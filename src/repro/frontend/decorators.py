@@ -233,7 +233,9 @@ class QpuKernel:
         for param, capture in zip(self.kernel_ast.params, captures):
             self.captures[param.name] = capture
         self.bound_dims = dict(bound_dims or {})
-        self._compiled = None
+        #: Compile-cache fingerprint, computed on first use
+        #: (:func:`repro.pipeline._kernel_fingerprint`).
+        self._fingerprint: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     def __getitem__(self, item) -> "QpuKernel":

@@ -484,15 +484,18 @@ def _source_fingerprint(fn) -> tuple:
 def _kernel_fingerprint(kernel) -> tuple:
     """Identify a kernel by name, source, and capture values — two
     same-named kernels with different secrets must never share a cache
-    entry."""
-    return (
-        kernel.name,
-        _source_fingerprint(kernel.python_fn),
-        tuple(
-            (name, _capture_fingerprint(capture))
-            for name, capture in kernel.captures.items()
-        ),
-    )
+    entry.  Computed once per kernel object: reading the source back
+    (``inspect.getsource``) would otherwise dominate a warm cache hit."""
+    if kernel._fingerprint is None:
+        kernel._fingerprint = (
+            kernel.name,
+            _source_fingerprint(kernel.python_fn),
+            tuple(
+                (name, _capture_fingerprint(capture))
+                for name, capture in kernel.captures.items()
+            ),
+        )
+    return kernel._fingerprint
 
 
 def compile_kernel(

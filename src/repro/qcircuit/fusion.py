@@ -110,6 +110,10 @@ class FusedUnitary:
     (``CompileResult.execution_circuit``); the QASM 3 / QIR exporters
     and the resource estimator consume the unfused
     ``optimized_circuit`` / ``decomposed_circuit`` artifacts.
+
+    ``matrix`` is read-only: blocks are compared by matrix content
+    (the simulator's marginal memo keys on it), so an in-place write
+    must not be able to change a block after construction.
     """
 
     matrix: np.ndarray
@@ -126,6 +130,18 @@ class FusedUnitary:
             )
         if len(set(self.targets)) != len(self.targets):
             raise SimulationError("fused unitary touches a qubit twice")
+        matrix = self.matrix
+        if matrix.base is not None:
+            # A view could still change through its writable base.
+            matrix = matrix.copy()
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickling (a disk-cache load, a pool worker's task) bypasses
+        # __init__ and restores the matrix writable; freeze it again.
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @property
     def qubits(self) -> tuple[int, ...]:

@@ -38,6 +38,7 @@ docs/service.md says so explicitly.
 
 from __future__ import annotations
 
+import collections
 import json
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
@@ -219,7 +220,8 @@ def encode_response(response: Mapping[str, Any]) -> bytes:
 def counts_of(results) -> dict[str, int]:
     """Sampled bit tuples -> {"0101": count} histogram for the wire."""
     counts: dict[str, int] = {}
-    for outcome in results:
+    # Stringify each distinct outcome once, not once per shot.
+    for outcome, count in collections.Counter(results).items():
         key = "".join(str(int(b)) for b in outcome)
-        counts[key] = counts.get(key, 0) + 1
+        counts[key] = counts.get(key, 0) + count
     return counts

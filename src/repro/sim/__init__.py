@@ -35,10 +35,12 @@ from repro.sim.backend import (
     SimBackend,
     VectorizedStatevectorBackend,
     available_backends,
+    clear_marginal_memo,
     get_backend,
     register_backend,
     run_circuit_with_info,
-    sample_measurement_probabilities,
+    sample_marginal,
+    terminal_marginal,
     terminal_measurement_plan,
 )
 from repro.sim.density import (
@@ -69,6 +71,7 @@ __all__ = [
     "available_kernels",
     "batch_chunk_size",
     "batched_run",
+    "clear_marginal_memo",
     "controlled_matrix",
     "current_kernel_selection",
     "gate_matrix",
@@ -80,7 +83,8 @@ __all__ = [
     "use_kernel",
     "run_circuit",
     "run_circuit_with_info",
-    "sample_measurement_probabilities",
+    "sample_marginal",
+    "terminal_marginal",
     "terminal_measurement_plan",
     "unitary_of_gates",
 ]

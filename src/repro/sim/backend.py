@@ -18,13 +18,16 @@ Three backends ship in-tree:
     The vectorized sampler.  For *terminal-measurement* circuits (all
     measurements after the last gate, no classical control, no reset
     before a measurement) it evolves the state **once**, one step per
-    execution-circuit gate or fused block, and draws all shots from
-    |psi|^2 with a single ``np.random.Generator.choice`` call, making
-    shot count a near-constant cost.  Circuits with genuine mid-circuit
-    measurement, classically conditioned gates, or mid-evolution reset
-    — and every run under a noise model, whose per-shot Kraus draws
-    rule out a shared evolution — run on the **batched trajectory
-    engine** (:mod:`repro.sim.batched`): all shots evolve
+    execution-circuit gate or fused block, memoizes the marginal of
+    |psi|^2 over the measured qubits per process (keyed by circuit
+    content and apply kernel), and draws all shots from it with a
+    single ``np.random.Generator.choice`` call, making shot count — and
+    every later run of the same circuit — a near-constant cost.
+    Circuits with genuine mid-circuit measurement, classically
+    conditioned gates, or mid-evolution reset — and every run under a
+    noise model, whose per-shot Kraus draws rule out a shared
+    evolution — run on the **batched trajectory engine**
+    (:mod:`repro.sim.batched`): all shots evolve
     simultaneously as one ``(shots, 2, ..., 2)`` array, so
     teleportation at 4096 shots is one batched sweep instead of 4096
     Python evolutions.
@@ -45,6 +48,9 @@ bit ``(x >> (n - 1 - q)) & 1``.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -68,6 +74,72 @@ _SWEEPS = _metrics.counter(
     labels=("engine",),
 )
 
+_MEMO_LOOKUPS = _metrics.counter(
+    "repro_sim_marginal_memo_total",
+    "Fast-path terminal-marginal memo lookups by outcome (hit, miss)",
+    labels=("outcome",),
+)
+
+#: Bounds of the per-process memo of terminal-measurement marginals
+#: (see :meth:`VectorizedStatevectorBackend.run_with_info`): the bytes
+#: its entries keep alive — each marginal plus the fused-block matrices
+#: its key holds — and the entry count.  An entry over the byte budget
+#: is not memoized.
+MARGINAL_MEMO_MAX_BYTES = 32 * 1024 * 1024
+MARGINAL_MEMO_MAX_ENTRIES = 128
+
+_MARGINAL_MEMO: "OrderedDict[tuple, tuple[np.ndarray, int]]" = OrderedDict()
+_MARGINAL_MEMO_LOCK = threading.Lock()
+
+
+def _reset_marginal_memo_lock() -> None:
+    # A pool worker forked while another thread held the lock would
+    # otherwise inherit it locked.
+    global _MARGINAL_MEMO_LOCK
+    _MARGINAL_MEMO_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_marginal_memo_lock)
+
+
+def _memo_get(key: tuple) -> Optional[np.ndarray]:
+    with _MARGINAL_MEMO_LOCK:
+        entry = _MARGINAL_MEMO.get(key)
+        if entry is None:
+            return None
+        _MARGINAL_MEMO.move_to_end(key)
+        return entry[0]
+
+
+def _memo_put(key: tuple, marginal: np.ndarray) -> None:
+    size = marginal.nbytes + sum(
+        inst.matrix.nbytes
+        for inst in key[2]
+        if isinstance(inst, FusedUnitary)
+    )
+    if size > MARGINAL_MEMO_MAX_BYTES:
+        return
+    marginal.setflags(write=False)
+    with _MARGINAL_MEMO_LOCK:
+        _MARGINAL_MEMO[key] = (marginal, size)
+        _MARGINAL_MEMO.move_to_end(key)
+        held = sum(size for _, size in _MARGINAL_MEMO.values())
+        while (
+            len(_MARGINAL_MEMO) > MARGINAL_MEMO_MAX_ENTRIES
+            or held > MARGINAL_MEMO_MAX_BYTES
+        ):
+            _, (_, evicted) = _MARGINAL_MEMO.popitem(last=False)
+            held -= evicted
+
+
+def clear_marginal_memo() -> None:
+    """Drop every memoized terminal-measurement marginal, so the next
+    fast-path run of each circuit evolves again (benchmarks timing the
+    evolution itself, tests counting evolutions)."""
+    with _MARGINAL_MEMO_LOCK:
+        _MARGINAL_MEMO.clear()
+
+
 #: The one default-backend decision for the whole execution layer: every
 #: entry point — ``run_circuit``, ``run_circuit_with_info``,
 #: ``simulate_kernel`` / ``kernel()``, and ``interpret_module`` —
@@ -82,16 +154,19 @@ class RunInfo:
     """Observability record for one :meth:`SimBackend.run_with_info`.
 
     ``evolutions`` counts full statevector evolution sweeps performed —
-    the dominant cost.  The terminal-measurement fast path does exactly
-    one regardless of shot count; the batched trajectory engine does
-    one *batched* sweep per memory-envelope chunk (usually 1 — see
+    the dominant cost.  The terminal-measurement fast path does one
+    regardless of shot count on a marginal-memo miss and none on a hit
+    (the circuit's marginal was already evolved in this process); the
+    batched trajectory engine does one *batched* sweep per
+    memory-envelope chunk (usually 1 — see
     :data:`repro.sim.batched.MAX_BATCH_BYTES`); per-shot trajectory
     execution does ``shots``; the exact density-matrix backend reports
     1 (one rho evolution serves every shot).  ``batched`` is True when
     the batched engine ran (so an ``evolutions`` of 1 means one sweep
     over all shots at once, not one single-shot evolution).
-    ``fused_ops`` is the evolution step count on the fast path — the
-    execution circuit's gates and fused blocks (``None`` otherwise).
+    ``fused_ops`` is the fast path's evolution step count — the
+    execution circuit's gates and fused blocks, reported on memo hits
+    too (``None`` off the fast path).
 
     ``channel_applications`` / ``readout_applications`` count noise
     events the engine actually performed; the granularity differs per
@@ -369,7 +444,9 @@ def terminal_measurement_plan(
 class VectorizedStatevectorBackend(SimBackend):
     """Vectorized statevector backend.
 
-    Terminal-measurement circuits: one evolution + vectorized sampling.
+    Terminal-measurement circuits: one evolution per process (the
+    marginal over the measured qubits is memoized) + vectorized
+    sampling.
     Everything else — including *every* run under a noise model, whose
     per-shot Kraus draws rule out the single-evolution fast path — runs
     on the shot-batched trajectory engine (:mod:`repro.sim.batched`),
@@ -414,6 +491,16 @@ class VectorizedStatevectorBackend(SimBackend):
                 kernel=active_kernel_name(),
             )
 
+        # The normalized marginal over the measured qubits depends only
+        # on the circuit's content and the apply kernel — never on the
+        # seed or shot count — so it is evolved once per process and
+        # memoized; every later run of the circuit only draws shots.
+        kernel = active_kernel_name()
+        key = (
+            kernel,
+            circuit.num_qubits,
+            tuple(circuit.instructions),
+        )
         # The unitary prefix mixes plain gates with FusedUnitary blocks
         # from the compile-time fusion pass; each is one evolution step.
         prefix = [
@@ -424,58 +511,51 @@ class VectorizedStatevectorBackend(SimBackend):
         with _trace.span(
             "sim.sweep",
             engine="fast-path", shots=shots, qubits=circuit.num_qubits,
-        ):
-            sim = StatevectorSimulator(circuit.num_qubits, circuit.num_bits)
-            for inst in prefix:
-                sim.apply(inst)
-            results = _sample_terminal(
-                sim.state, circuit, plan, shots, np.random.default_rng(seed)
+        ) as span:
+            marginal = _memo_get(key)
+            evolutions = int(marginal is None)
+            if marginal is None:
+                sim = StatevectorSimulator(
+                    circuit.num_qubits, circuit.num_bits
+                )
+                for inst in prefix:
+                    sim.apply(inst)
+                marginal = terminal_marginal(
+                    np.abs(sim.state) ** 2, circuit, plan
+                )
+                _memo_put(key, marginal)
+            outcome = "miss" if evolutions else "hit"
+            span.set(memo=outcome)
+            results = sample_marginal(
+                marginal, circuit, plan, shots, np.random.default_rng(seed)
             )
-        _SWEEPS.inc(engine="fast-path")
+        _MEMO_LOOKUPS.inc(outcome=outcome)
+        if evolutions:
+            _SWEEPS.inc(engine="fast-path")
         return results, RunInfo(
             self.name,
             shots,
-            evolutions=1,
+            evolutions=evolutions,
             fast_path=True,
             fused_ops=len(prefix),
             gates_fused=fused_gate_savings(circuit),
-            kernel=active_kernel_name(),
+            kernel=kernel,
         )
 
 
-def _sample_terminal(
-    state: np.ndarray,
-    circuit: Circuit,
-    plan: Sequence[Measurement],
-    shots: int,
-    rng: np.random.Generator,
-) -> list[tuple[int, ...]]:
-    """Draw ``shots`` samples of the plan's measurements from |psi|^2."""
-    return sample_measurement_probabilities(
-        np.abs(state) ** 2, circuit, plan, shots, rng
-    )
-
-
-def sample_measurement_probabilities(
+def terminal_marginal(
     probabilities: np.ndarray,
     circuit: Circuit,
     plan: Sequence[Measurement],
-    shots: int,
-    rng: np.random.Generator,
-) -> list[tuple[int, ...]]:
-    """Draw ``shots`` samples of the plan's measurements from a
-    computational-basis probability tensor (one axis per qubit).
+) -> np.ndarray:
+    """The normalized marginal of a computational-basis probability
+    tensor (one axis per qubit) over the plan's measured qubits.
 
-    Shared by the vectorized statevector backend (which passes
-    |psi|^2) and the exact density-matrix backend (which passes the
-    diagonal of rho) — one sampling path, one seed convention, so the
-    two backends' zero-noise histograms match exactly.
+    Flattened in sorted-qubit order, so entry ``x`` holds qubit
+    ``measured[i]`` at bit ``(x >> (width - 1 - i)) & 1``.  Shared by
+    the vectorized statevector backend (which passes |psi|^2) and the
+    exact density-matrix backend (which passes the diagonal of rho).
     """
-    output = list(circuit.output_bits or range(circuit.num_bits))
-    if not plan:
-        # Nothing measured: the classical register stays all-zero.
-        return [(0,) * len(output)] * shots
-
     measured = sorted({m.qubit for m in plan})
     unmeasured = tuple(
         axis for axis in range(circuit.num_qubits) if axis not in measured
@@ -484,20 +564,40 @@ def sample_measurement_probabilities(
         probabilities = probabilities.sum(axis=unmeasured)
     probabilities = probabilities.reshape(-1)
     # Guard against float drift; choice() requires an exact simplex.
-    probabilities = probabilities / probabilities.sum()
+    return probabilities / probabilities.sum()
 
-    outcomes = rng.choice(probabilities.size, size=shots, p=probabilities)
+
+def sample_marginal(
+    marginal: np.ndarray,
+    circuit: Circuit,
+    plan: Sequence[Measurement],
+    shots: int,
+    rng: np.random.Generator,
+) -> list[tuple[int, ...]]:
+    """Draw ``shots`` output-bit tuples from a :func:`terminal_marginal`.
+
+    One ``rng.choice`` call, then the outcome bits scatter into the
+    plan's classical bits.  Both terminal-measurement backends sample
+    here — one sampling path, one seed convention, so their zero-noise
+    histograms match exactly.
+    """
+    output = list(circuit.output_bits or range(circuit.num_bits))
+    if not plan:
+        # Nothing measured: the classical register stays all-zero.
+        return [(0,) * len(output)] * shots
+
+    outcomes = rng.choice(marginal.size, size=shots, p=marginal)
 
     # Marginal axis order is sorted qubit order, so the outcome's bit
     # for qubit q sits at position pos[q] from the left (the same
     # most-significant-first convention as full basis-state indices).
+    measured = sorted({m.qubit for m in plan})
     pos = {qubit: i for i, qubit in enumerate(measured)}
     width = len(measured)
     bits = np.zeros((shots, circuit.num_bits), dtype=np.int64)
     for meas in plan:
         bits[:, meas.bit] = (outcomes >> (width - 1 - pos[meas.qubit])) & 1
-    selected = bits[:, output]
-    return [tuple(int(b) for b in row) for row in selected]
+    return list(map(tuple, bits[:, output].tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -570,7 +670,8 @@ def run_circuit_with_info(
     chunk), ``0`` one worker per core.  Sharding pays off for
     trajectory workloads (mid-circuit measurement or noise); the
     terminal-measurement fast path already makes shots near-free in
-    one process, and sharding it repeats the one evolution per chunk.
+    one process: it evolves a circuit once per process and every later
+    chunk only samples its memoized marginal.
     """
     from repro.exec.parallel import parallel_run_with_info
 

@@ -44,7 +44,8 @@ from repro.sim.backend import (
     RunInfo,
     SimBackend,
     register_backend,
-    sample_measurement_probabilities,
+    sample_marginal,
+    terminal_marginal,
     terminal_measurement_plan,
 )
 from repro.sim.kernels import active_kernel_name
@@ -204,8 +205,12 @@ class DensityMatrixBackend(SimBackend):
             probabilities = self._terminal_probabilities(
                 circuit, noise_model, stats
             )
-            results = sample_measurement_probabilities(
-                probabilities, circuit, plan, shots, rng
+            results = sample_marginal(
+                terminal_marginal(probabilities, circuit, plan),
+                circuit,
+                plan,
+                shots,
+                rng,
             )
         else:
             distribution = self._branched_distribution(
@@ -258,17 +263,8 @@ class DensityMatrixBackend(SimBackend):
         )
         if not plan:
             return {(0,) * len(output): 1.0}
+        marginal = terminal_marginal(probabilities, circuit, plan)
         measured = sorted({m.qubit for m in plan})
-        unmeasured = tuple(
-            axis
-            for axis in range(circuit.num_qubits)
-            if axis not in measured
-        )
-        marginal = probabilities
-        if unmeasured:
-            marginal = marginal.sum(axis=unmeasured)
-        marginal = marginal.reshape(-1)
-        marginal = marginal / marginal.sum()
         position = {qubit: i for i, qubit in enumerate(measured)}
         width = len(measured)
         distribution: dict[tuple[int, ...], float] = {}

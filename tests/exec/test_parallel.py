@@ -41,7 +41,11 @@ from repro.qcircuit.examples import (
 )
 from repro.service import ExecutionService, ServiceClient, ServiceConfig
 from repro.service.protocol import counts_of
-from repro.sim.backend import RunInfo, run_circuit_with_info
+from repro.sim.backend import (
+    RunInfo,
+    clear_marginal_memo,
+    run_circuit_with_info,
+)
 from repro.sim.statevector import run_circuit
 from tests.stats import assert_histograms_close
 
@@ -331,6 +335,7 @@ def test_one_worker_fast_path_is_one_chunk_and_one_evolution():
     # The plan has no memory-envelope term, so a terminal-measurement
     # circuit the fast path evolves once is not re-split into
     # envelope-sized chunks.
+    clear_marginal_memo()
     results, info = run_circuit_with_info(
         _ghz(18), 4096, seed=0, parallel_workers=1
     )

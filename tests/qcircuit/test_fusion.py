@@ -185,6 +185,28 @@ def test_fused_unitary_validates_shape():
         FusedUnitary(np.eye(4, dtype=complex), (1, 1))
 
 
+def test_fused_unitary_matrix_is_read_only():
+    import pickle
+
+    matrix = np.eye(4, dtype=complex)
+    block = FusedUnitary(matrix, (0, 1), gate_count=2)
+    with pytest.raises(ValueError, match="read-only"):
+        block.matrix[0, 0] = 2
+    # The caller's array is the block's matrix, frozen in place.
+    with pytest.raises(ValueError, match="read-only"):
+        matrix[0, 0] = 2
+    # A view is copied, so writes through its base cannot reach it.
+    base = np.eye(8, dtype=complex)
+    viewed = FusedUnitary(base[:4, :4], (0, 1))
+    base[0, 0] = 2
+    assert viewed.matrix[0, 0] == 1
+    # Unpickling (disk cache, pool workers) re-freezes the matrix.
+    restored = pickle.loads(pickle.dumps(block))
+    assert restored == block
+    with pytest.raises(ValueError, match="read-only"):
+        restored.matrix[0, 0] = 2
+
+
 def test_controlled_matrix_folds_polarity():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     cx = controlled_matrix(x, (1,))

@@ -7,6 +7,7 @@ same structured error envelope.
 """
 
 import json
+import random
 
 import pytest
 
@@ -161,3 +162,27 @@ def test_counts_of_folds_bit_tuples():
     assert protocol.counts_of([(0, 1), (0, 1), (1, 0)]) == {
         "01": 2, "10": 1,
     }
+
+
+def _counts_of_per_shot(results):
+    """The per-shot loop ``counts_of`` replaced: the reference."""
+    counts = {}
+    for outcome in results:
+        key = "".join(str(int(b)) for b in outcome)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("width", [0, 1, 3, 8])
+def test_counts_of_matches_the_per_shot_loop(width):
+    rng = random.Random(width)
+    for shots in (0, 1, 256):
+        results = [
+            tuple(rng.randrange(2) for _ in range(width))
+            for _ in range(shots)
+        ]
+        expected = _counts_of_per_shot(results)
+        counts = protocol.counts_of(results)
+        assert counts == expected
+        assert list(counts) == list(expected)  # first-seen order too
+

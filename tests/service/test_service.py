@@ -116,6 +116,42 @@ def test_repeat_requests_hit_the_compile_cache():
     assert second["result"]["info"]["compile_cache"] == "memory"
 
 
+def test_warm_suite_requests_reuse_the_kernel_and_its_fingerprint(
+    monkeypatch,
+):
+    import inspect
+
+    from repro.evaluation import asdf_kernel
+
+    real_getsource = inspect.getsource
+    calls = []
+
+    def counting_getsource(obj):
+        calls.append(obj)
+        return real_getsource(obj)
+
+    async def scenario():
+        async with ExecutionService(make_config()) as service:
+            client = ServiceClient(service)
+            first = await client.run(
+                id=1, kernel="grover", n=3, shots=32, seed=2
+            )
+            monkeypatch.setattr(inspect, "getsource", counting_getsource)
+            second = await client.run(
+                id=2, kernel="grover", n=3, shots=32, seed=2
+            )
+            return first, second
+
+    first, second = run_async(scenario())
+    assert first["ok"] and second["ok"], (first, second)
+    assert second["result"]["counts"] == first["result"]["counts"]
+    assert second["result"]["info"]["compile_cache"] == "memory"
+    # The second request neither re-parsed the kernel nor re-read its
+    # source for the compile-cache key.
+    assert calls == []
+    assert asdf_kernel("grover", 3) is asdf_kernel("grover", 3)
+
+
 def test_source_kernels_compile_and_run():
     source = (
         "from repro import qpu\n"

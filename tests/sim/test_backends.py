@@ -20,6 +20,7 @@ from repro.sim import (
     VectorizedStatevectorBackend,
     apply_gates_to_state,
     available_backends,
+    clear_marginal_memo,
     gate_matrix,
     get_backend,
     register_backend,
@@ -264,6 +265,9 @@ def test_grover_histograms_match():
     per_shot, _ = run_circuit_with_info(
         circuit, shots=shots, seed=11, backend="interpreter"
     )
+    # Other tests run this circuit too; drop its memoized marginal so
+    # this run performs (and reports) the evolution.
+    clear_marginal_memo()
     sampled, info = run_circuit_with_info(
         circuit, shots=shots, seed=11, backend="statevector"
     )
@@ -304,6 +308,7 @@ def test_ghz_sampling_matches_exact_distribution():
     for qubit in range(3):
         circuit.add(Measurement(qubit, qubit))
     shots = 4000
+    clear_marginal_memo()
     sampled, info = run_circuit_with_info(
         circuit, shots=shots, seed=5, backend="statevector"
     )
@@ -329,6 +334,225 @@ def test_vectorized_no_measurements():
     circuit.add(g("h", [0]))
     results = run_circuit(circuit, shots=5, backend="statevector")
     assert results == [(0, 0)] * 5
+
+
+# ----------------------------------------------------------------------
+# The terminal-marginal memo: one evolution per circuit content and
+# apply kernel, every later run only draws shots.
+# ----------------------------------------------------------------------
+@pytest.fixture
+def fresh_memo():
+    clear_marginal_memo()
+    yield
+    clear_marginal_memo()
+
+
+def _memo_circuit(theta=0.3, num_qubits=4, measured=None):
+    circuit = Circuit(num_qubits=num_qubits, num_bits=num_qubits)
+    circuit.add(g("h", [0]))
+    for q in range(num_qubits - 1):
+        circuit.add(g("ry", [q + 1], controls=[q], params=[theta]))
+    for q in range(num_qubits) if measured is None else measured:
+        circuit.add(Measurement(q, q))
+    return circuit
+
+
+def _evolutions(circuit, shots=64, seed=0):
+    return run_circuit_with_info(circuit, shots, seed=seed)[1].evolutions
+
+
+def test_memo_repeat_run_is_bit_identical_without_evolving(fresh_memo):
+    from repro.obs import metrics
+
+    lookups = metrics.instruments()["repro_sim_marginal_memo_total"]
+    sweeps = metrics.instruments()["repro_sim_sweeps_total"]
+    before = (
+        lookups.value(outcome="hit"),
+        lookups.value(outcome="miss"),
+        sweeps.value(engine="fast-path"),
+    )
+    circuit = fuse_adjacent_gates(_memo_circuit())
+    first, miss = run_circuit_with_info(circuit, 300, seed=4)
+    second, hit = run_circuit_with_info(circuit, 300, seed=4)
+    assert miss.fast_path and hit.fast_path
+    assert (miss.evolutions, hit.evolutions) == (1, 0)
+    assert second == first
+    # Keyed by content, not identity: an equal, separately built
+    # circuit hits, and so does any other seed or shot count.
+    clone_results, clone = run_circuit_with_info(
+        fuse_adjacent_gates(_memo_circuit()), 300, seed=4
+    )
+    assert clone.evolutions == 0 and clone_results == first
+    assert _evolutions(circuit, shots=17, seed=9) == 0
+    after = (
+        lookups.value(outcome="hit"),
+        lookups.value(outcome="miss"),
+        sweeps.value(engine="fast-path"),
+    )
+    assert [b - a for a, b in zip(before, after)] == [3, 1, 1]
+
+
+def test_memo_edited_circuit_evolves_again(fresh_memo):
+    circuit = _memo_circuit(theta=2.0, measured=[0, 1, 2])
+    assert _evolutions(circuit) == 1
+    assert _evolutions(circuit) == 0
+    circuit.add(Measurement(3, 3))
+    results, info = run_circuit_with_info(circuit, 64, seed=0)
+    assert info.evolutions == 1
+    assert {bits[3] for bits in results} == {0, 1}
+    circuit.instructions[0] = g("x", [0])
+    assert _evolutions(circuit) == 1
+
+
+def test_memo_keeps_one_entry_per_apply_kernel(fresh_memo, monkeypatch):
+    from repro.sim import kernels
+
+    other = "numba" if kernels.numba_available() else "numpy-probe"
+    if other == "numpy-probe":
+
+        class ProbeKernel(kernels.NumpyKernel):
+            name = "numpy-probe"
+
+        monkeypatch.setitem(
+            kernels._KERNEL_REGISTRY, "numpy-probe", ProbeKernel
+        )
+        monkeypatch.setitem(
+            kernels._KERNEL_INSTANCES, "numpy-probe", ProbeKernel()
+        )
+    circuit = _memo_circuit()
+    runs = []
+    for name in ("numpy", other, "numpy", other):
+        with kernels.use_kernel(name):
+            results, info = run_circuit_with_info(circuit, 200, seed=3)
+        runs.append((info.kernel, info.evolutions, results))
+    # Each kernel evolves once; the equivalence of two kernels is
+    # never a comparison of one cached marginal with itself.
+    assert [(kernel, ev) for kernel, ev, _ in runs] == [
+        ("numpy", 1), (other, 1), ("numpy", 0), (other, 0),
+    ]
+    assert all(results == runs[0][2] for _, _, results in runs)
+
+
+def test_memo_concurrent_threads_match_serial(fresh_memo):
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.sim import backend
+
+    circuits = [
+        fuse_adjacent_gates(_memo_circuit(theta, num_qubits=10))
+        for theta in (0.3, 0.7)
+    ]
+    serial = [
+        run_circuit(circuits[seed % 2], 128, seed=seed) for seed in range(8)
+    ]
+    clear_marginal_memo()
+    barrier = threading.Barrier(8)
+
+    def run(seed):
+        barrier.wait(timeout=30)
+        return run_circuit(circuits[seed % 2], 128, seed=seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(run, seed) for seed in range(8)]
+            threaded = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    # Both circuits ended up resident: no insert was lost.
+    assert len(backend._MARGINAL_MEMO) == 2
+    assert [_evolutions(circuit) for circuit in circuits] == [0, 0]
+
+
+def test_memo_bounds_evict(fresh_memo, monkeypatch):
+    from repro.sim import backend
+
+    circuits = [_memo_circuit(theta) for theta in (0.1, 0.2, 0.3)]
+    monkeypatch.setattr(backend, "MARGINAL_MEMO_MAX_ENTRIES", 2)
+    assert [_evolutions(c) for c in circuits] == [1, 1, 1]
+    assert len(backend._MARGINAL_MEMO) == 2
+    # Least recently used first out: the oldest circuit evolves again.
+    assert [_evolutions(c) for c in circuits[::-1]] == [0, 0, 1]
+
+    # A 4-qubit marginal is 16 float64s; a budget of one entry's bytes
+    # keeps only the newest, and a smaller one memoizes nothing.
+    clear_marginal_memo()
+    monkeypatch.setattr(backend, "MARGINAL_MEMO_MAX_BYTES", 16 * 8)
+    assert [_evolutions(c) for c in circuits[:2]] == [1, 1]
+    assert len(backend._MARGINAL_MEMO) == 1
+    assert [_evolutions(c) for c in circuits[1::-1]] == [0, 1]
+    clear_marginal_memo()
+    monkeypatch.setattr(backend, "MARGINAL_MEMO_MAX_BYTES", 16 * 8 - 1)
+    assert [_evolutions(circuits[0]) for _ in range(2)] == [1, 1]
+    assert len(backend._MARGINAL_MEMO) == 0
+
+
+#: The service-warm request catalog: the five suite algorithms at
+#: n = 6, 7, 8 plus four ``source`` Bernstein-Vazirani kernels.
+_WARM_SOURCE = """\
+from repro.frontend.decorators import Bits, N, bit, cfunc, classical, qpu
+
+SECRET = Bits.from_str("{secret}")
+
+
+@classical[N](SECRET)
+def f(secret: bit[N], x: bit[N]) -> bit:
+    return (secret & x).xor_reduce()
+
+
+@qpu[N](f)
+def kernel(f: cfunc[N, 1]) -> bit[N]:
+    return 'p'[N] | f.sign | pm[N] >> std[N] | std[N].measure
+"""
+_WARM_CATALOG = [
+    {"kernel": algorithm, "n": n}
+    for algorithm in ("bv", "dj", "grover", "simon", "period")
+    for n in (6, 7, 8)
+] + [
+    {"source": _WARM_SOURCE.format(secret=secret)}
+    for secret in ("110100", "1011001", "11100101", "01101110")
+]
+
+#: sha256 of the catalog's counts at seeds 11 and 12, recorded before
+#: the memo existed (every request evolved its circuit per chunk).
+_WARM_COUNTS_SHA256 = (
+    "7a9d906b43df3a64c306a87979368f51942ffc98f13a45cd44b017772c920475"
+)
+
+
+def test_memo_keeps_service_warm_counts_identical(fresh_memo):
+    import asyncio
+    import hashlib
+    import json
+
+    from repro.service import ExecutionService, ServiceClient, ServiceConfig
+
+    async def sweep(client):
+        digest = []
+        for seed in (11, 12):
+            for index, fields in enumerate(_WARM_CATALOG):
+                response = await client.run(
+                    id=index, shots=256, seed=seed, **fields
+                )
+                assert response["ok"], response
+                counts = sorted(response["result"]["counts"].items())
+                digest.append((seed, index, counts))
+        return hashlib.sha256(json.dumps(digest).encode()).hexdigest()
+
+    async def scenario():
+        config = ServiceConfig(
+            use_processes=False, parallel_workers=2, executors=2
+        )
+        async with ExecutionService(config) as service:
+            client = ServiceClient(service)
+            # The first sweep evolves; the second is all memo hits.
+            return await sweep(client), await sweep(client)
+
+    assert asyncio.run(scenario()) == (_WARM_COUNTS_SHA256,) * 2
 
 
 # ----------------------------------------------------------------------
