@@ -85,8 +85,14 @@ class KrausChannel:
             )
         for op in kept:
             op.setflags(write=False)
+        stack = np.array(kept)
+        gram = np.einsum("iba,ibc->iac", stack.conj(), stack)
+        gram.setflags(write=False)
         self.name = name
         self.operators: tuple[np.ndarray, ...] = tuple(kept)
+        #: Each operator's ``K_i^dag K_i``, stacked: ``||K_i |psi>||^2``
+        #: is ``<psi| gram[i] |psi>``, the unraveling's selection weight.
+        self.gram = gram
         self.num_qubits = num_qubits
         self.dim = dim
 

@@ -54,7 +54,7 @@ from repro.qcircuit.circuit import (
 )
 
 # NOTE: repro.sim.kernels is imported lazily inside functions.  The sim
-# package's __init__ imports repro.sim.statevector, which imports this
+# package's __init__ imports repro.sim.batched, which imports this
 # module — an eager import here would re-enter repro.sim mid-init.
 
 #: The driver's default execution-circuit fusion pipeline.

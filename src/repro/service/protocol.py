@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from repro.errors import BadRequestError, QwertyError
+from repro.sim.batched import MAX_STATEVECTOR_QUBITS
 
 #: Operations the service understands.  ``metrics`` returns the
 #: process-wide registry as Prometheus text exposition
@@ -109,6 +110,13 @@ class RunRequest:
                 "a run request names exactly one of 'kernel' (an "
                 "evaluation-suite algorithm) or 'source' (Python source "
                 "defining one @qpu kernel)"
+            )
+        if request.kernel is not None and request.n > MAX_STATEVECTOR_QUBITS:
+            # Every suite kernel needs at least n qubits: reject before
+            # compiling what the engine could never simulate.
+            raise BadRequestError(
+                f"n={request.n} exceeds the {MAX_STATEVECTOR_QUBITS}-qubit "
+                f"statevector limit"
             )
         if request.shots > MAX_SHOTS:
             raise BadRequestError(

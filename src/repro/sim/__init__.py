@@ -4,29 +4,30 @@ Execution is organized around pluggable backends — see
 :mod:`repro.sim.backend` and docs/simulators.md.
 """
 
-# Import order matters: statevector (and through it repro.qcircuit.fusion)
-# must initialize before backend/density, which build on its primitives.
+# Import order matters: the engine (repro.sim.batched, and through it
+# repro.qcircuit.fusion) must initialize before statevector, backend and
+# density, which build on it.
 from repro.sim.kernels import (
     active_kernel_name,
+    apply_matrix_inplace,
     available_kernels,
     current_kernel_selection,
+    gate_matrix,
     get_kernel,
     numba_available,
     use_kernel,
 )
-from repro.sim.statevector import (
-    StatevectorSimulator,
-    apply_gates_to_state,
-    apply_matrix_inplace,
-    gate_matrix,
-    run_circuit,
-    unitary_of_gates,
-)
 from repro.sim.batched import (
     MAX_BATCH_BYTES,
+    MAX_STATEVECTOR_QUBITS,
     BatchedStatevector,
     batch_chunk_size,
     batched_run,
+)
+from repro.sim.statevector import (
+    apply_gates_to_state,
+    run_circuit,
+    unitary_of_gates,
 )
 from repro.sim.backend import (
     DEFAULT_BACKEND,
@@ -55,6 +56,7 @@ __all__ = [
     "DEFAULT_BACKEND",
     "MAX_BATCH_BYTES",
     "MAX_DENSITY_QUBITS",
+    "MAX_STATEVECTOR_QUBITS",
     "BatchedStatevector",
     "DensityMatrixBackend",
     "DensityMatrixSimulator",
@@ -62,7 +64,6 @@ __all__ = [
     "ModuleInterpreter",
     "RunInfo",
     "SimBackend",
-    "StatevectorSimulator",
     "VectorizedStatevectorBackend",
     "active_kernel_name",
     "apply_gates_to_state",

@@ -11,8 +11,9 @@ Three backends ship in-tree:
 
 ``"interpreter"``
     One independent statevector trajectory per shot, seeded
-    ``seed + shot``.  O(shots x gates x 2^n), but handles every circuit
-    one instruction at a time: the simple reference engine.
+    ``seed + shot`` (a 1-row batch of :mod:`repro.sim.batched`).
+    O(shots x gates x 2^n), but handles every circuit one instruction
+    at a time: the simple per-shot reference.
 
 ``"statevector"``
     The vectorized sampler.  For *terminal-measurement* circuits (all
@@ -41,7 +42,7 @@ Every backend takes an optional ``noise_model=``
 (:class:`repro.noise.NoiseModel`) attaching Kraus channels per gate
 and readout confusion per measured qubit.
 
-Qubit-ordering convention (shared with the simulator): qubit 0 is the
+Qubit-ordering convention (shared with the engine): qubit 0 is the
 *leftmost* ket bit, so basis-state index ``x`` has qubit ``q`` equal to
 bit ``(x >> (n - 1 - q)) & 1``.
 """
@@ -61,9 +62,8 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement, Reset
 from repro.qcircuit.fusion import FusedUnitary, fused_gate_savings
-from repro.sim.batched import batched_run
+from repro.sim.batched import BatchedStatevector, batched_run, channel_plan
 from repro.sim.kernels import active_kernel_name
-from repro.sim.statevector import StatevectorSimulator
 
 # Get-or-create: same series repro.sim.batched increments for its
 # batched sweeps; this module adds the fast-path and interpreter ones.
@@ -221,19 +221,13 @@ class RunInfo:
 
         Additive counters (``shots``, ``evolutions``,
         ``channel_applications``, ``readout_applications``,
-        ``gates_fused``, ``fused_ops``, ``chunks``) sum exactly;
-        ``fast_path`` holds only if every chunk took it, ``batched`` if
-        any did; ``fused_ops`` stays ``None`` unless every chunk
-        reported it.  All chunks must come from one backend; a mix of
+        ``gates_fused``, ``fused_ops``, ``chunks``, ``retries``,
+        ``faults_injected``) sum exactly; ``fast_path`` holds only if
+        every chunk took it, ``batched`` and ``degraded`` if any did;
+        ``fused_ops`` stays ``None`` unless every chunk reported it.
+        All chunks must come from one backend; a mix of
         apply-kernels is recorded as ``"mixed"``.  ``workers`` defaults
         to the max the inputs carry.
-
-        The robustness counters (``retries``, ``faults_injected``,
-        ``degraded``) are read with ``getattr`` defaults: a
-        :class:`RunInfo` unpickled from an artifact written before the
-        counters existed (an old persistent-cache entry surviving a
-        partial invalidation) merges as zero rather than crashing the
-        telemetry path.
         """
         infos = list(infos)
         if not infos:
@@ -274,23 +268,18 @@ class RunInfo:
             compile_cache=(
                 provenances.pop() if len(provenances) == 1 else None
             ),
-            retries=sum(getattr(info, "retries", 0) for info in infos),
-            faults_injected=sum(
-                getattr(info, "faults_injected", 0) for info in infos
-            ),
-            degraded=any(
-                getattr(info, "degraded", False) for info in infos
-            ),
+            retries=sum(info.retries for info in infos),
+            faults_injected=sum(info.faults_injected for info in infos),
+            degraded=any(info.degraded for info in infos),
         )
 
 
 class SimBackend:
     """Protocol for simulation backends.
 
-    Subclasses implement :meth:`run_with_info`; :meth:`make_simulator`
-    has a default implementation.  Instances must be stateless across
-    calls (one backend object may serve many threads of the evaluation
-    harness).
+    Subclasses implement :meth:`run_with_info`.  Instances must be
+    stateless across calls (one backend object may serve many threads
+    of the evaluation harness).
     """
 
     #: Registry name; subclasses override.
@@ -314,16 +303,6 @@ class SimBackend:
         """
         raise NotImplementedError
 
-    def make_simulator(
-        self, num_qubits: int, num_bits: int = 0, seed: int = 0
-    ) -> StatevectorSimulator:
-        """A step-by-step simulator for op-at-a-time execution.
-
-        Used by the module interpreter, whose control flow (callable
-        invocation, ``scf.if``) cannot be replayed as a flat circuit.
-        """
-        return StatevectorSimulator(num_qubits, num_bits, seed=seed)
-
 
 def _trajectory_run(
     circuit: Circuit,
@@ -332,46 +311,35 @@ def _trajectory_run(
     noise_model=None,
     stats=None,
 ) -> list[tuple[int, ...]]:
-    """One independent trajectory per shot, seeded ``seed + shot``.
+    """One independent trajectory per shot — a 1-row
+    :class:`BatchedStatevector` seeded ``seed + shot``.
 
     Under a noise model, each trajectory unravels every attached
-    channel into its own Kraus draws (see
-    :meth:`StatevectorSimulator.apply_kraus`), so ``stats`` counts
-    noise events per shot.  Rule matching is a pure function of the
-    instruction, so the per-instruction channel plan is computed once
-    here rather than once per shot.
+    channel into its own Kraus draws, so ``stats`` counts noise events
+    per shot.  The channel plan is computed once per run.
     """
     results = []
     output = circuit.output_bits or range(circuit.num_bits)
-    channel_plan = None
-    if noise_model is not None:
-        channel_plan = [
-            noise_model.channels_for(inst)
-            if isinstance(inst, CircuitGate)
-            else None
-            for inst in circuit.instructions
-        ]
+    plan = channel_plan(circuit, noise_model)
     with _trace.span(
         "sim.sweep",
         engine="interpreter", shots=shots, qubits=circuit.num_qubits,
     ):
         for shot in range(shots):
-            sim = StatevectorSimulator(
-                circuit.num_qubits, circuit.num_bits, seed=seed + shot
+            engine = BatchedStatevector(
+                1,
+                circuit.num_qubits,
+                circuit.num_bits,
+                np.random.default_rng(seed + shot),
             )
-            bits = sim.run(
-                circuit,
-                noise_model=noise_model,
-                stats=stats,
-                channel_plan=channel_plan,
-            )
+            bits = engine.run(circuit, noise_model, stats, plan)[0].tolist()
             results.append(tuple(bits[i] for i in output))
     _SWEEPS.inc(engine="interpreter")
     return results
 
 
 class InterpreterBackend(SimBackend):
-    """Per-shot trajectory execution (the historical ``run_circuit``)."""
+    """Per-shot trajectory execution: one 1-row batch per shot."""
 
     name = "interpreter"
 
@@ -515,13 +483,11 @@ class VectorizedStatevectorBackend(SimBackend):
             marginal = _memo_get(key)
             evolutions = int(marginal is None)
             if marginal is None:
-                sim = StatevectorSimulator(
-                    circuit.num_qubits, circuit.num_bits
-                )
+                engine = BatchedStatevector(1, circuit.num_qubits)
                 for inst in prefix:
-                    sim.apply(inst)
+                    engine.apply(inst)
                 marginal = terminal_marginal(
-                    np.abs(sim.state) ** 2, circuit, plan
+                    np.abs(engine.state[0]) ** 2, circuit, plan
                 )
                 _memo_put(key, marginal)
             outcome = "miss" if evolutions else "hit"

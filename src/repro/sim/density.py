@@ -3,7 +3,7 @@
 The ``density_matrix`` backend evolves the full density operator
 :math:`\\rho` as a ``(2, …, 2)`` tensor with ``2n`` axes — axis ``q``
 is qubit ``q``'s *row* index, axis ``n + q`` its *column* index — so a
-gate applies as two :func:`~repro.sim.statevector.apply_matrix_inplace`
+gate applies as two :func:`~repro.sim.kernels.apply_matrix_inplace`
 sweeps (:math:`U` on the row axes, :math:`\\overline{U}` on the column
 axes) and a Kraus channel as the exact sum
 :math:`\\rho \\mapsto \\sum_i K_i \\rho K_i^\\dagger`.
@@ -48,8 +48,11 @@ from repro.sim.backend import (
     terminal_marginal,
     terminal_measurement_plan,
 )
-from repro.sim.kernels import active_kernel_name
-from repro.sim.statevector import apply_matrix_inplace, gate_matrix
+from repro.sim.kernels import (
+    active_kernel_name,
+    apply_matrix_inplace,
+    gate_matrix,
+)
 
 __all__ = [
     "MAX_DENSITY_QUBITS",

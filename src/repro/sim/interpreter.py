@@ -14,11 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from repro.dialects import arith, qcircuit, qwerty, scf
 from repro.errors import QwertyError, SimulationError
 from repro.ir.core import Operation, Value
 from repro.ir.module import FuncOp, ModuleOp
 from repro.qcircuit.circuit import CircuitGate
+from repro.sim.batched import BatchedStatevector
 
 
 @dataclass(frozen=True)
@@ -33,12 +36,9 @@ class _Callable:
 class ModuleInterpreter:
     """Interprets one entry-point invocation of a lowered module.
 
-    ``backend`` names a registered simulation backend (see
-    :mod:`repro.sim.backend`); the interpreter asks it for a
-    step-by-step simulator.  Module interpretation is inherently
-    trajectory-based (op-at-a-time, with data-dependent control flow),
-    so vectorized shot sampling never applies here — the backend only
-    chooses the simulator implementation.
+    Module interpretation is inherently one trajectory (op-at-a-time,
+    with data-dependent control flow), so it runs on a 1-row
+    :class:`~repro.sim.batched.BatchedStatevector` seeded ``seed``.
     """
 
     def __init__(
@@ -46,13 +46,10 @@ class ModuleInterpreter:
         module: ModuleOp,
         num_qubits: int = 20,
         seed: int = 0,
-        backend: str | None = None,
     ):
-        from repro.sim.backend import get_backend
-
         self.module = module
-        self.simulator = get_backend(backend).make_simulator(
-            num_qubits, 0, seed=seed
+        self.simulator = BatchedStatevector(
+            1, num_qubits, rng=np.random.default_rng(seed)
         )
         self._free = list(range(num_qubits))
         self._gate_log: list[CircuitGate] = []
@@ -127,7 +124,7 @@ class ModuleInterpreter:
                 env[id(result)] = qubit
         elif name == qcircuit.MEASURE:
             qubit = get(op.operands[0])
-            outcome = self.simulator.measure(qubit)
+            outcome = int(self.simulator.measure(qubit)[0])
             env[id(op.results[0])] = qubit
             env[id(op.results[1])] = outcome
         elif name == qcircuit.ARRPACK:
@@ -196,11 +193,6 @@ def interpret_module(
     entry: str | None = None,
     num_qubits: int = 20,
     seed: int = 0,
-    backend: str | None = None,
 ) -> list[int]:
-    """Execute a lowered module; returns the measured output bits.
-
-    ``backend`` selects the simulation backend supplying the simulator
-    (see :mod:`repro.sim.backend`).
-    """
-    return ModuleInterpreter(module, num_qubits, seed, backend).run(entry)
+    """Execute a lowered module; returns the measured output bits."""
+    return ModuleInterpreter(module, num_qubits, seed).run(entry)

@@ -1,9 +1,9 @@
 """Gate matrices and the pluggable apply-matrix kernel registry.
 
-Every simulation engine in the repository — the per-shot interpreter,
-the vectorized statevector sampler, the shot-batched trajectory engine,
-and the exact density-matrix backend — funnels each gate application
-through one primitive: *apply a 2^k x 2^k unitary to k target axes of a
+Both simulation engines in the repository — the statevector engine
+(:mod:`repro.sim.batched`, which serves every backend but one) and the
+exact density-matrix backend — funnel each gate application through
+one primitive: *apply a 2^k x 2^k unitary to k target axes of a
 complex tensor, in place*.  This module owns that primitive.
 
 Two implementations ship in-tree, behind a registry

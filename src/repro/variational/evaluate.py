@@ -29,7 +29,8 @@ from repro.qcircuit.circuit import (
     circuit_parameters,
 )
 from repro.sim.kernels import apply_matrix_inplace, gate_matrix
-from repro.sim.statevector import control_sliced_view
+from repro.sim.batched import control_sliced_view
+from repro.sim.statevector import apply_gates_to_state
 from repro.variational.observables import DiagonalObservable
 
 #: Parameterized gates the vectorized evaluator knows how to stack.
@@ -76,16 +77,8 @@ def exact_probabilities(
     :meth:`DiagonalObservable.eigenvalues`.
     """
     bound = bind_circuit(circuit, values or {})
-    gates = _unitary_gates(bound)
-    n = max(circuit.num_qubits, 1)
-    state = np.zeros((2,) * n, dtype=complex)
-    state[(0,) * n] = 1.0
-    for gate in gates:
-        view, axes = control_sliced_view(
-            state, gate.targets, gate.controls, gate.ctrl_states
-        )
-        apply_matrix_inplace(view, gate_matrix(gate.name, gate.params), axes)
-    return np.abs(state.reshape(-1)) ** 2
+    state = apply_gates_to_state(_unitary_gates(bound), circuit.num_qubits)
+    return np.abs(state) ** 2
 
 
 def expectation(
@@ -193,8 +186,7 @@ def grid_probabilities(circuit: Circuit, grid: Mapping) -> np.ndarray:
     state[(slice(None),) + (0,) * n] = 1.0
     for gate in gates:
         view, axes = control_sliced_view(
-            state, gate.targets, gate.controls, gate.ctrl_states,
-            axis_offset=1,
+            state, gate.targets, gate.controls, gate.ctrl_states
         )
         if not gate.is_symbolic:
             # One fixed matrix broadcast across the whole batch axis.

@@ -61,8 +61,8 @@ def test_density_qubit_limit():
 # Exact evolution semantics.
 # ----------------------------------------------------------------------
 def test_pure_state_evolution_matches_statevector():
-    """Noiseless rho stays |psi><psi| for the simulator's |psi|."""
-    from repro.sim import StatevectorSimulator
+    """Noiseless rho stays |psi><psi| for the statevector's |psi|."""
+    from repro.sim import apply_gates_to_state
 
     gates = [
         CircuitGate("h", (0,)),
@@ -71,12 +71,10 @@ def test_pure_state_evolution_matches_statevector():
         CircuitGate("x", (2,), controls=(1,), ctrl_states=(0,)),
         CircuitGate("swap", (0, 2)),
     ]
-    sv = StatevectorSimulator(3)
     dm = DensityMatrixSimulator(3)
     for gate in gates:
-        sv.apply_gate(gate)
         dm.apply_gate(gate)
-    psi = sv.statevector()
+    psi = apply_gates_to_state(gates, 3)
     expected = np.outer(psi, psi.conj()).reshape((2,) * 6)
     assert np.allclose(dm.rho, expected)
     assert dm.trace() == pytest.approx(1.0)

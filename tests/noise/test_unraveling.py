@@ -3,8 +3,10 @@ the per-shot interpreter must both converge to the exact density-matrix
 distribution, with honest RunInfo telemetry."""
 
 import numpy as np
+import pytest
 
 from repro.noise import (
+    KrausChannel,
     NoiseModel,
     NoiseStats,
     ReadoutError,
@@ -17,7 +19,7 @@ from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement
 from repro.sim import (
     BatchedStatevector,
     DensityMatrixBackend,
-    StatevectorSimulator,
+    apply_matrix_inplace,
     batched_run,
     run_circuit_with_info,
 )
@@ -40,7 +42,7 @@ def test_batched_kraus_preserves_normalization():
     batch = BatchedStatevector(512, 2, rng=np.random.default_rng(1))
     batch.apply_gate(CircuitGate("h", (0,)))
     batch.apply_gate(CircuitGate("x", (1,), controls=(0,)))
-    batch.apply_kraus(amplitude_damping(0.4).operators, (0,))
+    batch.apply_kraus(amplitude_damping(0.4), (0,))
     flat = batch.state.reshape(512, -1)
     norms = np.einsum("si,si->s", flat, flat.conj()).real
     assert np.allclose(norms, 1.0)
@@ -52,7 +54,7 @@ def test_batched_kraus_matches_channel_statistics():
     shots = 4000
     batch = BatchedStatevector(shots, 1, rng=np.random.default_rng(7))
     batch.apply_gate(CircuitGate("x", (0,)))
-    batch.apply_kraus(amplitude_damping(gamma).operators, (0,))
+    batch.apply_kraus(amplitude_damping(gamma), (0,))
     p_one = batch.probability_one(0)
     # Each trajectory collapsed to exactly |0> or |1>.
     assert np.all((p_one < 1e-9) | (p_one > 1 - 1e-9))
@@ -67,25 +69,90 @@ def test_batched_kraus_masked_subset_only():
     batch.apply_gate(CircuitGate("x", (0,)))
     mask = np.zeros(8, dtype=bool)
     mask[:4] = True
-    batch.apply_kraus(
-        amplitude_damping(1.0).operators, (0,), mask=mask
-    )
+    batch.apply_kraus(amplitude_damping(1.0), (0,), mask=mask)
     p_one = batch.probability_one(0)
     assert np.allclose(p_one[:4], 0.0)  # damped with certainty
     assert np.allclose(p_one[4:], 1.0)  # untouched
 
 
 def test_single_shot_kraus_matches_channel_statistics():
+    """The per-shot interpreter's unraveling of amplitude damping on
+    |1>: P(read 0) = gamma."""
     gamma = 0.25
-    damped = 0
     trials = 2000
-    for seed in range(trials):
-        sim = StatevectorSimulator(1, seed=seed)
-        sim.apply_gate(CircuitGate("x", (0,)))
-        sim.apply_kraus(amplitude_damping(gamma).operators, (0,))
-        damped += 1 - round(sim.probability_one(0))
+    circuit = Circuit(num_qubits=1, num_bits=1)
+    circuit.add(CircuitGate("x", (0,)))
+    circuit.add(Measurement(0, 0))
+    model = NoiseModel().add_channel(amplitude_damping(gamma))
+    results, info = run_circuit_with_info(
+        circuit, shots=trials, seed=0,
+        backend="interpreter", noise_model=model,
+    )
+    assert info.evolutions == trials
+    assert info.channel_applications == trials
+    damped = sum(1 for (bit,) in results if bit == 0)
     sigma = (trials * gamma * (1 - gamma)) ** 0.5
     assert abs(damped - gamma * trials) < 5 * sigma
+
+
+def _random_state(rng, num_qubits):
+    state = rng.normal(size=(2,) * num_qubits) + 1j * rng.normal(
+        size=(2,) * num_qubits
+    )
+    return state / np.linalg.norm(state)
+
+
+def _generic_channel(num_operators, num_qubits, seed):
+    """Kraus operators cut from a random isometry: complete, with
+    complex, non-diagonal K_i^dag K_i (unlike the named channels)."""
+    rng = np.random.default_rng(seed)
+    dim = 2**num_qubits
+    shape = (num_operators * dim, dim)
+    isometry, _ = np.linalg.qr(
+        rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    )
+    return KrausChannel("generic", np.split(isometry, num_operators))
+
+
+@pytest.mark.parametrize(
+    "channel, qubits",
+    [
+        (amplitude_damping(0.3), (1,)),
+        (phase_damping(0.4), (0,)),
+        (depolarizing(0.2, num_qubits=2), (2, 0)),
+        (_generic_channel(3, 1, seed=5), (2,)),
+        (_generic_channel(2, 2, seed=6), (1, 2)),
+    ],
+)
+def test_kraus_selection_matches_per_operator_norm_reference(
+    channel, qubits
+):
+    """Each row picks operator i with probability ||K_i psi||^2 (one
+    draw per row) and collapses to K_i psi / ||K_i psi||: checked row by
+    row against a loop that applies every operator to a copy."""
+    rng = np.random.default_rng(11)
+    for seed in range(12):
+        shots = 1 + seed % 4
+        initial = np.stack([_random_state(rng, 3) for _ in range(shots)])
+        batch = BatchedStatevector(
+            shots, 3, rng=np.random.default_rng(seed)
+        )
+        batch.state[:] = initial
+        batch.apply_kraus(channel, qubits)
+        draws = np.random.default_rng(seed).random(shots)
+        for row in range(shots):
+            branches = []
+            for op in channel.operators:
+                branch = initial[row][None].copy()
+                apply_matrix_inplace(
+                    branch, op, tuple(1 + q for q in qubits)
+                )
+                branches.append(branch[0])
+            norms = [float(np.vdot(b, b).real) for b in branches]
+            draw = draws[row] * sum(norms)
+            chosen = int(np.searchsorted(np.cumsum(norms), draw, "right"))
+            expected = branches[chosen] / np.sqrt(norms[chosen])
+            assert np.allclose(batch.state[row], expected)
 
 
 # ----------------------------------------------------------------------

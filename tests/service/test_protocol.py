@@ -69,6 +69,19 @@ def test_shots_ceiling_is_enforced():
         )
 
 
+def test_suite_size_above_the_statevector_limit_is_rejected():
+    from repro.sim import MAX_STATEVECTOR_QUBITS
+
+    request = protocol.RunRequest.from_payload(
+        {"kernel": "grover", "n": MAX_STATEVECTOR_QUBITS}
+    )
+    assert request.n == MAX_STATEVECTOR_QUBITS
+    for n in (MAX_STATEVECTOR_QUBITS + 1, 64, 128):
+        with pytest.raises(BadRequestError, match="qubit") as excinfo:
+            protocol.RunRequest.from_payload({"kernel": "grover", "n": n})
+        assert excinfo.value.code == "QW604"
+
+
 def test_workers_ceiling_is_enforced():
     request = protocol.RunRequest.from_payload(
         {"kernel": "bv", "workers": protocol.MAX_WORKERS}

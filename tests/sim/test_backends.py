@@ -584,17 +584,6 @@ def test_compile_options_sim_backend_default():
     assert [str(b) for b in results] == ["101"] * 2
 
 
-def test_interpret_module_backend_kwarg():
-    from repro.algorithms import bernstein_vazirani
-    from repro.sim import interpret_module
-
-    result = bernstein_vazirani("1001").compile(cache=True)
-    bits = interpret_module(
-        result.qcircuit_module, num_qubits=12, backend="statevector"
-    )
-    assert bits == [1, 0, 0, 1]
-
-
 def test_kernel_call_backend_kwarg():
     from repro.algorithms import bernstein_vazirani
 

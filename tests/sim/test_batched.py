@@ -1,5 +1,5 @@
-"""Tests for the shot-batched trajectory engine (repro.sim.batched)
-and the in-place apply kernel (repro.sim.statevector.apply_matrix_inplace).
+"""Tests for the shot-batched statevector engine (repro.sim.batched)
+and the in-place apply kernel (repro.sim.kernels.apply_matrix_inplace).
 
 Histogram equivalence goes through the shared statistical helpers in
 ``tests/stats.py``: the TVD threshold is derived from the shot counts
@@ -24,12 +24,13 @@ from repro.qcircuit import (
 from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement, Reset
 from repro.sim import (
     BatchedStatevector,
-    StatevectorSimulator,
     apply_matrix_inplace,
     batch_chunk_size,
     batched_run,
+    gate_matrix,
     run_circuit_with_info,
 )
+from repro.sim.batched import control_sliced_view
 from tests.stats import assert_histograms_close, histogram
 
 
@@ -88,7 +89,7 @@ def test_inplace_kernel_matches_tensordot_reference(num_qubits, seed):
 @pytest.mark.parametrize("num_qubits", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_controlled_apply_matches_reference_with_polarities(num_qubits, seed):
-    """Control-sliced views, any polarity, through the simulator path."""
+    """Control-sliced views, any polarity, through the engine's path."""
     rng = np.random.default_rng(7000 + 100 * num_qubits + seed)
     for _ in range(6):
         qubits = [int(q) for q in rng.permutation(num_qubits)]
@@ -102,13 +103,16 @@ def test_controlled_apply_matches_reference_with_polarities(num_qubits, seed):
         matrix = random_unitary(rng, 2**k)
 
         initial = random_state(rng, num_qubits)
-        sim = StatevectorSimulator(num_qubits)
-        sim.state = initial.copy()
-        sim.apply_unitary(matrix, targets, controls, ctrl_states)
+        batch = BatchedStatevector(1, num_qubits)
+        batch.state[0] = initial
+        view, axes = control_sliced_view(
+            batch.state, targets, controls, ctrl_states
+        )
+        apply_matrix_inplace(view, matrix, axes)
 
         expected = initial.copy()
         tensordot_reference(expected, matrix, targets, controls, ctrl_states)
-        assert np.allclose(sim.state, expected)
+        assert np.allclose(batch.state[0], expected)
 
 
 def test_inplace_kernel_batch_axis_rides_along():
@@ -129,23 +133,27 @@ def test_inplace_kernel_batch_axis_rides_along():
 # ----------------------------------------------------------------------
 # Batched engine semantics.
 # ----------------------------------------------------------------------
-def test_batched_single_shot_matches_single_simulator_amplitudes():
-    """With no measurements, each batch row is the single-shot state."""
+def test_batched_rows_match_tensordot_reference_amplitudes():
+    """With no measurements, each batch row is the reference state."""
     gates = [
         CircuitGate("h", (0,)),
         CircuitGate("x", (1,), controls=(0,)),
         CircuitGate("rz", (0,), params=(0.3,)),
         CircuitGate("x", (2,), controls=(1,), ctrl_states=(0,)),
     ]
-    sim = StatevectorSimulator(3)
+    expected = np.zeros((2, 2, 2), dtype=complex)
+    expected[0, 0, 0] = 1.0
     for gate in gates:
-        sim.apply_gate(gate)
+        tensordot_reference(
+            expected, gate_matrix(gate.name, gate.params), gate.targets,
+            gate.controls, gate.ctrl_states,
+        )
 
     batch = BatchedStatevector(4, 3)
     for gate in gates:
         batch.apply_gate(gate)
     for shot in range(4):
-        assert np.allclose(batch.state[shot], sim.state)
+        assert np.allclose(batch.state[shot], expected)
 
 
 def test_batched_measurement_probabilities_and_projection():
@@ -191,6 +199,22 @@ def test_batched_reset_composes_measure_and_masked_x():
     # Every trajectory is |0> again.
     assert np.allclose(batch.state[:, 0], 1.0)
     assert np.allclose(batch.state[:, 1], 0.0)
+
+
+@pytest.mark.parametrize("qubit", [0, 1, 2])
+def test_one_row_measure_matches_a_batch_row(qubit):
+    """A 1-row batch measures on Python scalars; a wider batch on
+    vectors.  Under the same generator both pick the same outcome for
+    row 0 and leave it in the same post-measurement state."""
+    rng = np.random.default_rng(40 + qubit)
+    for seed in range(20):
+        initial = random_state(rng, 3)
+        single = BatchedStatevector(1, 3, rng=np.random.default_rng(seed))
+        batch = BatchedStatevector(3, 3, rng=np.random.default_rng(seed))
+        single.state[0] = initial
+        batch.state[:] = initial
+        assert single.measure(qubit)[0] == batch.measure(qubit)[0]
+        assert np.allclose(single.state[0], batch.state[0])
 
 
 def test_batched_rejects_too_many_qubits_and_empty_batches():

@@ -1,4 +1,5 @@
-"""Tests for the statevector simulator."""
+"""Tests for the statevector helpers and one-trajectory (1-row) runs of
+the engine, :class:`repro.sim.BatchedStatevector`."""
 
 import math
 
@@ -8,7 +9,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement, Reset
 from repro.sim import (
-    StatevectorSimulator,
+    MAX_STATEVECTOR_QUBITS,
+    BatchedStatevector,
     apply_gates_to_state,
     run_circuit,
     unitary_of_gates,
@@ -112,35 +114,42 @@ def test_rotation_gates_unitary():
         assert np.allclose(u @ u.conj().T, np.eye(2))
 
 
+def trajectory(num_qubits, seed=0):
+    """One trajectory: a 1-row batch with its own seeded generator."""
+    return BatchedStatevector(
+        1, num_qubits, rng=np.random.default_rng(seed)
+    )
+
+
 def test_deterministic_measurement():
-    sim = StatevectorSimulator(1, 1)
+    sim = trajectory(1)
     sim.apply_gate(g("x", [0]))
-    assert sim.measure(0) == 1
+    assert sim.measure(0).tolist() == [1]
 
 
 def test_measurement_collapse():
-    sim = StatevectorSimulator(2, 0, seed=3)
+    sim = trajectory(2, seed=3)
     sim.apply_gate(g("h", [0]))
     sim.apply_gate(g("x", [1], controls=[0]))
     outcome = sim.measure(0)
     # Bell state: second qubit must agree.
-    assert sim.measure(1) == outcome
+    assert sim.measure(1).tolist() == outcome.tolist()
 
 
 def test_measurement_statistics():
     ones = 0
     for seed in range(200):
-        sim = StatevectorSimulator(1, 0, seed=seed)
+        sim = trajectory(1, seed=seed)
         sim.apply_gate(g("h", [0]))
-        ones += sim.measure(0)
+        ones += int(sim.measure(0)[0])
     assert 60 < ones < 140
 
 
 def test_reset():
-    sim = StatevectorSimulator(1, 0)
+    sim = trajectory(1)
     sim.apply_gate(g("x", [0]))
     sim.reset(0)
-    assert np.allclose(sim.statevector(), [1, 0])
+    assert np.allclose(sim.state[0], [1, 0])
 
 
 def test_conditioned_gate():
@@ -172,7 +181,9 @@ def test_run_circuit_output_bits():
 
 def test_too_many_qubits_rejected():
     with pytest.raises(SimulationError):
-        StatevectorSimulator(40)
+        trajectory(40)
+    with pytest.raises(SimulationError, match="dense-simulation"):
+        trajectory(MAX_STATEVECTOR_QUBITS + 1)
 
 
 def test_reset_instruction():
