@@ -156,6 +156,42 @@ def test_table1_counts_match_golden():
     assert table1_counts() == GOLDEN["table1"]
 
 
+#: ``default``-preset digests at n=64, where the AND ladders are longer
+#: and more peephole sweeps meet a refused H·X·H than at the sizes the
+#: fixture covers.  Recorded before the construct-once Selinger rewrite.
+N64_DEFAULT_DIGESTS = {
+    "bv": {
+        "decomposed": "356a85bcc84b6707720a878be52149ddd0dc4e82b84d0610209f0383b08631f3",
+        "execution": "ad4f6c19852aacad163065187b08fd3013fbe553a5810208dda531e7fe21ee37",
+    },
+    "dj": {
+        "decomposed": "8c2ef2ec0df83802b70c43347908c596dca167bfb8b71b35f8eac8a67bc1cc9d",
+        "execution": "bee85a0d1b9ce66c4535fc36febdd65179e4248ed7cee4ce87152d753e7ab4bd",
+    },
+    "grover": {
+        "decomposed": "0a15e46c88f0331cbfb3c5f73d3997fd23ad4a6534699cff4c45c69ca708a623",
+        "execution": "0698ddf4de2cb3fe10b7c8c138315280e41124c00616af708178139ba9a09d9a",
+    },
+    "simon": {
+        "decomposed": "a8a36708b4c839782cb1fca42d9f265b4fb3b0a48216cdf5cbd333da012aaa03",
+        "execution": "331c468f45e9396a0cc4a9671ddd88bed4a16f68c42396264af4c8bff336ff33",
+    },
+    "period": {
+        "decomposed": "ed4a24f31d44c4e68766b36c5234450866bf729ee55060383716ca919a486c15",
+        "execution": "3c33d332d88c9aa5fa1ca216e7cb4279db3302bda25a031c222fa296362baefc",
+    },
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(N64_DEFAULT_DIGESTS))
+def test_default_preset_n64_matches_pinned_digests(algorithm):
+    result = compile_kernel(asdf_kernel(algorithm, 64), pipeline="default")
+    assert {
+        stage: circuit_digest(getattr(result, f"{stage}_circuit"))
+        for stage in ("decomposed", "execution")
+    } == N64_DEFAULT_DIGESTS[algorithm]
+
+
 if __name__ == "__main__":
     FIXTURE.write_text(json.dumps(generate(), indent=1, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE}")
