@@ -10,10 +10,12 @@ they are spliced into the IR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.errors import SimulationError, SourceSpan
+from repro.errors import QwertyTypeError, SimulationError, SourceSpan
+from repro.parameters import ParamExpr, Parameter, is_symbolic, parameters_of
 
 #: Gate names understood by the circuit layer.
 KNOWN_GATES = {
@@ -35,6 +37,15 @@ KNOWN_GATES = {
 }
 
 SELF_ADJOINT = {"x", "y", "z", "h", "swap"}
+
+_ADJOINT_NAMES = {
+    "s": "sdg",
+    "sdg": "s",
+    "t": "tdg",
+    "tdg": "t",
+    "sx": "sxdg",
+    "sxdg": "sx",
+}
 
 _NUM_TARGETS = {"swap": 2}
 
@@ -75,9 +86,13 @@ class CircuitGate:
             raise SimulationError("ctrl_states must match controls")
         if not self.ctrl_states:
             object.__setattr__(self, "ctrl_states", (1,) * len(self.controls))
-        touched = self.targets + self.controls
-        if len(set(touched)) != len(touched):
-            raise SimulationError(f"gate {self.name!r} touches a qubit twice")
+        # One target and no controls cannot repeat a qubit.
+        if self.controls or len(self.targets) > 1:
+            touched = self.targets + self.controls
+            if len(set(touched)) != len(touched):
+                raise SimulationError(
+                    f"gate {self.name!r} touches a qubit twice"
+                )
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -90,15 +105,11 @@ class CircuitGate:
     @property
     def is_symbolic(self) -> bool:
         """Whether any param is an unbound symbolic expression."""
-        from repro.parameters import is_symbolic
-
         return any(is_symbolic(p) for p in self.params)
 
     @property
     def is_clifford(self) -> bool:
         """Whether this is a Clifford gate (T-free), ignoring controls."""
-        import math
-
         if self.name in {"x", "y", "z", "h", "s", "sdg", "sx", "sxdg", "swap"}:
             return True
         if self.name in {"t", "tdg"}:
@@ -114,43 +125,62 @@ class CircuitGate:
 
     def shifted(self, offset: int) -> "CircuitGate":
         """The same gate with every qubit index shifted by ``offset``."""
-        return replace(
-            self,
-            targets=tuple(q + offset for q in self.targets),
-            controls=tuple(q + offset for q in self.controls),
+        return CircuitGate(
+            self.name,
+            tuple(q + offset for q in self.targets),
+            tuple(q + offset for q in self.controls),
+            self.params,
+            self.ctrl_states,
+            self.condition,
+            self.loc,
         )
 
     def remapped(self, mapping: dict[int, int]) -> "CircuitGate":
         """The same gate with qubits renumbered through ``mapping``."""
-        return replace(
-            self,
-            targets=tuple(mapping[q] for q in self.targets),
-            controls=tuple(mapping[q] for q in self.controls),
+        return CircuitGate(
+            self.name,
+            tuple(mapping[q] for q in self.targets),
+            tuple(mapping[q] for q in self.controls),
+            self.params,
+            self.ctrl_states,
+            self.condition,
+            self.loc,
         )
 
     def with_extra_controls(
         self, controls: Iterable[int], states: Iterable[int]
     ) -> "CircuitGate":
         """The same gate with additional (possibly negative) controls."""
-        extra = tuple(controls)
-        extra_states = tuple(states)
-        return replace(
-            self,
-            controls=self.controls + extra,
-            ctrl_states=self.ctrl_states + extra_states,
+        return CircuitGate(
+            self.name,
+            self.targets,
+            self.controls + tuple(controls),
+            self.params,
+            self.ctrl_states + tuple(states),
+            self.condition,
+            self.loc,
         )
 
     def dagger(self) -> "CircuitGate":
         """The adjoint gate."""
-        if self.name in SELF_ADJOINT:
+        name, params = self.name, self.params
+        if name in SELF_ADJOINT:
             return self
-        pairs = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t",
-                 "sx": "sxdg", "sxdg": "sx"}
-        if self.name in pairs:
-            return replace(self, name=pairs[self.name])
-        if self.name in {"p", "rx", "ry", "rz"}:
-            return replace(self, params=tuple(-p for p in self.params))
-        raise SimulationError(f"cannot take adjoint of {self.name!r}")
+        if name in _ADJOINT_NAMES:
+            name = _ADJOINT_NAMES[name]
+        elif name in {"p", "rx", "ry", "rz"}:
+            params = tuple(-p for p in params)
+        else:
+            raise SimulationError(f"cannot take adjoint of {name!r}")
+        return CircuitGate(
+            name,
+            self.targets,
+            self.controls,
+            params,
+            self.ctrl_states,
+            self.condition,
+            self.loc,
+        )
 
 
 @dataclass(frozen=True)
@@ -242,8 +272,6 @@ class Circuit:
 def circuit_parameters(circuit: Circuit) -> tuple:
     """The distinct unbound :class:`repro.parameters.Parameter` symbols
     appearing in ``circuit``'s gate params, sorted by name."""
-    from repro.parameters import parameters_of
-
     params = []
     for inst in circuit.instructions:
         if isinstance(inst, CircuitGate):
@@ -261,9 +289,6 @@ def bind_circuit(circuit: Circuit, env, *, partial: bool = False) -> Circuit:
     shared, not copied — binding a 100-point sweep allocates only the
     rotated gates.
     """
-    from repro.errors import QwertyTypeError
-    from repro.parameters import ParamExpr, Parameter, is_symbolic
-
     if not partial:
         names = {
             key.name if isinstance(key, Parameter) else str(key)
@@ -293,8 +318,14 @@ def bind_circuit(circuit: Circuit, env, *, partial: bool = False) -> Circuit:
     )
     for inst in circuit.instructions:
         if isinstance(inst, CircuitGate) and inst.is_symbolic:
-            inst = replace(
-                inst, params=tuple(bind_param(p) for p in inst.params)
+            inst = CircuitGate(
+                inst.name,
+                inst.targets,
+                inst.controls,
+                tuple(bind_param(p) for p in inst.params),
+                inst.ctrl_states,
+                inst.condition,
+                inst.loc,
             )
         bound.add(inst)
     return bound

@@ -13,6 +13,7 @@ multi-controlled Z without the ancilla, which is what simplifies
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 from repro.parameters import is_symbolic
 from repro.qcircuit.circuit import (
@@ -106,35 +107,48 @@ class _Window:
     sandwiched gate, with the outer H directly below it on the target —
     so a kill is one pop per wire and the pass costs O(ops × qubits per
     gate).
+
+    Because every kill takes a top, the gates below a surviving gate on
+    its own wires are the same when it is pushed as at the end of the
+    sweep, so re-sweeping the output repeats every decision — except
+    the H·X·H control-wire check, which reads wires the closing H does
+    not touch.  ``settled`` turns False when that check alone refused a
+    match: a later kill of the live control-wire op can expose it.
+    Example: ``H(1), CX(0→1), T(0), H(1), Tdg(0)`` keeps ``H·CX·H``
+    (``T(0)`` is live when the closing H arrives), and only a second
+    sweep turns it into ``CZ``.
     """
 
     def __init__(self) -> None:
         self.out: list = []
-        self.wire: dict[int, list[int]] = {}
+        self.wire: defaultdict[int, list[int]] = defaultdict(list)
+        self.settled = True
 
     def _append(self, inst, qubits) -> None:
         index = len(self.out)
         self.out.append(inst)
         for qubit in qubits:
-            self.wire.setdefault(qubit, []).append(index)
+            self.wire[qubit].append(index)
 
     def _kill(self, index: int, qubits) -> None:
         self.out[index] = None
         for qubit in qubits:
             self.wire[qubit].pop()
 
-    def _prev_index(self, gate: CircuitGate) -> int | None:
-        indices = {
-            stack[-1] if (stack := self.wire.get(q)) else None
-            for q in gate.qubits
-        }
-        if len(indices) != 1 or None in indices:
-            return None
-        (index,) = indices
+    def _prev_index(self, qubits: tuple) -> int | None:
+        index = None
+        for qubit in qubits:
+            stack = self.wire.get(qubit)
+            if not stack:
+                return None
+            if index is None:
+                index = stack[-1]
+            elif stack[-1] != index:
+                return None
         prev = self.out[index]
-        if not isinstance(prev, CircuitGate):
-            return None
-        if set(prev.qubits) != set(gate.qubits):
+        # ``prev`` tops every wire in ``qubits``, so it touches all of
+        # them: the qubit sets are equal exactly when the sizes are.
+        if not isinstance(prev, CircuitGate) or len(prev.qubits) != len(qubits):
             return None
         return index
 
@@ -143,9 +157,10 @@ class _Window:
             self._append(inst, (inst.qubit,))
             return
         gate: CircuitGate = inst
-        if _is_identity(gate):
+        if gate.params and _is_identity(gate):
             return
-        prev_index = self._prev_index(gate)
+        qubits = gate.qubits
+        prev_index = self._prev_index(qubits)
         if prev_index is not None:
             prev = self.out[prev_index]
             if _cancels(prev, gate):
@@ -158,7 +173,7 @@ class _Window:
                 return
         if self._try_hxh(gate):
             return
-        self._append(gate, gate.qubits)
+        self._append(gate, qubits)
 
     def _try_hxh(self, gate: CircuitGate) -> bool:
         """H (X|Z) H on one target -> swap X and Z, dropping both H.
@@ -200,6 +215,7 @@ class _Window:
         # target wire; check control wires saw nothing since `prev`).
         for control in prev.controls:
             if self.wire[control][-1] != prev_index:
+                self.settled = False
                 return False
         self._kill(prev_index, prev.qubits)
         self._kill(before_index, before.qubits)
@@ -219,11 +235,15 @@ class _Window:
         return [inst for inst in self.out if inst is not None]
 
 
-def _cancellation_pass(instructions: list) -> list:
+def _cancellation_pass(instructions: list) -> tuple[list, bool]:
+    """One window sweep: the surviving list, and whether it is settled
+    (a second sweep would leave it unchanged).  A sweep that changes
+    anything drops an op, so an unshortened list is settled too."""
     window = _Window()
     for inst in instructions:
         window.push(inst)
-    return window.result()
+    out = window.result()
+    return out, window.settled or len(out) == len(instructions)
 
 
 def _mcz_from_mcx(mcx: CircuitGate) -> list[CircuitGate]:
@@ -263,13 +283,18 @@ def _mcz_from_mcx(mcx: CircuitGate) -> list[CircuitGate]:
     ]
 
 
-def _relaxed_peephole_pass(circuit_num_qubits: int, instructions: list) -> list:
+def _relaxed_peephole_pass(
+    circuit_num_qubits: int, instructions: list
+) -> tuple[list, bool]:
     """Paper Fig. 10: MCX onto a |-> ancilla becomes MCZ, ancilla freed.
 
     Per qubit q, scans its op sequence for segments [X, H, MCX(target
     q)..., H, X] starting where q is known to be |0> (the first op on
     the wire, right after a Reset, or right after a previous matched
     segment), and rewrites each MCX into an MCZ on its controls.
+    Returns the rewritten list and whether anything matched; the
+    length alone cannot tell, since a segment with two all-negative
+    MCXs rewrites six ops into six.
     """
     ops_by_qubit: dict[int, list[int]] = {}
     for index, inst in enumerate(instructions):
@@ -347,13 +372,15 @@ def _relaxed_peephole_pass(circuit_num_qubits: int, instructions: list) -> list:
             known_zero = False
             position += 1
 
+    if not to_drop:
+        return instructions, False
     out: list = []
     for index, inst in enumerate(instructions):
         if index in to_replace:
             out.extend(to_replace[index])
         elif index not in to_drop:
             out.append(inst)
-    return out
+    return out, True
 
 
 def _dead_reset_pass(instructions: list) -> list:
@@ -361,19 +388,24 @@ def _dead_reset_pass(instructions: list) -> list:
 
     A reset exists to return a qubit to the ancilla pool; at the end of
     the program it is dead code (real toolchains' assembly ends at the
-    final measurement, so this also keeps op counts comparable).
+    final measurement, so this also keeps op counts comparable).  The
+    backward scan stops once every reset wire has a later live op.
     """
-    live: set[int] = set()
-    out_reversed = []
-    for inst in reversed(instructions):
-        if isinstance(inst, Reset) and inst.qubit not in live:
-            continue
-        if isinstance(inst, CircuitGate):
-            live.update(inst.qubits)
+    pending = {inst.qubit for inst in instructions if isinstance(inst, Reset)}
+    dead: set[int] = set()
+    position = len(instructions)
+    while pending and position:
+        position -= 1
+        inst = instructions[position]
+        if isinstance(inst, Reset) and inst.qubit in pending:
+            dead.add(position)
+        elif isinstance(inst, CircuitGate):
+            pending.difference_update(inst.qubits)
         else:
-            live.add(inst.qubit)
-        out_reversed.append(inst)
-    return list(reversed(out_reversed))
+            pending.discard(inst.qubit)
+    if not dead:
+        return instructions
+    return [inst for index, inst in enumerate(instructions) if index not in dead]
 
 
 def compact_qubits(circuit: Circuit) -> Circuit:
@@ -405,20 +437,32 @@ def compact_qubits(circuit: Circuit) -> Circuit:
 def run_peephole(
     circuit: Circuit, relaxed: bool = True, max_iterations: int = 10
 ) -> Circuit:
-    """Run all peephole passes to a fixpoint (paper §6.5)."""
+    """Run all peephole passes to a fixpoint (paper §6.5).
+
+    Each round runs the relaxed pass (if on), one window sweep and the
+    dead-reset pass, for at most ``max_iterations`` rounds.  Rounds
+    stop once a sweep is settled (see :class:`_Window`), the dead-reset
+    pass dropped nothing after it, and the next relaxed pass matches
+    nothing: then another round would change nothing, so the window
+    runs again only when something can still have changed.
+    """
     instructions = list(circuit.instructions)
+    settled = False
     for _ in range(max_iterations):
-        before = len(instructions)
         # Relaxed peephole first: the generic H-X-H rewrite would
         # otherwise consume the |-> shell and hide the Fig. 10 pattern.
         if relaxed:
-            instructions = _relaxed_peephole_pass(
+            instructions, changed = _relaxed_peephole_pass(
                 circuit.num_qubits, instructions
             )
-        instructions = _cancellation_pass(instructions)
-        instructions = _dead_reset_pass(instructions)
-        if len(instructions) == before:
+            if settled and not changed:
+                break
+        elif settled:
             break
+        instructions, settled = _cancellation_pass(instructions)
+        before = len(instructions)
+        instructions = _dead_reset_pass(instructions)
+        settled = settled and len(instructions) == before
     out = Circuit(
         circuit.num_qubits,
         circuit.num_bits,

@@ -12,136 +12,170 @@ textbook ladder built from full 7-T Toffolis, which is kept here as the
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from repro.errors import SynthesisError
+from repro.parameters import is_symbolic
 from repro.qcircuit.circuit import Circuit, CircuitGate
 
+# Toffoli templates: ``(name, target slot, control slot or None)`` over
+# the qubit triple ``(a, b, t)``.  Placing a template builds each gate
+# once, already carrying its final condition and source span.
+_RELATIVE_TOFFOLI = (
+    ("h", 2, None),
+    ("t", 2, None),
+    ("x", 2, 1),
+    ("tdg", 2, None),
+    ("x", 2, 0),
+    ("t", 2, None),
+    ("x", 2, 1),
+    ("tdg", 2, None),
+    ("h", 2, None),
+)
 
-def _g(name, target, controls=(), params=()):
-    from repro.parameters import is_symbolic
+_FULL_TOFFOLI = (
+    ("h", 2, None),
+    ("x", 2, 1),
+    ("tdg", 2, None),
+    ("x", 2, 0),
+    ("t", 2, None),
+    ("x", 2, 1),
+    ("tdg", 2, None),
+    ("x", 2, 0),
+    ("t", 1, None),
+    ("t", 2, None),
+    ("h", 2, None),
+    ("x", 1, 0),
+    ("t", 0, None),
+    ("tdg", 1, None),
+    ("x", 1, 0),
+)
 
-    return CircuitGate(
-        name,
-        (target,),
-        tuple(controls),
-        # Halved/negated symbolic angles stay symbolic through the
-        # decomposition (the ParamExpr arithmetic already happened).
-        tuple(p if is_symbolic(p) else float(p) for p in params),
+
+def _inverse(template: tuple) -> tuple:
+    """The template of the adjoint sequence (both Toffolis use only
+    self-adjoint gates and T/Tdg)."""
+    adjoint = {"t": "tdg", "tdg": "t"}
+    return tuple(
+        (adjoint.get(name, name), target, control)
+        for name, target, control in reversed(template)
     )
 
 
-def _cx(control, target):
-    return _g("x", target, (control,))
+_RELATIVE_TOFFOLI_INVERSE = _inverse(_RELATIVE_TOFFOLI)
+_FULL_TOFFOLI_INVERSE = _inverse(_FULL_TOFFOLI)
+
+
+def _place(
+    template: tuple, qubits: tuple, condition=None, loc=None
+) -> list[CircuitGate]:
+    return [
+        CircuitGate(
+            name,
+            (qubits[target],),
+            () if control is None else (qubits[control],),
+            (),
+            () if control is None else (1,),
+            condition,
+            loc,
+        )
+        for name, target, control in template
+    ]
 
 
 def relative_phase_toffoli(a: int, b: int, t: int) -> list[CircuitGate]:
     """A controlled-iX-style Toffoli: CCX up to relative phase, 4 T."""
-    return [
-        _g("h", t),
-        _g("t", t),
-        _cx(b, t),
-        _g("tdg", t),
-        _cx(a, t),
-        _g("t", t),
-        _cx(b, t),
-        _g("tdg", t),
-        _g("h", t),
-    ]
+    return _place(_RELATIVE_TOFFOLI, (a, b, t))
 
 
 def full_toffoli(a: int, b: int, t: int) -> list[CircuitGate]:
     """The textbook 7-T Toffoli."""
-    return [
-        _g("h", t),
-        _cx(b, t),
-        _g("tdg", t),
-        _cx(a, t),
-        _g("t", t),
-        _cx(b, t),
-        _g("tdg", t),
-        _cx(a, t),
-        _g("t", b),
-        _g("t", t),
-        _g("h", t),
-        _cx(a, b),
-        _g("t", a),
-        _g("tdg", b),
-        _cx(a, b),
-    ]
+    return _place(_FULL_TOFFOLI, (a, b, t))
 
 
-def _cp(control: int, target: int, theta: float) -> list[CircuitGate]:
+# Single-control decompositions.  Each takes ``g``, the decomposer's
+# gate factory, so every gate is built once with the source gate's
+# condition and span.
+def _cp(g, control: int, target: int, theta: float) -> list[CircuitGate]:
     """Controlled-P(theta)."""
     return [
-        _g("p", control, params=[theta / 2]),
-        _cx(control, target),
-        _g("p", target, params=[-theta / 2]),
-        _cx(control, target),
-        _g("p", target, params=[theta / 2]),
+        g("p", control, params=[theta / 2]),
+        g("x", target, (control,)),
+        g("p", target, params=[-theta / 2]),
+        g("x", target, (control,)),
+        g("p", target, params=[theta / 2]),
     ]
 
 
-def _ch(control: int, target: int) -> list[CircuitGate]:
+def _ch(g, control: int, target: int) -> list[CircuitGate]:
     """Controlled-H (verified against the exact unitary in tests)."""
     return [
-        _g("s", target),
-        _g("h", target),
-        _g("t", target),
-        _cx(control, target),
-        _g("tdg", target),
-        _g("h", target),
-        _g("sdg", target),
+        g("s", target),
+        g("h", target),
+        g("t", target),
+        g("x", target, (control,)),
+        g("tdg", target),
+        g("h", target),
+        g("sdg", target),
     ]
 
 
-def _crz(control: int, target: int, theta: float) -> list[CircuitGate]:
+def _crz(g, control: int, target: int, theta: float) -> list[CircuitGate]:
     return [
-        _g("rz", target, params=[theta / 2]),
-        _cx(control, target),
-        _g("rz", target, params=[-theta / 2]),
-        _cx(control, target),
+        g("rz", target, params=[theta / 2]),
+        g("x", target, (control,)),
+        g("rz", target, params=[-theta / 2]),
+        g("x", target, (control,)),
     ]
 
 
-def _cry(control: int, target: int, theta: float) -> list[CircuitGate]:
+def _cry(g, control: int, target: int, theta: float) -> list[CircuitGate]:
     return [
-        _g("ry", target, params=[theta / 2]),
-        _cx(control, target),
-        _g("ry", target, params=[-theta / 2]),
-        _cx(control, target),
+        g("ry", target, params=[theta / 2]),
+        g("x", target, (control,)),
+        g("ry", target, params=[-theta / 2]),
+        g("x", target, (control,)),
     ]
 
 
-def _crx(control: int, target: int, theta: float) -> list[CircuitGate]:
+def _crx(g, control: int, target: int, theta: float) -> list[CircuitGate]:
     return (
-        [_g("h", target)]
-        + _crz(control, target, theta)
-        + [_g("h", target)]
+        [g("h", target)]
+        + _crz(g, control, target, theta)
+        + [g("h", target)]
     )
 
 
 _SINGLE_CONTROL = {
-    "z": lambda c, t, params: _cp(c, t, math.pi),
-    "s": lambda c, t, params: _cp(c, t, math.pi / 2),
-    "sdg": lambda c, t, params: _cp(c, t, -math.pi / 2),
-    "t": lambda c, t, params: _cp(c, t, math.pi / 4),
-    "tdg": lambda c, t, params: _cp(c, t, -math.pi / 4),
-    "p": lambda c, t, params: _cp(c, t, params[0]),
-    "h": lambda c, t, params: _ch(c, t),
-    "rz": lambda c, t, params: _crz(c, t, params[0]),
-    "ry": lambda c, t, params: _cry(c, t, params[0]),
-    "rx": lambda c, t, params: _crx(c, t, params[0]),
-    "y": lambda c, t, params: [_g("sdg", t), _cx(c, t), _g("s", t)],
+    "z": lambda g, c, t, params: _cp(g, c, t, math.pi),
+    "s": lambda g, c, t, params: _cp(g, c, t, math.pi / 2),
+    "sdg": lambda g, c, t, params: _cp(g, c, t, -math.pi / 2),
+    "t": lambda g, c, t, params: _cp(g, c, t, math.pi / 4),
+    "tdg": lambda g, c, t, params: _cp(g, c, t, -math.pi / 4),
+    "p": lambda g, c, t, params: _cp(g, c, t, params[0]),
+    "h": lambda g, c, t, params: _ch(g, c, t),
+    "rz": lambda g, c, t, params: _crz(g, c, t, params[0]),
+    "ry": lambda g, c, t, params: _cry(g, c, t, params[0]),
+    "rx": lambda g, c, t, params: _crx(g, c, t, params[0]),
+    "y": lambda g, c, t, params: [
+        g("sdg", t),
+        g("x", t, (c,)),
+        g("s", t),
+    ],
 }
 
 
 class _Decomposer:
-    def __init__(self, num_qubits: int, use_selinger: bool) -> None:
+    """Emits the decomposition of one source gate at a time into
+    ``out``; every emitted gate inherits the source gate's condition
+    and provenance span."""
+
+    def __init__(self, num_qubits: int, use_selinger: bool, out: list) -> None:
         self.num_qubits = num_qubits
         self.use_selinger = use_selinger
-        self.out: list[CircuitGate] = []
+        self.out = out
         self._free: list[int] = []
+        self.condition = None
+        self.loc = None
 
     def alloc(self) -> int:
         if self._free:
@@ -153,36 +187,54 @@ class _Decomposer:
     def free(self, qubit: int) -> None:
         self._free.append(qubit)
 
-    def toffoli(self, a: int, b: int, t: int, relative: bool) -> None:
-        if relative and self.use_selinger:
-            self.out.extend(relative_phase_toffoli(a, b, t))
-        else:
-            self.out.extend(full_toffoli(a, b, t))
+    def gate(self, name, target, controls=(), params=()) -> CircuitGate:
+        return CircuitGate(
+            name,
+            (target,),
+            tuple(controls),
+            # Halved/negated symbolic angles stay symbolic through the
+            # decomposition (the ParamExpr arithmetic already happened).
+            tuple(p if is_symbolic(p) else float(p) for p in params)
+            if params
+            else (),
+            (1,) * len(controls),
+            self.condition,
+            self.loc,
+        )
+
+    def place(self, template: tuple, qubits: tuple) -> None:
+        self.out.extend(_place(template, qubits, self.condition, self.loc))
 
     def and_ladder(self, controls: list[int]) -> tuple[int, list]:
         """Compute the AND of all controls into a fresh ancilla.
 
-        Returns (result qubit, undo log).  Relative-phase Toffolis are
-        safe here because the exact-inverse uncompute cancels their
-        phases (the controlled-iX trick).
+        Returns (result qubit, undo log of Toffoli qubit triples).
+        Relative-phase Toffolis are safe here because the exact-inverse
+        uncompute cancels their phases (the controlled-iX trick).
         """
+        template = _RELATIVE_TOFFOLI if self.use_selinger else _FULL_TOFFOLI
         log = []
         current = controls[0]
         for next_control in controls[1:]:
-            ancilla = self.alloc()
-            start = len(self.out)
-            self.toffoli(current, next_control, ancilla, relative=True)
-            log.append((start, len(self.out), ancilla))
-            current = ancilla
+            qubits = (current, next_control, self.alloc())
+            self.place(template, qubits)
+            log.append(qubits)
+            current = qubits[2]
         return current, log
 
     def undo_ladder(self, log: list) -> None:
-        for start, stop, ancilla in reversed(log):
-            for gate in reversed(self.out[start:stop]):
-                self.out.append(gate.dagger())
-            self.free(ancilla)
+        inverse = (
+            _RELATIVE_TOFFOLI_INVERSE
+            if self.use_selinger
+            else _FULL_TOFFOLI_INVERSE
+        )
+        for qubits in reversed(log):
+            self.place(inverse, qubits)
+            self.free(qubits[2])
 
     def emit(self, gate: CircuitGate) -> None:
+        self.condition = gate.condition
+        self.loc = gate.loc
         # Normalize negative controls with X conjugation.
         flips = [
             qubit
@@ -190,32 +242,33 @@ class _Decomposer:
             if state == 0
         ]
         for qubit in flips:
-            self.out.append(_g("x", qubit))
-        self._emit_positive(
-            CircuitGate(
+            self.out.append(self.gate("x", qubit))
+        positive = (1,) * len(gate.controls)
+        if gate.ctrl_states != positive:
+            gate = CircuitGate(
                 gate.name,
                 gate.targets,
                 gate.controls,
                 gate.params,
-                (1,) * len(gate.controls),
+                positive,
+                gate.condition,
+                gate.loc,
             )
-        )
+        self._emit_positive(gate)
         for qubit in reversed(flips):
-            self.out.append(_g("x", qubit))
+            self.out.append(self.gate("x", qubit))
 
     def _emit_positive(self, gate: CircuitGate) -> None:
         controls = list(gate.controls)
         if gate.name == "swap":
-            a, b = gate.targets
             if not controls:
-                self.out.append(CircuitGate("swap", (a, b)))
+                self.out.append(gate)
                 return
             # cswap = CX(b,a) . C^{n+1}X . CX(b,a).
-            self.out.append(_cx(b, a))
-            self._emit_positive(
-                CircuitGate("x", (b,), tuple(controls) + (a,))
-            )
-            self.out.append(_cx(b, a))
+            a, b = gate.targets
+            self.out.append(self.gate("x", a, (b,)))
+            self._emit_positive(self.gate("x", b, tuple(controls) + (a,)))
+            self.out.append(self.gate("x", a, (b,)))
             return
         (target,) = gate.targets
         if not controls:
@@ -226,11 +279,11 @@ class _Decomposer:
                 self.out.append(gate)
                 return
             if len(controls) == 2:
-                self.toffoli(controls[0], controls[1], target, relative=False)
+                self.place(_FULL_TOFFOLI, (controls[0], controls[1], target))
                 return
             # AND-ladder the first n-1 controls, then a plain Toffoli.
             result, log = self.and_ladder(controls[:-1])
-            self.toffoli(result, controls[-1], target, relative=False)
+            self.place(_FULL_TOFFOLI, (result, controls[-1], target))
             self.undo_ladder(log)
             return
         # Other gates: reduce to a single control via the AND ladder.
@@ -240,11 +293,19 @@ class _Decomposer:
                 raise SynthesisError(
                     f"no controlled decomposition for gate {gate.name!r}"
                 )
-            self.out.extend(builder(controls[0], target, gate.params))
+            self.out.extend(builder(self.gate, controls[0], target, gate.params))
             return
         result, log = self.and_ladder(controls)
         self._emit_positive(
-            CircuitGate(gate.name, (target,), (result,), gate.params)
+            CircuitGate(
+                gate.name,
+                (target,),
+                (result,),
+                gate.params,
+                (1,),
+                gate.condition,
+                gate.loc,
+            )
         )
         self.undo_ladder(log)
 
@@ -258,31 +319,17 @@ def decompose_multi_controlled(
     §6.5); ``use_selinger=False`` uses full 7-T Toffolis throughout,
     modeling the costlier decompositions of baseline compilers.
     """
-    decomposer = _Decomposer(circuit.num_qubits, use_selinger)
     new = Circuit(
         circuit.num_qubits,
         circuit.num_bits,
         output_bits=list(circuit.output_bits),
     )
+    decomposer = _Decomposer(circuit.num_qubits, use_selinger, new.instructions)
     for inst in circuit.instructions:
         if isinstance(inst, CircuitGate) and (
             inst.controls or inst.name not in ("x", "swap")
         ):
-            decomposer.out = []
             decomposer.emit(inst)
-            for gate in decomposer.out:
-                # Decomposed gates inherit the source gate's condition
-                # and provenance span.
-                gate = replace(
-                    gate,
-                    condition=(
-                        inst.condition
-                        if inst.condition is not None
-                        else gate.condition
-                    ),
-                    loc=gate.loc if gate.loc is not None else inst.loc,
-                )
-                new.add(gate)
         else:
             new.add(inst)
     new.num_qubits = decomposer.num_qubits

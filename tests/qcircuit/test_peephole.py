@@ -4,8 +4,16 @@ import math
 
 import numpy as np
 
-from repro.qcircuit import Circuit, CircuitGate, run_peephole
+from repro.evaluation import asdf_kernel
+from repro.qcircuit import (
+    Circuit,
+    CircuitGate,
+    decompose_multi_controlled,
+    run_peephole,
+)
+from repro.qcircuit import peephole
 from repro.qcircuit.circuit import Measurement
+from repro.qcircuit.peephole import _Window
 from repro.sim import unitary_of_gates
 
 
@@ -66,6 +74,42 @@ def test_hxh_controlled_becomes_cz():
     out = run_peephole(make(2, gates))
     assert [gate.name for gate in out.gates] == ["z"]
     assert out.gates[0].controls == (0,)
+
+
+def test_refused_hxh_leaves_the_sweep_unsettled():
+    # T(0) is live on the control when the closing H arrives, so one
+    # sweep keeps H·CX·H; Tdg(0) then cancels T(0), and only a second
+    # sweep sees the sandwich and makes it CZ.
+    gates = [
+        g("h", [1]),
+        g("x", [1], controls=[0]),
+        g("t", [0]),
+        g("h", [1]),
+        g("tdg", [0]),
+    ]
+    window = _Window()
+    for gate in gates:
+        window.push(gate)
+    assert window.result() == gates[:2] + gates[3:4]
+    assert not window.settled
+    out = run_peephole(make(2, gates), relaxed=False)
+    assert out.gates == [g("z", [1], controls=[0])]
+
+
+def test_strict_peephole_sweeps_selinger_grover_once(monkeypatch):
+    optimized = asdf_kernel("grover", 32).compile().optimized_circuit
+    decomposed = decompose_multi_controlled(optimized, use_selinger=True)
+    sweeps = []
+    sweep = peephole._cancellation_pass
+
+    def counting_sweep(instructions):
+        sweeps.append(len(instructions))
+        return sweep(instructions)
+
+    monkeypatch.setattr(peephole, "_cancellation_pass", counting_sweep)
+    out = run_peephole(decomposed, relaxed=False)
+    assert sweeps == [len(decomposed.instructions)]
+    assert len(out.instructions) < len(decomposed.instructions)
 
 
 def test_phase_rotations_merge():

@@ -4,9 +4,10 @@ Random gate-only circuits on up to 4 qubits, built from blocks that
 drive every rewrite the window performs on multi-wire gates: controlled
 and negative-control gates, rotation runs that merge and then cancel,
 and H·CX·H / H·CZ·H sandwiches whose control wire is or is not touched
-between the two H gates.  Each wire starts with an ``sx`` pin that no
-random gate can cancel (the pool has no ``sxdg``), so compaction never
-renumbers wires and unitaries compare directly.
+between the two H gates, the touch possibly undone after them.  Each
+wire starts with an ``sx`` pin that no random gate can cancel (the pool
+has no ``sxdg``), so compaction never renumbers wires and unitaries
+compare directly.
 """
 
 import math
@@ -66,16 +67,22 @@ def _block(draw, num_qubits):
             for angle in angles
         ]
     # H (X|Z) H on a target, the middle gate controlled; optionally
-    # touch the control between the sandwiched gate and the closing H.
+    # touch the control between the sandwiched gate and the closing H,
+    # and optionally undo that touch after the closing H, so only a
+    # second window sweep finds the sandwich.
     target, control = _wires(draw, num_qubits, 2)
     state = draw(st.sampled_from((0, 1)))
     middle = CircuitGate(
         draw(st.sampled_from(("x", "z"))), (target,), (control,), (), (state,)
     )
     gates = [CircuitGate("h", (target,)), middle]
+    touch = None
     if draw(st.booleans()):
-        gates.append(CircuitGate(draw(st.sampled_from(SINGLE)), (control,)))
+        touch = CircuitGate(draw(st.sampled_from(SINGLE)), (control,))
+        gates.append(touch)
     gates.append(CircuitGate("h", (target,)))
+    if touch is not None and draw(st.booleans()):
+        gates.append(touch.dagger())
     return gates
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.errors import SourceSpan
 from repro.qcircuit import Circuit, CircuitGate, decompose_multi_controlled
 from repro.qcircuit.selinger import full_toffoli, relative_phase_toffoli
 from repro.sim import unitary_of_gates
@@ -153,3 +154,50 @@ def test_plain_gates_untouched():
     circuit.add(g("x", [1], controls=[0]))
     out = decompose_multi_controlled(circuit)
     assert [gate.name for gate in out.gates] == ["h", "x"]
+
+
+@pytest.mark.parametrize("use_selinger", [True, False])
+@pytest.mark.parametrize(
+    "source",
+    [
+        # A conditioned C4X with negative controls: X flips, an AND
+        # ladder, its uncompute, and a full Toffoli.
+        CircuitGate("x", (4,), (0, 1, 2, 3), (), (0, 1, 0, 1), (1, 1)),
+        # A controlled swap: CX conjugation around a C2X.
+        CircuitGate("swap", (4, 5), (0, 1), (), (1, 0), (0, 0)),
+        # A doubly controlled phase: ladder plus a single-control build.
+        CircuitGate("p", (4,), (2, 3), (0.7,), (0, 1), (1, 0)),
+        # An uncontrolled gate passes through.
+        CircuitGate("h", (5,), (), (), (), (0, 1)),
+    ],
+    ids=["c4x", "cswap", "ccp", "h"],
+)
+def test_decomposed_gates_carry_source_condition_and_loc(source, use_selinger):
+    loc = SourceSpan("kernel.py", 3, 5, 3, 20)
+    source = CircuitGate(
+        source.name,
+        source.targets,
+        source.controls,
+        source.params,
+        source.ctrl_states,
+        source.condition,
+        loc,
+    )
+    circuit = Circuit(6, 2)
+    circuit.add(source)
+    out = decompose_multi_controlled(circuit, use_selinger=use_selinger)
+    # Negative controls are X-conjugated, and the flips inherit too.
+    negative = [
+        control
+        for control, state in zip(source.controls, source.ctrl_states)
+        if state == 0
+    ]
+    flips = [
+        CircuitGate("x", (control,), condition=source.condition)
+        for control in negative
+    ]
+    assert out.gates[: len(negative)] == flips
+    assert out.gates[len(out.gates) - len(negative):] == flips[::-1]
+    for gate in out.gates:
+        assert gate.condition == source.condition
+        assert gate.loc is loc
