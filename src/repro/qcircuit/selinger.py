@@ -66,30 +66,41 @@ _FULL_TOFFOLI_INVERSE = _inverse(_FULL_TOFFOLI)
 
 
 def _place(
-    template: tuple, qubits: tuple, condition=None, loc=None
-) -> list[CircuitGate]:
-    return [
-        CircuitGate(
-            name,
-            (qubits[target],),
-            () if control is None else (qubits[control],),
-            (),
-            () if control is None else (1,),
-            condition,
-            loc,
-        )
-        for name, target, control in template
-    ]
+    template: tuple, qubits: tuple, out: list, placed: dict, condition=None, loc=None
+) -> None:
+    """Append ``template`` over ``qubits`` to ``out``.  ``placed`` maps
+    ``(name, target, control)`` to a gate already built with this
+    condition and span: a Toffoli repeats some of its own gates and an
+    AND ladder's uncompute repeats its compute, so each distinct gate is
+    built once and emitted again by reference."""
+    for name, target, control in template:
+        key = (name, qubits[target], None if control is None else qubits[control])
+        gate = placed.get(key)
+        if gate is None:
+            gate = placed[key] = CircuitGate(
+                name,
+                (key[1],),
+                () if control is None else (key[2],),
+                (),
+                () if control is None else (1,),
+                condition,
+                loc,
+            )
+        out.append(gate)
 
 
 def relative_phase_toffoli(a: int, b: int, t: int) -> list[CircuitGate]:
     """A controlled-iX-style Toffoli: CCX up to relative phase, 4 T."""
-    return _place(_RELATIVE_TOFFOLI, (a, b, t))
+    out: list[CircuitGate] = []
+    _place(_RELATIVE_TOFFOLI, (a, b, t), out, {})
+    return out
 
 
 def full_toffoli(a: int, b: int, t: int) -> list[CircuitGate]:
     """The textbook 7-T Toffoli."""
-    return _place(_FULL_TOFFOLI, (a, b, t))
+    out: list[CircuitGate] = []
+    _place(_FULL_TOFFOLI, (a, b, t), out, {})
+    return out
 
 
 # Single-control decompositions.  Each takes ``g``, the decomposer's
@@ -156,11 +167,7 @@ _SINGLE_CONTROL = {
     "rz": lambda g, c, t, params: _crz(g, c, t, params[0]),
     "ry": lambda g, c, t, params: _cry(g, c, t, params[0]),
     "rx": lambda g, c, t, params: _crx(g, c, t, params[0]),
-    "y": lambda g, c, t, params: [
-        g("sdg", t),
-        g("x", t, (c,)),
-        g("s", t),
-    ],
+    "y": lambda g, c, t, params: [g("sdg", t), g("x", t, (c,)), g("s", t)],
 }
 
 
@@ -176,6 +183,7 @@ class _Decomposer:
         self._free: list[int] = []
         self.condition = None
         self.loc = None
+        self._placed: dict = {}
 
     def alloc(self) -> int:
         if self._free:
@@ -203,7 +211,9 @@ class _Decomposer:
         )
 
     def place(self, template: tuple, qubits: tuple) -> None:
-        self.out.extend(_place(template, qubits, self.condition, self.loc))
+        _place(
+            template, qubits, self.out, self._placed, self.condition, self.loc
+        )
 
     def and_ladder(self, controls: list[int]) -> tuple[int, list]:
         """Compute the AND of all controls into a fresh ancilla.
@@ -235,6 +245,7 @@ class _Decomposer:
     def emit(self, gate: CircuitGate) -> None:
         self.condition = gate.condition
         self.loc = gate.loc
+        self._placed = {}
         # Normalize negative controls with X conjugation.
         flips = [
             qubit
