@@ -440,11 +440,12 @@ def run_peephole(
     """Run all peephole passes to a fixpoint (paper §6.5).
 
     Each round runs the relaxed pass (if on), one window sweep and the
-    dead-reset pass, for at most ``max_iterations`` rounds.  Rounds
-    stop once a sweep is settled (see :class:`_Window`), the dead-reset
-    pass dropped nothing after it, and the next relaxed pass matches
-    nothing: then another round would change nothing, so the window
-    runs again only when something can still have changed.
+    dead-reset pass, for at most ``max_iterations`` rounds.  A sweep's
+    output is a fixpoint of the window unless the sweep refused an
+    H·(X|Z)·H only because a control wire was busy (see
+    :class:`_Window`), so rounds stop once a sweep is settled, the
+    dead-reset pass dropped nothing after it, and the next relaxed pass
+    matched nothing: another round would change nothing.
     """
     instructions = list(circuit.instructions)
     settled = False

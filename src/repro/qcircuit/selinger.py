@@ -178,7 +178,12 @@ class _Decomposer:
 
     def __init__(self, num_qubits: int, use_selinger: bool, out: list) -> None:
         self.num_qubits = num_qubits
-        self.use_selinger = use_selinger
+        # The AND ladder's Toffoli and its uncompute.
+        self.ladder = (
+            (_RELATIVE_TOFFOLI, _RELATIVE_TOFFOLI_INVERSE)
+            if use_selinger
+            else (_FULL_TOFFOLI, _FULL_TOFFOLI_INVERSE)
+        )
         self.out = out
         self._free: list[int] = []
         self.condition = None
@@ -222,7 +227,7 @@ class _Decomposer:
         Relative-phase Toffolis are safe here because the exact-inverse
         uncompute cancels their phases (the controlled-iX trick).
         """
-        template = _RELATIVE_TOFFOLI if self.use_selinger else _FULL_TOFFOLI
+        template = self.ladder[0]
         log = []
         current = controls[0]
         for next_control in controls[1:]:
@@ -233,11 +238,7 @@ class _Decomposer:
         return current, log
 
     def undo_ladder(self, log: list) -> None:
-        inverse = (
-            _RELATIVE_TOFFOLI_INVERSE
-            if self.use_selinger
-            else _FULL_TOFFOLI_INVERSE
-        )
+        inverse = self.ladder[1]
         for qubits in reversed(log):
             self.place(inverse, qubits)
             self.free(qubits[2])

@@ -156,33 +156,26 @@ def test_plain_gates_untouched():
     assert [gate.name for gate in out.gates] == ["h", "x"]
 
 
+LOC = SourceSpan("kernel.py", 3, 5, 3, 20)
+
+
 @pytest.mark.parametrize("use_selinger", [True, False])
 @pytest.mark.parametrize(
     "source",
     [
         # A conditioned C4X with negative controls: X flips, an AND
         # ladder, its uncompute, and a full Toffoli.
-        CircuitGate("x", (4,), (0, 1, 2, 3), (), (0, 1, 0, 1), (1, 1)),
+        CircuitGate("x", (4,), (0, 1, 2, 3), (), (0, 1, 0, 1), (1, 1), LOC),
         # A controlled swap: CX conjugation around a C2X.
-        CircuitGate("swap", (4, 5), (0, 1), (), (1, 0), (0, 0)),
+        CircuitGate("swap", (4, 5), (0, 1), (), (1, 0), (0, 0), LOC),
         # A doubly controlled phase: ladder plus a single-control build.
-        CircuitGate("p", (4,), (2, 3), (0.7,), (0, 1), (1, 0)),
+        CircuitGate("p", (4,), (2, 3), (0.7,), (0, 1), (1, 0), LOC),
         # An uncontrolled gate passes through.
-        CircuitGate("h", (5,), (), (), (), (0, 1)),
+        CircuitGate("h", (5,), (), (), (), (0, 1), LOC),
     ],
     ids=["c4x", "cswap", "ccp", "h"],
 )
 def test_decomposed_gates_carry_source_condition_and_loc(source, use_selinger):
-    loc = SourceSpan("kernel.py", 3, 5, 3, 20)
-    source = CircuitGate(
-        source.name,
-        source.targets,
-        source.controls,
-        source.params,
-        source.ctrl_states,
-        source.condition,
-        loc,
-    )
     circuit = Circuit(6, 2)
     circuit.add(source)
     out = decompose_multi_controlled(circuit, use_selinger=use_selinger)
@@ -200,4 +193,4 @@ def test_decomposed_gates_carry_source_condition_and_loc(source, use_selinger):
     assert out.gates[len(out.gates) - len(negative):] == flips[::-1]
     for gate in out.gates:
         assert gate.condition == source.condition
-        assert gate.loc is loc
+        assert gate.loc is LOC
