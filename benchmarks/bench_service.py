@@ -16,6 +16,12 @@ Two claims, both recorded in BENCH_service.json:
   of the clean run's throughput — recovery is retries absorbing
   faults, not a collapse to serial or a pile of errors.
 
+A third test times the warm request path without a service around
+it, so the perf gate sees the compile-cache hit path: a suite-kernel
+hit (``compile-cache-hit``) and a repeated ``source`` resolve plus hit
+(``resolve-hit``).  Each record is the best of several samples of
+1,000 calls, which keeps its wall time above the gate's 5 ms floor.
+
 Chunks run in-process (``use_processes=False``): the benchmark
 measures the service machinery (admission, deadlines, retry waves),
 not process-pool spawn time, and injected crashes raise
@@ -28,9 +34,13 @@ import time
 
 from conftest import bench_record, write_bench_json, write_result
 
+from repro.evaluation import asdf_kernel
 from repro.exec.faults import FaultPlan
 from repro.exec.retry import RetryPolicy
+from repro.pipeline import compile_kernel
 from repro.service import ExecutionService, ServiceClient, ServiceConfig
+from repro.service import protocol
+from repro.service import service as service_module
 
 REQUESTS = 48
 SHOTS = 128
@@ -42,6 +52,26 @@ MIN_CHAOS_THROUGHPUT_FRACTION = 0.70
 
 #: Short backoffs: the bench measures recovery overhead, not sleeps.
 RETRY = RetryPolicy(backoff_base=0.002, backoff_cap=0.02)
+
+HIT_CALLS = 1000
+HIT_SAMPLES = 5
+
+#: A Bernstein-Vazirani ``source`` kernel with a captured oracle.
+BV_SOURCE = '''\
+from repro.frontend.decorators import Bits, N, bit, cfunc, classical, qpu
+
+SECRET = Bits.from_str("110100")
+
+
+@classical[N](SECRET)
+def f(secret: bit[N], x: bit[N]) -> bit:
+    return (secret & x).xor_reduce()
+
+
+@qpu[N](f)
+def kernel(f: cfunc[N, 1]) -> bit[N]:
+    return 'p'[N] | f.sign | pm[N] >> std[N] | std[N].measure
+'''
 
 
 def _config(fault_plan=None) -> ServiceConfig:
@@ -194,4 +224,52 @@ def test_service_chaos_floor():
         f"retries: {chaos['retries']}, failed requests: 0\n"
         f"histograms: bit-identical to clean for all "
         f"{REQUESTS} request ids\n",
+    )
+
+
+def _best_sample_ms(fn) -> float:
+    """Best of HIT_SAMPLES wall times of HIT_CALLS calls, in ms."""
+    best = float("inf")
+    for _ in range(HIT_SAMPLES):
+        start = time.perf_counter()
+        for _ in range(HIT_CALLS):
+            fn()
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
+def test_warm_hit_paths():
+    kernel = asdf_kernel("grover", 8)
+    request = protocol.RunRequest.from_payload({"source": BV_SOURCE})
+
+    def suite_hit():
+        return compile_kernel(kernel, pipeline="default", cache=True)
+
+    def source_hit():
+        resolved = service_module._resolve_kernel(request)
+        return compile_kernel(resolved, pipeline=request.preset, cache=True)
+
+    assert suite_hit().decomposed_circuit is not None
+    assert source_hit().decomposed_circuit is not None
+    assert suite_hit().provenance == source_hit().provenance == "memory"
+    timings = {
+        ("compile-cache-hit", "suite-grover-n8"): _best_sample_ms(suite_hit),
+        ("resolve-hit", "source-bv"): _best_sample_ms(source_hit),
+    }
+    write_bench_json(
+        "service",
+        [
+            bench_record(benchmark, config, wall_ms)
+            for (benchmark, config), wall_ms in timings.items()
+        ],
+    )
+    write_result(
+        "service_hit_paths.txt",
+        f"warm request path, best of {HIT_SAMPLES} samples of "
+        f"{HIT_CALLS} calls\n"
+        + "".join(
+            f"{benchmark}/{config}: {wall_ms / HIT_CALLS * 1e3:7.1f} us "
+            f"per call\n"
+            for (benchmark, config), wall_ms in timings.items()
+        ),
     )

@@ -89,19 +89,26 @@ CACHE_FORMAT_VERSION = 2
 TMP_TTL_ENV = "REPRO_CACHE_TMP_TTL"
 DEFAULT_TMP_TTL_SECONDS = 3600.0
 
-#: Process-wide counters for the persistent layer, reported through
-#: ``compile_cache_info()`` alongside the in-memory LRU's counters.
-#: ``corrupt`` counts entries that failed to unpickle (bit rot, torn
-#: writes on non-atomic filesystems, injected ``diskcache_corrupt``
-#: faults); ``tmp_swept`` counts orphaned tmpfiles removed.
-_STATS = {
-    "hits": 0,
-    "misses": 0,
-    "writes": 0,
-    "corrupt": 0,
-    "errors": 0,
-    "tmp_swept": 0,
-}
+def _counts() -> dict[str, float]:
+    """The persistent layer's counters, read from the registry series
+    above (the only place they are kept).  ``misses`` includes
+    ``corrupt``: entries that failed to unpickle (bit rot, torn writes
+    on non-atomic filesystems, injected ``diskcache_corrupt`` faults).
+    ``tmp_swept`` counts orphaned tmpfiles removed."""
+    corrupt = _DISK_LOOKUPS.value(layer="disk", outcome="corrupt")
+    return {
+        "hits": _DISK_LOOKUPS.value(layer="disk", outcome="hit"),
+        "misses": _DISK_LOOKUPS.value(layer="disk", outcome="miss") + corrupt,
+        "writes": _DISK_WRITES.value(layer="disk", outcome="written"),
+        "corrupt": corrupt,
+        "errors": _DISK_WRITES.value(layer="disk", outcome="error"),
+        "tmp_swept": _TMP_SWEPT.value(layer="disk"),
+    }
+
+
+#: Registry readings at the last :func:`reset_stats`; :func:`info`
+#: reports the counts since.
+_BASELINE = _counts()
 
 #: One sweep per process (reset by :func:`reset_stats` for tests).
 _SWEPT = False
@@ -208,7 +215,6 @@ def sweep_stale_tmpfiles(ttl_seconds: Optional[float] = None) -> int:
                 removed += 1
         except OSError:
             pass  # already gone, or the writer's — either way, skip
-    _STATS["tmp_swept"] += removed
     if removed:
         _TMP_SWEPT.inc(removed, layer="disk")
     return removed
@@ -239,7 +245,6 @@ def load(digest: str) -> Optional[object]:
         try:
             blob = path.read_bytes()
         except OSError:
-            _STATS["misses"] += 1
             span.set(outcome="miss")
             _DISK_LOOKUPS.inc(layer="disk", outcome="miss")
             return None
@@ -249,8 +254,6 @@ def load(digest: str) -> Optional[object]:
         try:
             artifact = pickle.loads(blob)
         except Exception:
-            _STATS["corrupt"] += 1
-            _STATS["misses"] += 1
             span.set(outcome="corrupt")
             _DISK_LOOKUPS.inc(layer="disk", outcome="corrupt")
             try:
@@ -258,7 +261,6 @@ def load(digest: str) -> Optional[object]:
             except OSError:
                 pass
             return None
-        _STATS["hits"] += 1
         span.set(outcome="hit")
         _DISK_LOOKUPS.inc(layer="disk", outcome="hit")
         return artifact
@@ -290,7 +292,6 @@ def store(digest: str, artifact: object) -> bool:
         # kernels carry deeply recursive IR) can exceed pickle's
         # recursion limit, and that must degrade to "not cached", not
         # break the compile that produced the artifact.
-        _STATS["errors"] += 1
         _DISK_WRITES.inc(layer="disk", outcome="error")
         if tmp_name is not None:
             try:
@@ -301,14 +302,12 @@ def store(digest: str, artifact: object) -> bool:
     try:
         os.replace(tmp_name, _entry_path(digest))
     except OSError:
-        _STATS["errors"] += 1
         _DISK_WRITES.inc(layer="disk", outcome="error")
         try:
             os.unlink(tmp_name)
         except OSError:
             pass
         return False
-    _STATS["writes"] += 1
     _DISK_WRITES.inc(layer="disk", outcome="written")
     return True
 
@@ -334,10 +333,10 @@ def clear() -> int:
 
 
 def reset_stats() -> None:
-    """Zero the process-wide counters (test isolation)."""
-    global _SWEPT
-    for key in _STATS:
-        _STATS[key] = 0
+    """Zero the counters :func:`info` reports and re-arm the
+    once-per-process tmpfile sweep (test isolation)."""
+    global _BASELINE, _SWEPT
+    _BASELINE = _counts()
     _SWEPT = False
 
 
@@ -353,5 +352,5 @@ def info() -> dict:
         "enabled": enabled(),
         "dir": str(directory),
         "entries": entries,
-        **_STATS,
+        **_metrics.counts_since(_counts(), _BASELINE),
     }

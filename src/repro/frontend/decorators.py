@@ -156,6 +156,10 @@ class ClassicalFunction:
                     "@classical captures must be bit strings"
                 )
             self.capture_values[param_name] = capture.values
+        #: (input width, output width) per dims, filled by
+        #: :meth:`signature`: a kernel's dims inference and capture
+        #: typing would otherwise rebuild the whole network each time.
+        self._signatures: dict[tuple, tuple[int, int]] = {}
 
     def infer_dims(self) -> dict[str, int]:
         dims: dict[str, int] = {}
@@ -175,9 +179,17 @@ class ClassicalFunction:
         return dims
 
     def signature(self, dims: dict[str, int]) -> tuple[int, int]:
-        """(input width, output width) once dims are known."""
-        network = self.network(dims)
-        return network.num_inputs, len(network.outputs)
+        """(input width, output width) once dims are known.
+
+        Memoized per dims; a dims value the network cannot be built for
+        raises on every call and is never stored."""
+        key = tuple(sorted(dims.items()))
+        widths = self._signatures.get(key)
+        if widths is None:
+            network = self.network(dims)
+            widths = network.num_inputs, len(network.outputs)
+            self._signatures[key] = widths
+        return widths
 
     def network(self, dims: dict[str, int]):
         from repro.classical.pyast import build_network
@@ -236,6 +248,10 @@ class QpuKernel:
         #: Compile-cache fingerprint, computed on first use
         #: (:func:`repro.pipeline._kernel_fingerprint`).
         self._fingerprint: Optional[tuple] = None
+        #: :meth:`infer_dims` results by ``allow_unbound``: every
+        #: compile-cache lookup needs the dims, and a captured
+        #: ``@classical`` oracle makes them cost a network build.
+        self._dims: dict[bool, dict[str, int]] = {}
 
     # ------------------------------------------------------------------
     def __getitem__(self, item) -> "QpuKernel":
@@ -248,17 +264,25 @@ class QpuKernel:
         bound = dict(self.bound_dims)
         for name, value in zip(unbound, values):
             bound[name] = int(value)
-        clone = QpuKernel(
+        return QpuKernel(
             self.python_fn,
             self.dimvars,
-            (),
+            tuple(self.captures.values()),
             bound,
         )
-        clone.captures = dict(self.captures)
-        return clone
 
     def infer_dims(self, allow_unbound: bool = False) -> dict[str, int]:
-        """Infer dimension variables from capture types (paper §4)."""
+        """Infer dimension variables from capture types (paper §4).
+
+        Computed once per kernel and mode; each call returns a fresh
+        dict.  A :class:`DimVarError` is raised again on every call."""
+        dims = self._dims.get(allow_unbound)
+        if dims is None:
+            dims = self._infer_dims(allow_unbound)
+            self._dims[allow_unbound] = dims
+        return dict(dims)
+
+    def _infer_dims(self, allow_unbound: bool) -> dict[str, int]:
         dims = dict(self.bound_dims)
         for param in self.kernel_ast.params:
             capture = self.captures.get(param.name)

@@ -280,6 +280,21 @@ def reset_metrics() -> None:
             instrument.clear()
 
 
+def counts_since(
+    now: Mapping[str, float], base: Mapping[str, float]
+) -> dict[str, int]:
+    """Integer counter deltas of ``now`` against a ``base`` snapshot
+    (views such as ``compile_cache_info()`` report counts since their
+    last reset this way).  A reading below its baseline means the
+    series was zeroed meanwhile (:func:`reset_metrics`), so it counts
+    from zero instead."""
+    deltas = {}
+    for key, value in now.items():
+        start = base.get(key, 0.0)
+        deltas[key] = int(value - start if value >= start else value)
+    return deltas
+
+
 def set_enabled(flag: bool) -> None:
     """Globally enable/disable metric updates."""
     global _ENABLED
@@ -399,6 +414,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "counter",
+    "counts_since",
     "disabled",
     "gauge",
     "histogram",

@@ -105,7 +105,7 @@ class CompileOptions:
             raise PassPipelineError(
                 f"unknown pipeline preset {name!r} (known presets: {known})"
             )
-        return dataclasses.replace(base, **overrides)
+        return dataclasses.replace(base, **overrides) if overrides else base
 
 
 #: Presets matching the paper's configurations: "default" is the full
@@ -331,18 +331,21 @@ def _build_qwerty_module(kernel) -> tuple[ModuleOp, dict]:
 # The two-layer compile cache: per-process LRU over a persistent
 # on-disk store (repro.exec.diskcache).
 # ----------------------------------------------------------------------
+import functools
 import os
+import threading
 from collections import OrderedDict
+from concurrent.futures import Future
 
 from repro.exec import diskcache as _diskcache
 from repro.exec import faults as _faults
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 
-#: In-memory LRU lookups, mirrored into the metrics registry so the
-#: service's ``op: "metrics"`` exposition reconciles exactly with
-#: :func:`compile_cache_info` (the disk layer mirrors its own in
-#: :mod:`repro.exec.diskcache`).
+#: In-memory LRU lookups and evictions.  These registry series are the
+#: only counters: :func:`compile_cache_info` derives its numbers from
+#: them, so it always agrees with the service's ``op: "metrics"``
+#: exposition (the disk layer counts in :mod:`repro.exec.diskcache`).
 _CACHE_LOOKUPS = _metrics.counter(
     "repro_cache_lookups_total",
     "Compile-cache lookups by layer and outcome",
@@ -371,10 +374,28 @@ COMPILE_CACHE_MAX_ENTRIES_ENV = "REPRO_COMPILE_CACHE_MAX_ENTRIES"
 
 _COMPILE_CACHE: "OrderedDict[tuple, CompileResult]" = OrderedDict()
 
-#: Lookup counters for the in-memory layer, zeroed by
-#: :func:`clear_compile_cache`.  A ``misses`` increment may still end
-#: in a disk hit — the disk layer keeps its own counters.
-_CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
+
+#: Keys being compiled right now, each with the future its concurrent
+#: misses wait on (single-flight, see _through_cache).
+_IN_FLIGHT: "dict[tuple, Future]" = {}
+
+#: Guards _COMPILE_CACHE and _IN_FLIGHT: the service's executor
+#: threads look up and compile concurrently.
+_CACHE_LOCK = threading.Lock()
+
+
+def _memory_counts() -> dict[str, float]:
+    return {
+        "hits": _CACHE_LOOKUPS.value(layer="memory", outcome="hit"),
+        "misses": _CACHE_LOOKUPS.value(layer="memory", outcome="miss"),
+        "evictions": _CACHE_EVICTIONS.value(layer="memory"),
+    }
+
+
+#: Registry readings at the last :func:`clear_compile_cache`;
+#: :func:`compile_cache_info` reports the counts since.  A ``misses``
+#: increment may still end in a disk hit.
+_BASELINE = _memory_counts()
 
 
 def compile_cache_max_entries() -> int:
@@ -399,9 +420,10 @@ def clear_compile_cache(disk: bool = False) -> None:
     mode needs, since a fresh process with a warm disk cache never
     actually compiles.
     """
-    _COMPILE_CACHE.clear()
-    for key in _CACHE_STATS:
-        _CACHE_STATS[key] = 0
+    global _BASELINE
+    with _CACHE_LOCK:
+        _COMPILE_CACHE.clear()
+        _BASELINE = _memory_counts()
     _diskcache.reset_stats()
     if disk:
         _diskcache.clear()
@@ -411,38 +433,89 @@ def compile_cache_info() -> dict:
     """Observability hook: sizes, keys, and hit/miss/eviction counters
     for both cache layers (the in-memory LRU and, under ``"disk"``,
     the persistent store)."""
+    with _CACHE_LOCK:
+        keys = list(_COMPILE_CACHE)
     return {
-        "entries": len(_COMPILE_CACHE),
-        "keys": list(_COMPILE_CACHE),
+        "entries": len(keys),
+        "keys": keys,
         "max_entries": compile_cache_max_entries(),
-        **_CACHE_STATS,
+        **_metrics.counts_since(_memory_counts(), _BASELINE),
         "disk": _diskcache.info(),
     }
 
 
-def _cache_get(key: tuple) -> Optional[CompileResult]:
-    with _trace.span("cache.lookup", layer="memory") as span:
-        result = _COMPILE_CACHE.get(key)
-        if result is not None:
-            _COMPILE_CACHE.move_to_end(key)
-            _CACHE_STATS["hits"] += 1
-            outcome = "hit"
-        else:
-            _CACHE_STATS["misses"] += 1
-            outcome = "miss"
-        span.set(outcome=outcome)
-    _CACHE_LOOKUPS.inc(layer="memory", outcome=outcome)
-    return result
-
-
 def _cache_put(key: tuple, result: CompileResult) -> None:
+    """Insert under :data:`_CACHE_LOCK`, evicting past the bound."""
     _COMPILE_CACHE[key] = result
     _COMPILE_CACHE.move_to_end(key)
     bound = compile_cache_max_entries()
     while len(_COMPILE_CACHE) > bound:
         _COMPILE_CACHE.popitem(last=False)
-        _CACHE_STATS["evictions"] += 1
         _CACHE_EVICTIONS.inc(layer="memory")
+
+
+def _through_cache(key: tuple, build) -> tuple[CompileResult, str]:
+    """The artifact for ``key`` and its provenance, via both layers.
+
+    A hit takes only the LRU lock.  Concurrent misses of one key share
+    one in-flight compile: the first caller tries the disk layer and
+    then ``build()``, the others wait and get the same object ("memory"
+    provenance).  If that compile raises, every waiter gets the same
+    error and nothing is cached, so the next call compiles again.
+    """
+    with _trace.span("cache.lookup", layer="memory") as span:
+        with _CACHE_LOCK:
+            result = _COMPILE_CACHE.get(key)
+            if result is not None:
+                _COMPILE_CACHE.move_to_end(key)
+                flight, owner = None, False
+            else:
+                flight = _IN_FLIGHT.get(key)
+                owner = flight is None
+                if owner:
+                    flight = _IN_FLIGHT[key] = Future()
+        outcome = "miss" if result is None else "hit"
+        span.set(outcome=outcome)
+    _CACHE_LOOKUPS.inc(layer="memory", outcome=outcome)
+    if result is not None:
+        return result, "memory"
+    if not owner:
+        return flight.result(), "memory"
+
+    # Second layer: the persistent on-disk store.  A hit skips
+    # compilation entirely and warms the in-memory LRU; a corrupt or
+    # stale-salt entry reads as a miss and is recompiled.
+    digest = _diskcache.key_digest(key)
+    try:
+        result, provenance = _diskcache.load(digest), "disk"
+        if not isinstance(result, CompileResult):
+            result, provenance = build(), "compiled"
+    except BaseException as error:
+        with _CACHE_LOCK:
+            del _IN_FLIGHT[key]
+        flight.set_exception(error)
+        raise
+    with _CACHE_LOCK:
+        del _IN_FLIGHT[key]
+        _cache_put(key, result)
+    flight.set_result(result)
+    if provenance == "compiled":
+        _diskcache.store(digest, result)
+    return result, provenance
+
+
+@functools.lru_cache(maxsize=64)
+def _key_options(options: CompileOptions) -> CompileOptions:
+    """The options part of the compile-cache key: ``options`` without
+    the execution-only fields, derived once per distinct (frozen,
+    hashable) value."""
+    return dataclasses.replace(
+        options,
+        sim_backend=None,
+        sim_kernel=None,
+        noise_model=None,
+        parallel_workers=None,
+    )
 
 
 def _capture_fingerprint(capture) -> tuple:
@@ -522,11 +595,12 @@ def compile_kernel(
         kernel=getattr(kernel, "name", "<kernel>"),
         cache=cache,
     ) as span:
-        result = _compile_kernel_impl(
+        result, provenance = _compile_kernel_impl(
             kernel, options, pipeline=pipeline, cache=cache
         )
-        span.set(provenance=result.provenance)
-    _COMPILES.inc(provenance=result.provenance)
+        result.provenance = provenance
+        span.set(provenance=provenance)
+    _COMPILES.inc(provenance=provenance)
     return result
 
 
@@ -535,7 +609,7 @@ def _compile_kernel_impl(
     options: Optional[CompileOptions] = None,
     pipeline: Optional[str] = None,
     cache: bool = False,
-) -> CompileResult:
+) -> tuple[CompileResult, str]:
     if options is not None and pipeline is not None:
         raise TypeError("pass at most one of options= and pipeline=")
     # Chaos hook: an active `compile_error` fault plan fails the
@@ -546,42 +620,25 @@ def _compile_kernel_impl(
         options = CompileOptions.preset(
             "default" if pipeline is None else pipeline
         )
+    if not cache:
+        return _compile_uncached(kernel, options), "compiled"
+    # The full (frozen) options participate in the key, so cached
+    # results never cross configuration boundaries — a compile
+    # requesting statistics or stricter verification is a miss, not a
+    # stale hit with statistics=None.  The simulation backend, kernel,
+    # noise model, and worker count are excluded: they only affect
+    # execution, so the same compiled artifact serves every backend,
+    # noise, and sharding configuration.  The fingerprint and the dims
+    # are memoized on the kernel.
+    key = (
+        _kernel_fingerprint(kernel),
+        tuple(sorted(kernel.infer_dims().items())),
+        _key_options(options),
+    )
+    return _through_cache(key, lambda: _compile_uncached(kernel, options))
 
-    cache_key = None
-    disk_digest = None
-    if cache:
-        # The full (frozen) options participate in the key, so cached
-        # results never cross configuration boundaries — a compile
-        # requesting statistics or stricter verification is a miss,
-        # not a stale hit with statistics=None.  The simulation
-        # backend, kernel, noise model, and worker count are excluded:
-        # they only affect execution, so the same compiled artifact
-        # serves every backend, noise, and sharding configuration.
-        cache_key = (
-            _kernel_fingerprint(kernel),
-            tuple(sorted(kernel.infer_dims().items())),
-            dataclasses.replace(
-                options,
-                sim_backend=None,
-                sim_kernel=None,
-                noise_model=None,
-                parallel_workers=None,
-            ),
-        )
-        cached = _cache_get(cache_key)
-        if cached is not None:
-            cached.provenance = "memory"
-            return cached
-        # Second layer: the persistent on-disk store.  A hit skips
-        # compilation entirely and warms the in-memory LRU; a corrupt
-        # or stale-salt entry reads as a miss and is recompiled.
-        disk_digest = _diskcache.key_digest(cache_key)
-        from_disk = _diskcache.load(disk_digest)
-        if isinstance(from_disk, CompileResult):
-            from_disk.provenance = "disk"
-            _cache_put(cache_key, from_disk)
-            return from_disk
 
+def _compile_uncached(kernel, options: CompileOptions) -> CompileResult:
     statistics = PassStatistics() if options.collect_statistics else None
 
     def staged(name: str):
@@ -614,9 +671,6 @@ def _compile_kernel_impl(
         statistics=statistics,
     )
     if not options.to_circuit:
-        if cache_key is not None:
-            _cache_put(cache_key, result)
-            _diskcache.store(disk_digest, result)
         return result
 
     with staged("(flatten)"):
@@ -644,10 +698,6 @@ def _compile_kernel_impl(
             options.fusion_spec, statistics=statistics
         ).run(execution)
     result.execution_circuit = execution
-
-    if cache_key is not None:
-        _cache_put(cache_key, result)
-        _diskcache.store(disk_digest, result)
     return result
 
 

@@ -41,9 +41,12 @@ are invisible is a service whose failure modes are unhandled.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import itertools
+import linecache
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -574,12 +577,18 @@ class ExecutionService:
 # ----------------------------------------------------------------------
 # Request -> kernel / noise resolution.
 # ----------------------------------------------------------------------
-def _resolve_kernel(request: protocol.RunRequest):
-    import hashlib
-    import linecache
+#: Exec'd ``source`` kernels by the sha256 of their text, least
+#: recently used first, bounded by the compile cache's
+#: ``compile_cache_max_entries()``.  A source is treated as a pure
+#: function of its text: while cached it is not exec'd again, and its
+#: ``linecache`` entry lives exactly as long as its entry here.
+_SOURCE_KERNELS: "OrderedDict[str, Any]" = OrderedDict()
+_SOURCE_LOCK = threading.Lock()
 
+
+def _resolve_kernel(request: protocol.RunRequest):
     from repro.evaluation import ALGORITHMS, asdf_kernel
-    from repro.frontend.decorators import QpuKernel
+    from repro.pipeline import compile_cache_max_entries
 
     if request.kernel is not None:
         if request.kernel not in ALGORITHMS:
@@ -588,13 +597,46 @@ def _resolve_kernel(request: protocol.RunRequest):
                 f"{', '.join(ALGORITHMS)}; or send 'source')"
             )
         return asdf_kernel(request.kernel, request.n)
+    source = request.source or ""
+    digest = hashlib.sha256(source.encode()).hexdigest()
+    with _SOURCE_LOCK:
+        kernel = _SOURCE_KERNELS.get(digest)
+        if kernel is not None:
+            _SOURCE_KERNELS.move_to_end(digest)
+            return kernel
+    filename = _source_filename(digest)
+    try:
+        kernel = _exec_source(source, filename)
+    except BaseException:
+        # Failed sources are never cached; drop the text unless a
+        # concurrent request cached the same source meanwhile.
+        with _SOURCE_LOCK:
+            if digest not in _SOURCE_KERNELS:
+                linecache.cache.pop(filename, None)
+        raise
+    with _SOURCE_LOCK:
+        # Concurrent misses of one text all share the first kernel in.
+        kernel = _SOURCE_KERNELS.setdefault(digest, kernel)
+        _SOURCE_KERNELS.move_to_end(digest)
+        while len(_SOURCE_KERNELS) > compile_cache_max_entries():
+            evicted, _ = _SOURCE_KERNELS.popitem(last=False)
+            linecache.cache.pop(_source_filename(evicted), None)
+    return kernel
+
+
+def _source_filename(digest: str) -> str:
+    return f"<repro-service-kernel-{digest[:12]}>"
+
+
+def _exec_source(source: str, filename: str):
+    """Exec a ``source`` request's text; return its one ``@qpu`` kernel."""
+    from repro.frontend.decorators import QpuKernel
+    from repro.pipeline import _kernel_fingerprint
+
     namespace: dict = {}
     exec("from repro import *", namespace)  # noqa: S102 — trusted tier
     # The frontend reparses kernels with inspect.getsource, which for
     # exec'd code only works if the pseudo-filename is in the linecache.
-    source = request.source or ""
-    digest = hashlib.sha256(source.encode()).hexdigest()[:12]
-    filename = f"<repro-service-kernel-{digest}>"
     linecache.cache[filename] = (
         len(source), None, source.splitlines(keepends=True), filename
     )
@@ -617,6 +659,9 @@ def _resolve_kernel(request: protocol.RunRequest):
             f"'source' must define exactly one @qpu kernel, found "
             f"{len(kernels)}"
         )
+    # Read the source back for the compile-cache key now, while the
+    # text is certainly in the linecache.
+    _kernel_fingerprint(kernels[0])
     return kernels[0]
 
 
