@@ -1,11 +1,12 @@
-"""Gate-apply kernels and the compile-time fusion pass, measured.
+"""The gate-apply primitive and the compile-time fusion pass, measured.
 
-Two layers of PR 6's perf work (docs/performance.md), benchmarked:
+Two layers of the simulator's perf work (docs/performance.md),
+benchmarked:
 
-- **Apply-kernel throughput**: raw :meth:`Kernel.apply` wall time per
-  sweep, swept over qubit count x registered kernel x fused/unfused
-  matrix size.  The numba configurations appear only when numba is
-  importable (the registry's availability rule).
+- **Apply throughput**: raw
+  :func:`~repro.sim.kernels.apply_matrix_inplace` wall time per sweep,
+  swept over qubit count x fused/unfused matrix size.  Configs keep
+  their ``numpy-`` prefix, so records compare with older baselines.
 - **Fusion speedup**: a deep rotation-heavy circuit executed unfused
   vs through ``fuse_adjacent_gates`` (the ``default`` pipeline's
   execution form) on the batched trajectory engine.  Asserts the
@@ -23,7 +24,7 @@ from conftest import bench_record, write_bench_json, write_result
 from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement, Reset
 from repro.qcircuit.fusion import fuse_adjacent_gates, fused_gate_savings
 from repro.sim.backend import run_circuit_with_info
-from repro.sim.kernels import get_kernel, numba_available
+from repro.sim.kernels import apply_matrix_inplace
 
 #: Qubit counts for the apply-throughput sweep.
 APPLY_SIZES = (6, 10, 12)
@@ -33,7 +34,6 @@ APPLY_REPS = 200
 
 
 def _bench_kernels():
-    names = ["numpy"] + (["numba"] if numba_available() else [])
     rows = []
     rng = np.random.default_rng(0)
     single = np.linalg.qr(
@@ -42,34 +42,32 @@ def _bench_kernels():
     block = np.linalg.qr(
         rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     )[0]
-    for name in names:
-        kernel = get_kernel(name)
-        for n in APPLY_SIZES:
-            state = rng.standard_normal(
-                (2,) * n
-            ) + 1j * rng.standard_normal((2,) * n)
-            # Unfused: APPLY_REPS single-qubit sweeps round-robin.
-            # Fused: the same work shape as post-fusion execution —
-            # one 3-qubit block per 3 single-qubit gates.
-            configs = (
-                ("unfused", single, [(q % n,) for q in range(APPLY_REPS)]),
-                (
-                    "fused",
-                    block,
-                    [
-                        tuple((q + i) % n for i in range(3))
-                        for q in range(0, APPLY_REPS, 3)
-                    ],
-                ),
-            )
-            for mode, matrix, target_list in configs:
-                # Warm up (JIT compilation must not be timed).
-                kernel.apply(state, matrix, target_list[0])
-                start = time.perf_counter()
-                for targets in target_list:
-                    kernel.apply(state, matrix, targets)
-                wall_ms = (time.perf_counter() - start) * 1e3
-                rows.append((f"apply-n{n}", f"{name}-{mode}", wall_ms, name))
+    for n in APPLY_SIZES:
+        state = rng.standard_normal((2,) * n) + 1j * rng.standard_normal(
+            (2,) * n
+        )
+        # Unfused: APPLY_REPS single-qubit sweeps round-robin.
+        # Fused: the same work shape as post-fusion execution — one
+        # 3-qubit block per 3 single-qubit gates.
+        configs = (
+            ("unfused", single, [(q % n,) for q in range(APPLY_REPS)]),
+            (
+                "fused",
+                block,
+                [
+                    tuple((q + i) % n for i in range(3))
+                    for q in range(0, APPLY_REPS, 3)
+                ],
+            ),
+        )
+        for mode, matrix, target_list in configs:
+            # Warm up (the axis-permutation cache must not be timed).
+            apply_matrix_inplace(state, matrix, target_list[0])
+            start = time.perf_counter()
+            for targets in target_list:
+                apply_matrix_inplace(state, matrix, targets)
+            wall_ms = (time.perf_counter() - start) * 1e3
+            rows.append((f"apply-n{n}", f"numpy-{mode}", wall_ms))
     return rows
 
 
@@ -126,7 +124,6 @@ def _bench_fusion(shots=64):
             shots=shots,
             evolutions=unfused_info.evolutions,
             gates_fused=0,
-            kernel=unfused_info.kernel,
         ),
         bench_record(
             "deep-circuit",
@@ -135,7 +132,6 @@ def _bench_fusion(shots=64):
             shots=shots,
             evolutions=fused_info.evolutions,
             gates_fused=savings,
-            kernel=fused_info.kernel,
         ),
     ]
     speedup = unfused_s / fused_s
@@ -155,19 +151,19 @@ def test_kernel_apply_throughput(benchmark):
     write_bench_json(
         "kernels",
         [
-            bench_record(name, config, wall_ms, kernel=kernel)
-            for name, config, wall_ms, kernel in rows
+            bench_record(name, config, wall_ms)
+            for name, config, wall_ms in rows
         ],
     )
     lines = [
         f"  {name:<12} {config:<16} {wall_ms:8.2f} ms / {APPLY_REPS} sweeps"
-        for name, config, wall_ms, _ in rows
+        for name, config, wall_ms in rows
     ]
     write_result(
         "kernels_throughput.txt",
         "gate-apply throughput\n" + "\n".join(lines),
     )
-    assert rows  # at least the numpy kernel always runs
+    assert rows
 
 
 def test_fusion_speedup_deep_circuit(benchmark):

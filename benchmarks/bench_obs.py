@@ -45,7 +45,7 @@ MAX_OVERHEAD = float(os.environ.get("BENCH_OBS_MAX_OVERHEAD", "1.05"))
 
 
 def _workload(circuit, noise):
-    results, info = parallel_run_with_info(
+    results, _ = parallel_run_with_info(
         circuit,
         SHOTS,
         seed=13,
@@ -54,7 +54,6 @@ def _workload(circuit, noise):
         use_processes=False,
     )
     assert len(results) == SHOTS
-    return info
 
 
 def _timed(fn) -> float:
@@ -101,7 +100,6 @@ def test_obs_overhead_gate():
 
     overhead = best["tracing-off"] / best["bare"]
     traced = best["tracing-on"] / best["bare"]
-    info = _workload(circuit, noise)
 
     write_bench_json(
         "obs",
@@ -111,7 +109,6 @@ def test_obs_overhead_gate():
                 name,
                 best[name] * 1e3,
                 shots=SHOTS,
-                kernel=info.kernel,
             )
             for name in configurations
         ],

@@ -84,7 +84,6 @@ def test_shard_throughput_vs_workers():
                 seconds * 1e3,
                 shots=SHOTS,
                 evolutions=info.evolutions,
-                kernel=info.kernel,
             )
         )
     shutdown_pools()

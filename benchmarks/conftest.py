@@ -57,7 +57,6 @@ BENCH_RECORD_KEYS = (
     "shots",
     "evolutions",
     "gates_fused",
-    "kernel",
 )
 
 #: The perf-trajectory manifest: one BENCH_<name>.json per bench
@@ -171,14 +170,13 @@ def bench_record(
     shots: "int | None" = None,
     evolutions: "int | None" = None,
     gates_fused: "int | None" = None,
-    kernel: "str | None" = None,
 ) -> dict:
     """One machine-readable perf record for :func:`write_bench_json`.
 
-    ``gates_fused`` / ``kernel`` mirror the same-named
-    :class:`repro.sim.backend.RunInfo` fields (gates eliminated by the
-    fusion pass; which apply-kernel ran) when the bench executed
-    circuits; ``None`` where inapplicable (e.g. compile-only benches).
+    ``gates_fused`` mirrors the same-named
+    :class:`repro.sim.backend.RunInfo` field (gates eliminated by the
+    fusion pass) when the bench executed circuits; ``None`` where
+    inapplicable (e.g. compile-only benches).
     """
     return {
         "benchmark": benchmark,
@@ -187,7 +185,6 @@ def bench_record(
         "shots": shots,
         "evolutions": evolutions,
         "gates_fused": gates_fused,
-        "kernel": kernel,
     }
 
 

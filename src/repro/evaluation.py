@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.algorithms import (
     alternating_secret,
@@ -189,10 +189,9 @@ class ShotExecutionRow:
     backend's terminal-measurement fast path does exactly one per run,
     independent of ``shots``; the per-shot interpreter does ``shots``;
     the batched trajectory engine (``batched`` True) does one batched
-    sweep per memory-envelope chunk, usually 1.  ``gates_fused`` and
-    ``kernel`` come straight from :class:`~repro.sim.backend.RunInfo`:
-    gates eliminated by the compile-time fusion pass, and which
-    apply-kernel ran the matrix sweeps (docs/performance.md).
+    sweep per memory-envelope chunk, usually 1.  ``gates_fused`` comes
+    straight from :class:`~repro.sim.backend.RunInfo`: gates eliminated
+    by the compile-time fusion pass (docs/performance.md).
     """
 
     algorithm: str
@@ -204,7 +203,6 @@ class ShotExecutionRow:
     fast_path: bool
     batched: bool = False
     gates_fused: int = 0
-    kernel: Optional[str] = None
 
 
 def shot_execution_report(
@@ -250,7 +248,6 @@ def shot_execution_report(
                         info.fast_path,
                         info.batched,
                         gates_fused=info.gates_fused,
-                        kernel=info.kernel,
                     )
                 )
     return rows
@@ -304,7 +301,6 @@ def trajectory_execution_report(
                     info.fast_path,
                     info.batched,
                     gates_fused=info.gates_fused,
-                    kernel=info.kernel,
                 )
             )
     return rows
@@ -445,14 +441,14 @@ def format_shot_report(rows: Iterable[ShotExecutionRow]) -> str:
     lines = [
         f"{'algorithm':<12}{'n':>4}  {'backend':<14}{'shots':>7}"
         f"{'seconds':>12}{'evolutions':>12}  {'fast_path':<11}"
-        f"{'batched':<9}{'fused':>6}  kernel"
+        f"{'batched':<9}{'fused':>6}"
     ]
     for row in rows:
         lines.append(
             f"{row.algorithm:<12}{row.input_size:>4}  {row.backend:<14}"
             f"{row.shots:>7}{row.seconds:>12.4f}{row.evolutions:>12}"
             f"  {str(row.fast_path):<11}{str(row.batched):<9}"
-            f"{row.gates_fused:>6}  {row.kernel or '-'}"
+            f"{row.gates_fused:>6}"
         )
     return "\n".join(lines)
 

@@ -32,13 +32,11 @@ results.
 Statelessness: the worker entry point re-resolves everything it needs
 from explicit task fields — backend *name* (resolved in the parent, so
 a monkeypatched ``DEFAULT_BACKEND`` cannot diverge between parent and
-worker), apply-kernel name (the parent's context-local selection,
-shipped explicitly because a ``spawn``-started worker does not inherit
-:mod:`contextvars` state), the pickled circuit and noise model.
-In-tree backends and kernels register at import time, so workers
-started with **any** start method behave identically; custom backends
-registered only in the parent are visible under ``fork`` but must be
-registered at import time (module level) to work under ``spawn``.
+worker), the pickled circuit and noise model.  In-tree backends
+register at import time, so workers started with **any** start method
+behave identically; custom backends registered only in the parent are
+visible under ``fork`` but must be registered at import time (module
+level) to work under ``spawn``.
 
 Pools are cached per ``(workers, start method)`` and reused across
 calls, so the process-warmup cost is paid once.  See
@@ -73,7 +71,6 @@ from repro.sim.backend import (
     SimBackend,
     get_backend,
 )
-from repro.sim.kernels import active_kernel_name, use_kernel
 
 #: Environment override for the multiprocessing start method used by
 #: the shared pools ("fork", "spawn", "forkserver").  Unset keeps the
@@ -160,7 +157,6 @@ class _ChunkTask:
     shots: int
     seed: int
     backend: "str | SimBackend"
-    kernel: Optional[str]
     noise_model: Optional[object]
     faults: Optional[FaultPlan] = None
     attempt: int = 0
@@ -176,20 +172,17 @@ def _run_chunk_body(
     ):
         maybe_inject_chunk_fault(task.faults, task.seed, task.attempt)
         backend = get_backend(task.backend)
-        with use_kernel(task.kernel):
-            # The one place noise_model is forwarded only when set, so
-            # backends predating the noise subsystem keep serving ideal
-            # runs unchanged.
-            if task.noise_model is None:
-                return backend.run_with_info(
-                    task.circuit, task.shots, task.seed
-                )
-            return backend.run_with_info(
-                task.circuit,
-                task.shots,
-                task.seed,
-                noise_model=task.noise_model,
-            )
+        # The one place noise_model is forwarded only when set, so
+        # backends predating the noise subsystem keep serving ideal runs
+        # unchanged.
+        if task.noise_model is None:
+            return backend.run_with_info(task.circuit, task.shots, task.seed)
+        return backend.run_with_info(
+            task.circuit,
+            task.shots,
+            task.seed,
+            noise_model=task.noise_model,
+        )
 
 
 def _run_chunk(
@@ -297,9 +290,8 @@ def parallel_run_with_info(
     ``backend`` may be a registry name or a (picklable) instance;
     ``None`` resolves to the registry default *here in the parent*, so
     workers can never disagree with the dispatcher about the default.
-    The parent's context-local apply-kernel selection is shipped along
-    for the same reason.  ``use_processes=False`` executes the same
-    plan in-process (bit-identical results).
+    ``use_processes=False`` executes the same plan in-process
+    (bit-identical results).
 
     Chunks are dispatched by :func:`repro.exec.retry.execute_with_retry`
     under ``retry`` (a :class:`~repro.exec.retry.RetryPolicy`):
@@ -322,7 +314,6 @@ def parallel_run_with_info(
         get_backend(resolved_backend)  # fail fast on unknown names
     plan = chunk_plan(shots, workers)
     seeds = derive_chunk_seeds(seed, len(plan))
-    kernel = active_kernel_name()
     fault_plan = active_fault_plan()
     with _trace.span(
         "exec.dispatch",
@@ -332,7 +323,7 @@ def parallel_run_with_info(
         tasks = [
             _ChunkTask(
                 circuit, chunk_shots, chunk_seed,
-                resolved_backend, kernel, noise_model, fault_plan,
+                resolved_backend, noise_model, fault_plan,
                 trace=trace_ctx,
             )
             for chunk_shots, chunk_seed in zip(plan, seeds)

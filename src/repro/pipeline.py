@@ -70,13 +70,11 @@ class CompileOptions:
     fusion.  ``sim_backend`` names the simulation backend
     (:mod:`repro.sim.backend`) that ``simulate_kernel`` and the
     evaluation harness use to execute the compiled circuit,
-    ``sim_kernel`` selects the apply-matrix kernel
-    (:mod:`repro.sim.kernels`; ``None`` keeps the process default),
     ``noise_model`` (a :class:`repro.noise.NoiseModel`) makes those
     executions noisy, and ``parallel_workers`` shards the run's shot
     chunks across a process pool (:mod:`repro.exec`; ``None`` means
-    one worker, ``0`` one worker per core); none of the four affects
-    compilation itself, and all four are excluded from the
+    one worker, ``0`` one worker per core); none of the three affects
+    compilation itself, and all three are excluded from the
     compile-cache key.
 
     Build options from a named preset (:meth:`preset`, the
@@ -92,7 +90,6 @@ class CompileOptions:
     verify_each: bool = False
     collect_statistics: bool = False
     sim_backend: Optional[str] = None
-    sim_kernel: Optional[str] = None
     noise_model: Optional[object] = None
     parallel_workers: Optional[int] = None
 
@@ -148,9 +145,10 @@ class CompileResult:
     statistics: Optional[PassStatistics] = None
     #: Where the *most recent* cache lookup found this artifact:
     #: "compiled" (built fresh this call), "memory" (in-process LRU
-    #: hit), or "disk" (persistent-cache hit, unpickled).  Recorded in
-    #: ``RunInfo.compile_cache`` by ``simulate_kernel_with_info``.
-    #: Mutated in place on cache hits — cached results are shared.
+    #: hit), or "disk" (persistent-cache hit, unpickled).  Mutated in
+    #: place on cache hits — cached results are shared, so a concurrent
+    #: call may rewrite it; ``simulate_kernel_with_info`` and the
+    #: service report the provenance their own call returned.
     provenance: str = "compiled"
 
     def qasm3(self, source_comments: bool = False) -> str:
@@ -512,7 +510,6 @@ def _key_options(options: CompileOptions) -> CompileOptions:
     return dataclasses.replace(
         options,
         sim_backend=None,
-        sim_kernel=None,
         noise_model=None,
         parallel_workers=None,
     )
@@ -590,6 +587,25 @@ def compile_kernel(
     ``cache=True`` consults the per-process compile cache; the returned
     result is shared, so treat it as read-only.
     """
+    return _compile_with_provenance(
+        kernel, options, pipeline=pipeline, cache=cache
+    )[0]
+
+
+def _compile_with_provenance(
+    kernel,
+    options: Optional[CompileOptions] = None,
+    *,
+    pipeline: Optional[str] = None,
+    cache: bool = False,
+) -> tuple[CompileResult, str]:
+    """:func:`compile_kernel`, also returning this call's provenance.
+
+    ``CompileResult.provenance`` is written too, but a cached result is
+    shared, so a concurrent call may overwrite that field before the
+    caller reads it back; callers that report provenance use the
+    returned value.
+    """
     with _trace.span(
         "compile.kernel",
         kernel=getattr(kernel, "name", "<kernel>"),
@@ -601,7 +617,7 @@ def compile_kernel(
         result.provenance = provenance
         span.set(provenance=provenance)
     _COMPILES.inc(provenance=provenance)
-    return result
+    return result, provenance
 
 
 def _compile_kernel_impl(
@@ -625,8 +641,8 @@ def _compile_kernel_impl(
     # The full (frozen) options participate in the key, so cached
     # results never cross configuration boundaries — a compile
     # requesting statistics or stricter verification is a miss, not a
-    # stale hit with statistics=None.  The simulation backend, kernel,
-    # noise model, and worker count are excluded: they only affect
+    # stale hit with statistics=None.  The simulation backend, noise
+    # model, and worker count are excluded: they only affect
     # execution, so the same compiled artifact serves every backend,
     # noise, and sharding configuration.  The fingerprint and the dims
     # are memoized on the kernel.
@@ -721,7 +737,6 @@ def simulate_kernel_with_info(
     run executed.
     """
     from repro.frontend.decorators import Bits
-    from repro.sim import use_kernel
     from repro.sim.backend import run_circuit_with_info
 
     def explicit_or(value, fallback):
@@ -730,9 +745,10 @@ def simulate_kernel_with_info(
 
     if options is None:
         options = CompileOptions()
-    result = compile_kernel(kernel, options, cache=cache)
+    result, provenance = _compile_with_provenance(
+        kernel, options, cache=cache
+    )
     noise_model = explicit_or(noise_model, options.noise_model)
-    provenance = result.provenance
     if params:
         # bind() never writes to the compile cache, so a sweep reuses
         # one cached symbolic compile for every point.
@@ -743,17 +759,16 @@ def simulate_kernel_with_info(
         # Noise channels attach by gate name, so noisy runs execute the
         # unfused circuit (fused blocks would silently drop channels).
         circuit = result.optimized_circuit
-    with use_kernel(options.sim_kernel):
-        outcomes, info = run_circuit_with_info(
-            circuit,
-            shots=shots,
-            seed=seed,
-            backend=explicit_or(backend, options.sim_backend),
-            noise_model=noise_model,
-            parallel_workers=explicit_or(
-                parallel_workers, options.parallel_workers
-            ),
-        )
+    outcomes, info = run_circuit_with_info(
+        circuit,
+        shots=shots,
+        seed=seed,
+        backend=explicit_or(backend, options.sim_backend),
+        noise_model=noise_model,
+        parallel_workers=explicit_or(
+            parallel_workers, options.parallel_workers
+        ),
+    )
     info = dataclasses.replace(info, compile_cache=provenance)
     return [Bits(outcome) for outcome in outcomes], info
 

@@ -456,7 +456,7 @@ class ExecutionService:
 
     def _run_request(self, work: _Work) -> dict:
         from repro.exec.parallel import parallel_run_with_info
-        from repro.pipeline import compile_kernel
+        from repro.pipeline import _compile_with_provenance
 
         request = work.request
         plan_scope = (
@@ -470,7 +470,9 @@ class ExecutionService:
             kernel = _resolve_kernel(request)
             # An unknown preset raises PassPipelineError (QW301), which
             # already renders as a structured coded response downstream.
-            compiled = compile_kernel(
+            # The provenance is this call's own: the cached result's
+            # field may be rewritten by a concurrent request.
+            compiled, provenance = _compile_with_provenance(
                 kernel, pipeline=request.preset, cache=True
             )
             noise_model = _build_noise_model(request.noise)
@@ -510,7 +512,7 @@ class ExecutionService:
                 "retries": info.retries,
                 "faults_injected": info.faults_injected,
                 "degraded": info.degraded,
-                "compile_cache": compiled.provenance,
+                "compile_cache": provenance,
             },
         }
 

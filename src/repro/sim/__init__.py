@@ -7,16 +7,7 @@ Execution is organized around pluggable backends — see
 # Import order matters: the engine (repro.sim.batched, and through it
 # repro.qcircuit.fusion) must initialize before statevector, backend and
 # density, which build on it.
-from repro.sim.kernels import (
-    active_kernel_name,
-    apply_matrix_inplace,
-    available_kernels,
-    current_kernel_selection,
-    gate_matrix,
-    get_kernel,
-    numba_available,
-    use_kernel,
-)
+from repro.sim.kernels import apply_matrix_inplace, gate_matrix
 from repro.sim.batched import (
     MAX_BATCH_BYTES,
     MAX_STATEVECTOR_QUBITS,
@@ -65,23 +56,17 @@ __all__ = [
     "RunInfo",
     "SimBackend",
     "VectorizedStatevectorBackend",
-    "active_kernel_name",
     "apply_gates_to_state",
     "apply_matrix_inplace",
     "available_backends",
-    "available_kernels",
     "batch_chunk_size",
     "batched_run",
     "clear_marginal_memo",
     "controlled_matrix",
-    "current_kernel_selection",
     "gate_matrix",
     "get_backend",
-    "get_kernel",
     "interpret_module",
-    "numba_available",
     "register_backend",
-    "use_kernel",
     "run_circuit",
     "run_circuit_with_info",
     "sample_marginal",

@@ -21,7 +21,7 @@ Three backends ship in-tree:
     before a measurement) it evolves the state **once**, one step per
     execution-circuit gate or fused block, memoizes the marginal of
     |psi|^2 over the measured qubits per process (keyed by circuit
-    content and apply kernel), and draws all shots from it with a
+    content), and draws all shots from it with a
     single ``np.random.Generator.choice`` call, making shot count — and
     every later run of the same circuit — a near-constant cost.
     Circuits with genuine mid-circuit measurement, classically
@@ -63,7 +63,6 @@ from repro.obs import trace as _trace
 from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement, Reset
 from repro.qcircuit.fusion import FusedUnitary, fused_gate_savings
 from repro.sim.batched import BatchedStatevector, batched_run, channel_plan
-from repro.sim.kernels import active_kernel_name
 
 # Get-or-create: same series repro.sim.batched increments for its
 # batched sweeps; this module adds the fast-path and interpreter ones.
@@ -114,7 +113,7 @@ def _memo_get(key: tuple) -> Optional[np.ndarray]:
 def _memo_put(key: tuple, marginal: np.ndarray) -> None:
     size = marginal.nbytes + sum(
         inst.matrix.nbytes
-        for inst in key[2]
+        for inst in key[1]
         if isinstance(inst, FusedUnitary)
     )
     if size > MARGINAL_MEMO_MAX_BYTES:
@@ -175,9 +174,7 @@ class RunInfo:
     0 on noiseless runs.
 
     ``gates_fused`` counts gates eliminated by the compile-time fusion
-    pass in the circuit this run executed (0 for unfused circuits);
-    ``kernel`` records which apply-kernel performed the matrix sweeps
-    (see :mod:`repro.sim.kernels` and docs/performance.md).
+    pass in the circuit this run executed (0 for unfused circuits).
 
     ``workers`` / ``chunks`` record how the run was sharded: both 1
     for an ordinary single-process run; the parallel shot executor
@@ -205,7 +202,6 @@ class RunInfo:
     channel_applications: int = 0
     readout_applications: int = 0
     gates_fused: int = 0
-    kernel: Optional[str] = None
     workers: int = 1
     chunks: int = 1
     compile_cache: Optional[str] = None
@@ -225,8 +221,7 @@ class RunInfo:
         ``faults_injected``) sum exactly; ``fast_path`` holds only if
         every chunk took it, ``batched`` and ``degraded`` if any did;
         ``fused_ops`` stays ``None`` unless every chunk reported it.
-        All chunks must come from one backend; a mix of
-        apply-kernels is recorded as ``"mixed"``.  ``workers`` defaults
+        All chunks must come from one backend.  ``workers`` defaults
         to the max the inputs carry.
         """
         infos = list(infos)
@@ -237,7 +232,6 @@ class RunInfo:
             raise SimulationError(
                 f"cannot merge RunInfo across backends: {sorted(backends)}"
             )
-        kernels = {info.kernel for info in infos}
         fused_ops = (
             sum(info.fused_ops for info in infos)
             if all(info.fused_ops is not None for info in infos)
@@ -258,7 +252,6 @@ class RunInfo:
                 info.readout_applications for info in infos
             ),
             gates_fused=sum(info.gates_fused for info in infos),
-            kernel=kernels.pop() if len(kernels) == 1 else "mixed",
             workers=(
                 workers
                 if workers is not None
@@ -365,7 +358,6 @@ class InterpreterBackend(SimBackend):
             channel_applications=stats.channel_applications,
             readout_applications=stats.readout_applications,
             gates_fused=fused_gate_savings(circuit),
-            kernel=active_kernel_name(),
         )
 
 
@@ -456,19 +448,13 @@ class VectorizedStatevectorBackend(SimBackend):
                 channel_applications=stats.channel_applications,
                 readout_applications=stats.readout_applications,
                 gates_fused=fused_gate_savings(circuit),
-                kernel=active_kernel_name(),
-            )
+                )
 
         # The normalized marginal over the measured qubits depends only
-        # on the circuit's content and the apply kernel — never on the
-        # seed or shot count — so it is evolved once per process and
-        # memoized; every later run of the circuit only draws shots.
-        kernel = active_kernel_name()
-        key = (
-            kernel,
-            circuit.num_qubits,
-            tuple(circuit.instructions),
-        )
+        # on the circuit's content — never on the seed or shot count —
+        # so it is evolved once per process and memoized; every later
+        # run of the circuit only draws shots.
+        key = (circuit.num_qubits, tuple(circuit.instructions))
         # The unitary prefix mixes plain gates with FusedUnitary blocks
         # from the compile-time fusion pass; each is one evolution step.
         prefix = [
@@ -505,7 +491,6 @@ class VectorizedStatevectorBackend(SimBackend):
             fast_path=True,
             fused_ops=len(prefix),
             gates_fused=fused_gate_savings(circuit),
-            kernel=kernel,
         )
 
 

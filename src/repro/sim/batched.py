@@ -55,7 +55,7 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement, Reset
 from repro.qcircuit.fusion import FusedUnitary
-from repro.sim.kernels import active_kernel, gate_matrix
+from repro.sim.kernels import apply_matrix_inplace, gate_matrix
 
 #: The widest circuit the engine simulates: one row holds 2^n
 #: complex128 amplitudes (24 qubits ⇒ 256 MiB).  The service rejects
@@ -166,8 +166,6 @@ class BatchedStatevector:
         self.state[(slice(None),) + (0,) * axes] = 1.0
         self.bits = np.zeros((shots, num_bits), dtype=np.int64)
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        # Resolved once: an engine lives inside one kernel selection.
-        self._kernel = active_kernel()
 
     # ------------------------------------------------------------------
     # Gate application.
@@ -176,7 +174,7 @@ class BatchedStatevector:
         """Apply one gate or compile-time fused block to every shot."""
         if isinstance(op, FusedUnitary):
             axes = tuple(1 + q for q in op.targets)
-            self._kernel.apply(self.state, op.matrix, axes)
+            apply_matrix_inplace(self.state, op.matrix, axes)
         else:
             self.apply_gate(op)
 
@@ -212,7 +210,7 @@ class BatchedStatevector:
         view, axes = control_sliced_view(
             states, gate.targets, gate.controls, gate.ctrl_states
         )
-        self._kernel.apply(view, gate_matrix(gate.name, gate.params), axes)
+        apply_matrix_inplace(view, gate_matrix(gate.name, gate.params), axes)
         if mask is not None:
             self.state[mask] = states
 
@@ -308,7 +306,7 @@ class BatchedStatevector:
         if len(operators) == 1:
             # One operator: completeness makes it norm-preserving (up
             # to float drift), so no draw and no renormalization.
-            self._kernel.apply(states, operators[0], axes)
+            apply_matrix_inplace(states, operators[0], axes)
             return
         # Per-shot selection probabilities ||K_i |psi>||^2, as
         # tr(K_i^dag K_i rho) over each shot's reduced density matrix
@@ -334,7 +332,7 @@ class BatchedStatevector:
             # Every row picked the same operator (always so for one
             # trajectory): apply it in place, no sub-batch copies.
             index = int(chosen[0])
-            self._kernel.apply(states, operators[index], axes)
+            apply_matrix_inplace(states, operators[index], axes)
             states /= np.sqrt(probabilities[index]).reshape(shape)
             return
         for index, op in enumerate(operators):
@@ -342,7 +340,7 @@ class BatchedStatevector:
             if not mask.any():
                 continue
             sub = states[mask]
-            self._kernel.apply(sub, op, axes)
+            apply_matrix_inplace(sub, op, axes)
             sub /= np.sqrt(probabilities[index, mask]).reshape(shape)
             states[mask] = sub
 

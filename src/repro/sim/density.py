@@ -48,11 +48,7 @@ from repro.sim.backend import (
     terminal_marginal,
     terminal_measurement_plan,
 )
-from repro.sim.kernels import (
-    active_kernel_name,
-    apply_matrix_inplace,
-    gate_matrix,
-)
+from repro.sim.kernels import apply_matrix_inplace, gate_matrix
 
 __all__ = [
     "MAX_DENSITY_QUBITS",
@@ -236,7 +232,6 @@ class DensityMatrixBackend(SimBackend):
             channel_applications=stats.channel_applications,
             readout_applications=stats.readout_applications,
             gates_fused=fused_gate_savings(circuit),
-            kernel=active_kernel_name(),
         )
         return results, info
 

@@ -10,7 +10,6 @@ statistically equivalent histograms:
 - the vectorized **statevector** backend (terminal-measurement fast
   path *and* the batched trajectory engine),
 - **fused** vs unfused execution (``fuse_adjacent_gates``),
-- the **numpy** and (when installed) **numba** apply kernels,
 - under **Pauli noise**, the stochastic Kraus unraveling,
 
 each judged against the exact **density-matrix** distribution with the
@@ -32,7 +31,6 @@ from repro.qcircuit.circuit import (
 )
 from repro.qcircuit.fusion import fuse_adjacent_gates
 from repro.sim import get_backend, run_circuit
-from repro.sim.kernels import numba_available, use_kernel
 
 from tests.stats import assert_matches_distribution, tvd_threshold
 
@@ -151,20 +149,17 @@ def _check_config(label, outcomes, exact):
 def test_terminal_circuits_agree_across_engines(circuit, seed):
     exact = _reference_distribution(circuit)
     fused = fuse_adjacent_gates(circuit)
-    kernels = ["numpy"] + (["numba"] if numba_available() else [])
-    configs = []
-    for kernel in kernels:
-        configs.append(("statevector", circuit, kernel))
-        configs.append(("statevector", fused, kernel))
-    configs.append(("interpreter", circuit, "numpy"))
-    for backend_name, form, kernel in configs:
-        with use_kernel(kernel):
-            outcomes = run_circuit(
-                form, shots=SHOTS, seed=seed, backend=backend_name
-            )
+    configs = [
+        ("statevector", circuit),
+        ("statevector", fused),
+        ("interpreter", circuit),
+    ]
+    for backend_name, form in configs:
+        outcomes = run_circuit(
+            form, shots=SHOTS, seed=seed, backend=backend_name
+        )
         _check_config(
-            f"{backend_name}/{kernel}"
-            + ("/fused" if form is fused else ""),
+            backend_name + ("/fused" if form is fused else ""),
             outcomes,
             exact,
         )

@@ -293,7 +293,7 @@ def test_genuine_chunk_errors_propagate_unretried(monkeypatch):
     sizes = chunk_plan(64, 2)
     seeds = derive_chunk_seeds(5, len(sizes))
     tasks = [
-        parallel_mod._ChunkTask(circuit, size, chunk_seed, None, None, None)
+        parallel_mod._ChunkTask(circuit, size, chunk_seed, None, None)
         for size, chunk_seed in zip(sizes, seeds)
     ]
     with pytest.raises(ValueError, match="deterministic backend bug"):

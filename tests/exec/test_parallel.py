@@ -113,7 +113,6 @@ def _info(**overrides):
         channel_applications=7,
         readout_applications=2,
         gates_fused=3,
-        kernel="numpy",
         workers=1,
         chunks=1,
         compile_cache="memory",
@@ -136,7 +135,6 @@ def test_merge_sums_additive_counters_exactly():
     assert merged.fused_ops == 10
     assert merged.chunks == 3
     assert merged.backend == "statevector"
-    assert merged.kernel == "numpy"
     assert merged.compile_cache == "memory"
 
 
@@ -155,12 +153,8 @@ def test_merge_fused_ops_none_poisons_the_sum():
     assert merged.fused_ops is None
 
 
-def test_merge_mixed_kernels_and_provenances():
-    merged = RunInfo.merge(
-        [_info(kernel="numpy"), _info(kernel="numba",
-                                      compile_cache="disk")]
-    )
-    assert merged.kernel == "mixed"
+def test_merge_mixed_provenances():
+    merged = RunInfo.merge([_info(), _info(compile_cache="disk")])
     assert merged.compile_cache is None
 
 

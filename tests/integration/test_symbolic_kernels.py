@@ -137,13 +137,12 @@ class TestCompileCacheAmortization:
         assert compile_cache_info()["entries"] == 1
 
     def test_execution_only_options_stay_out_of_the_key(self):
-        # sim_backend / sim_kernel / noise_model affect execution only;
+        # sim_backend / noise_model affect execution only;
         # results compiled under different execution configs must share
         # one cache entry (the regression this PR's fix pins down).
         base = compile_kernel(rotation, cache=True)
         for options in (
             CompileOptions(sim_backend="interpreter"),
-            CompileOptions(sim_kernel="numpy"),
             CompileOptions(sim_backend="density_matrix"),
         ):
             again = compile_kernel(rotation, options, cache=True)

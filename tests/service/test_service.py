@@ -27,7 +27,7 @@ from repro.exec.parallel import (
     parallel_run_with_info,
 )
 from repro.exec.retry import RetryPolicy
-from repro.pipeline import compile_kernel
+from repro.pipeline import clear_compile_cache, compile_kernel
 from repro.service import ExecutionService, ServiceClient, ServiceConfig
 
 SHOTS = 96
@@ -150,6 +150,41 @@ def test_warm_suite_requests_reuse_the_kernel_and_its_fingerprint(
     # source for the compile-cache key.
     assert calls == []
     assert asdf_kernel("grover", 3) is asdf_kernel("grover", 3)
+
+
+def test_cold_request_reports_its_own_compile_provenance(monkeypatch):
+    # Another request hitting the same kernel while this one runs
+    # rewrites the shared cached result's ``provenance`` field; the
+    # cold request must still report the compile it did itself.
+    from repro.evaluation import asdf_kernel
+    from repro.exec import parallel
+
+    real_run = parallel.parallel_run_with_info
+    hits = []
+
+    def run_after_a_cache_hit(*args, **kwargs):
+        hit = compile_kernel(asdf_kernel("bv", 4), cache=True)
+        hits.append(hit.provenance)
+        return real_run(*args, **kwargs)
+
+    async def scenario():
+        async with ExecutionService(make_config()) as service:
+            client = ServiceClient(service)
+            return await client.run(
+                id=1, kernel="bv", n=4, shots=32, seed=3
+            )
+
+    clear_compile_cache(disk=True)
+    monkeypatch.setattr(
+        parallel, "parallel_run_with_info", run_after_a_cache_hit
+    )
+    try:
+        response = run_async(scenario())
+    finally:
+        clear_compile_cache(disk=True)
+    assert response["ok"], response
+    assert hits == ["memory"]
+    assert response["result"]["info"]["compile_cache"] == "compiled"
 
 
 def test_source_kernels_compile_and_run():

@@ -337,8 +337,8 @@ def test_vectorized_no_measurements():
 
 
 # ----------------------------------------------------------------------
-# The terminal-marginal memo: one evolution per circuit content and
-# apply kernel, every later run only draws shots.
+# The terminal-marginal memo: one evolution per circuit content, every
+# later run only draws shots.
 # ----------------------------------------------------------------------
 @pytest.fixture
 def fresh_memo():
@@ -402,35 +402,6 @@ def test_memo_edited_circuit_evolves_again(fresh_memo):
     assert {bits[3] for bits in results} == {0, 1}
     circuit.instructions[0] = g("x", [0])
     assert _evolutions(circuit) == 1
-
-
-def test_memo_keeps_one_entry_per_apply_kernel(fresh_memo, monkeypatch):
-    from repro.sim import kernels
-
-    other = "numba" if kernels.numba_available() else "numpy-probe"
-    if other == "numpy-probe":
-
-        class ProbeKernel(kernels.NumpyKernel):
-            name = "numpy-probe"
-
-        monkeypatch.setitem(
-            kernels._KERNEL_REGISTRY, "numpy-probe", ProbeKernel
-        )
-        monkeypatch.setitem(
-            kernels._KERNEL_INSTANCES, "numpy-probe", ProbeKernel()
-        )
-    circuit = _memo_circuit()
-    runs = []
-    for name in ("numpy", other, "numpy", other):
-        with kernels.use_kernel(name):
-            results, info = run_circuit_with_info(circuit, 200, seed=3)
-        runs.append((info.kernel, info.evolutions, results))
-    # Each kernel evolves once; the equivalence of two kernels is
-    # never a comparison of one cached marginal with itself.
-    assert [(kernel, ev) for kernel, ev, _ in runs] == [
-        ("numpy", 1), (other, 1), ("numpy", 0), (other, 0),
-    ]
-    assert all(results == runs[0][2] for _, _, results in runs)
 
 
 def test_memo_concurrent_threads_match_serial(fresh_memo):

@@ -1,5 +1,5 @@
 """Tests for the shot-batched statevector engine (repro.sim.batched)
-and the in-place apply kernel (repro.sim.kernels.apply_matrix_inplace).
+and the in-place apply primitive (repro.sim.kernels.apply_matrix_inplace).
 
 Histogram equivalence goes through the shared statistical helpers in
 ``tests/stats.py``: the TVD threshold is derived from the shot counts
@@ -35,7 +35,7 @@ from tests.stats import assert_histograms_close, histogram
 
 
 # ----------------------------------------------------------------------
-# The in-place apply kernel vs the old tensordot reference.
+# The in-place apply primitive vs the old tensordot reference.
 # ----------------------------------------------------------------------
 def tensordot_reference(state, matrix, targets, controls=(), ctrl_states=()):
     """The historical tensordot + moveaxis + copy-back sweep."""

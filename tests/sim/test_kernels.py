@@ -1,12 +1,9 @@
-"""The pluggable apply-matrix kernel registry (repro.sim.kernels).
+"""The apply-matrix primitive and gate matrices (repro.sim.kernels).
 
-Exercises the registry contract (registration, resolution, unknown
-names, optional-dependency errors), the active-kernel selection
-machinery (``use_kernel``, the ``REPRO_SIM_KERNEL`` default), the
-pure-NumPy kernel against a dense-matrix reference, and — when numba
-is installed — bit-for-bit equivalence of the JIT kernel with the
-NumPy one, including the batched shot layout and the non-contiguous
-fallback.  The suite must pass identically with and without numba.
+Checks :func:`apply_matrix_inplace` against a dense-matrix reference
+on every target layout the engines pass it: plain target tuples, the
+batched ``(shots, 2, ..., 2)`` layout, and the non-contiguous
+control-sliced views of ``BatchedStatevector.apply_gate``.
 """
 
 from __future__ import annotations
@@ -15,23 +12,8 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement
-from repro.sim import run_circuit
-from repro.sim.backend import run_circuit_with_info
-from repro.sim.kernels import (
-    KERNEL_ENV_VAR,
-    NumpyKernel,
-    active_kernel_name,
-    apply_matrix_inplace,
-    available_kernels,
-    current_kernel_selection,
-    default_kernel_name,
-    gate_matrix,
-    get_kernel,
-    numba_available,
-    register_kernel,
-    use_kernel,
-)
+from repro.sim.batched import control_sliced_view
+from repro.sim.kernels import apply_matrix_inplace, gate_matrix
 
 
 def _random_state(shape, seed=0):
@@ -64,105 +46,7 @@ def _dense_reference(state, matrix, targets):
 
 
 # ----------------------------------------------------------------------
-# Registry contract.
-# ----------------------------------------------------------------------
-def test_registry_lists_builtin_kernels():
-    names = available_kernels()
-    assert "numpy" in names
-    assert "numba" in names  # registered even when not importable
-
-
-def test_unknown_kernel_raises():
-    with pytest.raises(SimulationError, match="unknown apply kernel"):
-        get_kernel("does-not-exist")
-
-
-def test_duplicate_registration_raises():
-    with pytest.raises(SimulationError, match="already registered"):
-        register_kernel("numpy", NumpyKernel)
-
-
-def test_numba_kernel_requires_numba():
-    if numba_available():
-        pytest.skip("numba installed; the missing-dependency error "
-                    "cannot be provoked")
-    with pytest.raises(SimulationError, match="numba"):
-        get_kernel("numba")
-
-
-def test_default_kernel_name_honours_env(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV_VAR, "numpy")
-    assert default_kernel_name() == "numpy"
-    monkeypatch.setenv(KERNEL_ENV_VAR, "anything")
-    assert default_kernel_name() == "anything"  # resolution errors later
-    monkeypatch.delenv(KERNEL_ENV_VAR)
-    assert default_kernel_name() == (
-        "numba" if numba_available() else "numpy"
-    )
-
-
-def test_use_kernel_scopes_selection():
-    before = active_kernel_name()
-    with use_kernel("numpy"):
-        assert active_kernel_name() == "numpy"
-        with use_kernel(None):  # None = keep whatever is active
-            assert active_kernel_name() == "numpy"
-    assert active_kernel_name() == before
-
-
-def test_use_kernel_restores_on_error():
-    before = active_kernel_name()
-    with pytest.raises(RuntimeError):
-        with use_kernel("numpy"):
-            raise RuntimeError("boom")
-    assert active_kernel_name() == before
-
-
-def test_use_kernel_validates_eagerly():
-    with pytest.raises(SimulationError):
-        with use_kernel("no-such-kernel"):
-            pass  # pragma: no cover - must raise before entering
-    assert current_kernel_selection() is None
-
-
-def test_use_kernel_selection_is_context_local():
-    # The override lives in a contextvars.ContextVar: a selection made
-    # in one thread must never leak into another (the property the
-    # parallel executor's worker dispatch relies on).
-    import threading
-
-    seen_in_thread = []
-    started = threading.Event()
-    release = threading.Event()
-
-    def observer():
-        started.set()
-        release.wait(timeout=10)
-        seen_in_thread.append(current_kernel_selection())
-
-    thread = threading.Thread(target=observer)
-    thread.start()
-    started.wait(timeout=10)
-    with use_kernel("numpy"):
-        assert current_kernel_selection() == "numpy"
-        release.set()
-        thread.join(timeout=10)
-    assert seen_in_thread == [None]
-    assert current_kernel_selection() is None
-
-
-def test_use_kernel_nests_and_unwinds_in_order():
-    assert current_kernel_selection() is None
-    with use_kernel("numpy"):
-        outer = active_kernel_name()
-        with use_kernel(outer):
-            assert current_kernel_selection() == outer
-        assert current_kernel_selection() == outer
-    assert current_kernel_selection() is None
-
-
-# ----------------------------------------------------------------------
-# The NumPy reference kernel.
+# apply_matrix_inplace against the dense reference.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("targets", [(0,), (2,), (0, 2), (3, 1), (1, 2, 0)])
 def test_numpy_kernel_matches_dense_reference(targets):
@@ -170,7 +54,7 @@ def test_numpy_kernel_matches_dense_reference(targets):
     state = _random_state((2,) * n)
     matrix = _random_unitary(2 ** len(targets))
     expected = _dense_reference(state.copy(), matrix, targets)
-    NumpyKernel.apply(state, matrix, targets)
+    apply_matrix_inplace(state, matrix, targets)
     assert np.allclose(state, expected, atol=1e-10)
 
 
@@ -185,18 +69,35 @@ def test_numpy_kernel_handles_batched_layout():
         ]
     )
     # Axis 0 is the shot axis; targets are offset by one.
-    NumpyKernel.apply(batched, matrix, (2, 1))
+    apply_matrix_inplace(batched, matrix, (2, 1))
     assert np.allclose(batched, expected, atol=1e-10)
 
 
-def test_apply_matrix_inplace_uses_active_kernel():
-    state = _random_state((2, 2))
-    reference = state.copy()
-    h = gate_matrix("h")
-    with use_kernel("numpy"):
-        apply_matrix_inplace(state, h, (0,))
-    NumpyKernel.apply(reference, h, (0,))
-    assert np.array_equal(state, reference)
+@pytest.mark.parametrize("targets", [(0,), (3, 0)])
+def test_numpy_kernel_matches_dense_reference_on_control_sliced_view(
+    targets,
+):
+    # The layout BatchedStatevector.apply_gate passes for a controlled
+    # gate: a strided view of the batch with the control axis removed.
+    shots, n = 3, 4
+    batched = _random_state((shots,) + (2,) * n)
+    original = batched.copy()
+    matrix = _random_unitary(2 ** len(targets))
+    view, axes = control_sliced_view(batched, targets, (1,), (1,))
+    assert not view.flags["C_CONTIGUOUS"]
+    # Each shot's row of the view drops qubit 1: qubits 0, 2, 3 sit on
+    # its axes 0, 1, 2.
+    row_targets = tuple(axis - 1 for axis in axes)
+    expected = np.stack(
+        [
+            _dense_reference(view[s].copy(), matrix, row_targets)
+            for s in range(shots)
+        ]
+    )
+    apply_matrix_inplace(view, matrix, axes)
+    assert np.allclose(batched[:, :, 1], expected, atol=1e-10)
+    # The control-0 half is not part of the view and stays untouched.
+    assert np.array_equal(batched[:, :, 0], original[:, :, 0])
 
 
 def test_gate_matrices_are_frozen_and_cached():
@@ -210,83 +111,3 @@ def test_gate_matrices_are_frozen_and_cached():
     )
     with pytest.raises(SimulationError):
         gate_matrix("not-a-gate")
-
-
-# ----------------------------------------------------------------------
-# RunInfo records which kernel executed.
-# ----------------------------------------------------------------------
-def test_runinfo_records_selected_kernel():
-    circuit = Circuit(2, 2)
-    circuit.add(CircuitGate("h", (0,)))
-    circuit.add(CircuitGate("x", (1,), controls=(0,)))
-    circuit.add(Measurement(0, 0))
-    circuit.add(Measurement(1, 1))
-    with use_kernel("numpy"):
-        _, info = run_circuit_with_info(circuit, shots=8, seed=0)
-    assert info.kernel == "numpy"
-
-
-def test_simulate_kernel_threads_sim_kernel_option():
-    from repro.algorithms import bernstein_vazirani
-    from repro.pipeline import CompileOptions, simulate_kernel
-
-    kernel = bernstein_vazirani("101")
-    options = CompileOptions(sim_kernel="numpy")
-    bits = simulate_kernel(kernel, shots=16, seed=4, options=options,
-                           cache=False)
-    assert [str(b) for b in bits] == ["101"] * 16
-
-
-# ----------------------------------------------------------------------
-# numba-vs-NumPy bit equivalence (skipped when numba is absent).
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("targets", [(0,), (2,), (0, 2), (3, 1), (1, 2, 0)])
-def test_numba_matches_numpy_bit_for_bit(targets):
-    pytest.importorskip("numba")
-    n = 4
-    numba_state = _random_state((2,) * n)
-    numpy_state = numba_state.copy()
-    matrix = _random_unitary(2 ** len(targets))
-    get_kernel("numba").apply(numba_state, matrix, targets)
-    NumpyKernel.apply(numpy_state, matrix, targets)
-    # The JIT loop accumulates in the same order as the matmul row
-    # walk, so equality is exact, not approximate.
-    assert np.array_equal(numba_state, numpy_state)
-
-
-def test_numba_matches_numpy_on_batched_layout():
-    pytest.importorskip("numba")
-    shots, n = 7, 3
-    numba_state = _random_state((shots,) + (2,) * n)
-    numpy_state = numba_state.copy()
-    matrix = _random_unitary(4)
-    get_kernel("numba").apply(numba_state, matrix, (1, 3))
-    NumpyKernel.apply(numpy_state, matrix, (1, 3))
-    assert np.array_equal(numba_state, numpy_state)
-
-
-def test_numba_falls_back_on_noncontiguous_views():
-    pytest.importorskip("numba")
-    full = _random_state((2,) * 4)
-    view = full[:, 1]  # control-sliced: not C-contiguous
-    assert not view.flags["C_CONTIGUOUS"]
-    reference = np.ascontiguousarray(view)
-    matrix = _random_unitary(2)
-    get_kernel("numba").apply(view, matrix, (1,))
-    NumpyKernel.apply(reference, matrix, (1,))
-    assert np.allclose(view, reference, atol=1e-12)
-
-
-def test_run_circuit_identical_across_kernels():
-    pytest.importorskip("numba")
-    circuit = Circuit(3, 3)
-    circuit.add(CircuitGate("h", (0,)))
-    circuit.add(CircuitGate("x", (1,), controls=(0,)))
-    circuit.add(CircuitGate("ry", (2,), params=(0.3,)))
-    for q in range(3):
-        circuit.add(Measurement(q, q))
-    with use_kernel("numpy"):
-        numpy_hist = run_circuit(circuit, shots=256, seed=7)
-    with use_kernel("numba"):
-        numba_hist = run_circuit(circuit, shots=256, seed=7)
-    assert numpy_hist == numba_hist

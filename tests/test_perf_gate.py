@@ -42,7 +42,6 @@ def _bench_payload(records):
                 "shots": None,
                 "evolutions": None,
                 "gates_fused": None,
-                "kernel": None,
             }
         )
     return {"schema": "repro-bench-v1", "name": "test", "records": full}
