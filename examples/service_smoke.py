@@ -8,6 +8,13 @@ request succeeds** with the documented response shape.  Also checks
 the robustness telemetry (``op: "stats"``), asks for a graceful drain
 with SIGTERM, and verifies the server exits cleanly.
 
+A second, clean leg then starts a fresh server without ``REPRO_FAULTS``
+and sends the same batch twice.  The second pass is warm (every
+request hits the compile cache and the marginal memo), so the server
+answers it on its event loop instead of an executor thread.  Both
+passes must return the chaos run's histograms bit for bit, and
+``stats`` must report no failed request.
+
 This is the end-to-end "is the service actually fault-tolerant" probe
 the CI ``service-smoke`` job runs on every push::
 
@@ -34,11 +41,14 @@ CRASH_RATE = os.environ.get("REPRO_SMOKE_CRASH", "0.05")
 CONNECTIONS = 4
 
 
-def start_server() -> "tuple[subprocess.Popen, int]":
-    """The real server process, chaos plan injected via environment."""
+def start_server(chaos: bool) -> "tuple[subprocess.Popen, int]":
+    """The real server process; ``chaos`` injects the fault plan via
+    the environment, otherwise the server runs without any plan."""
     env = dict(os.environ)
-    env["REPRO_FAULTS"] = f"worker_crash={CRASH_RATE}"
-    env["REPRO_FAULTS_SEED"] = "0"
+    env.pop("REPRO_FAULTS", None)
+    if chaos:
+        env["REPRO_FAULTS"] = f"worker_crash={CRASH_RATE}"
+        env["REPRO_FAULTS_SEED"] = "0"
     env["PYTHONPATH"] = os.pathsep.join(
         ["src"] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
@@ -67,7 +77,8 @@ def start_server() -> "tuple[subprocess.Popen, int]":
     return process, int(match.group(1))
 
 
-async def drive(port: int) -> None:
+async def send_batch(port: int) -> dict:
+    """The batch over CONNECTIONS pipelined connections; responses by id."""
     responses: dict = {}
 
     async def connection(worker: int) -> None:
@@ -94,19 +105,34 @@ async def drive(port: int) -> None:
     await asyncio.gather(
         *(connection(worker) for worker in range(CONNECTIONS))
     )
+    return responses
 
-    # Stats on a fresh connection after the whole batch resolved, so
-    # the counters describe the complete run.
+
+async def operator_ops(port: int, *ops: str) -> dict:
+    """``stats`` / ``metrics`` on a fresh connection, after a whole
+    batch resolved, so the counters describe the complete run."""
+    responses: dict = {}
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    writer.write(b'{"id": "stats", "op": "stats"}\n')
-    writer.write(b'{"id": "metrics", "op": "metrics"}\n')
+    for op in ops:
+        writer.write((json.dumps({"id": op, "op": op}) + "\n").encode())
     await writer.drain()
-    for _ in range(2):
+    for _ in ops:
         line = await asyncio.wait_for(reader.readline(), timeout=30)
         response = json.loads(line)
         responses[response["id"]] = response
     writer.close()
     await writer.wait_closed()
+    return responses
+
+
+def histograms(responses: dict) -> dict:
+    return {i: responses[i]["result"]["counts"] for i in range(REQUESTS)}
+
+
+async def drive_chaos(port: int) -> dict:
+    """The batch under injected crashes; returns its histograms."""
+    responses = await send_batch(port)
+    responses.update(await operator_ops(port, "stats", "metrics"))
 
     failed = [
         responses[i] for i in range(REQUESTS) if not responses[i]["ok"]
@@ -138,12 +164,40 @@ async def drive(port: int) -> None:
     exposition = responses["metrics"]["result"]["exposition"]
     assert "repro_service_events_total" in exposition, exposition[:400]
     assert 'event="completed"' in exposition, exposition[:400]
+    return histograms(responses)
 
 
-def main() -> int:
-    process, port = start_server()
+async def drive_clean(port: int, expected: dict) -> None:
+    """The batch twice without faults: cold, then warm (run inline)."""
+    for label in ("cold", "warm"):
+        responses = await send_batch(port)
+        failed = [
+            responses[i] for i in range(REQUESTS) if not responses[i]["ok"]
+        ]
+        if failed:
+            raise SystemExit(
+                f"{len(failed)}/{REQUESTS} {label} requests failed without "
+                f"faults; first: {failed[0]}"
+            )
+        if histograms(responses) != expected:
+            raise SystemExit(
+                f"{label} pass without faults returned histograms that "
+                f"differ from the chaos run's"
+            )
+    stats = (await operator_ops(port, "stats"))["stats"]["result"]
+    assert stats["counters"]["failed"] == 0, stats
+    assert stats["counters"]["completed"] == 2 * REQUESTS, stats
+    print(
+        f"clean server, 2 x {REQUESTS} requests (cold, then warm): "
+        f"histograms identical to the chaos run's, 0 failed"
+    )
+
+
+def run_leg(chaos: bool, drive):
+    """Start a server, ``drive(port)``, then drain it with SIGTERM."""
+    process, port = start_server(chaos)
     try:
-        asyncio.run(drive(port))
+        result = asyncio.run(drive(port))
     finally:
         process.send_signal(signal.SIGTERM)
         try:
@@ -155,6 +209,12 @@ def main() -> int:
     if "draining" not in output or "stopped" not in output:
         raise SystemExit(f"no graceful drain in server output: {output!r}")
     print("graceful drain on SIGTERM: ok")
+    return result
+
+
+def main() -> int:
+    expected = run_leg(True, drive_chaos)
+    run_leg(False, lambda port: drive_clean(port, expected))
     return 0
 
 

@@ -235,7 +235,7 @@ def shot_execution_report(
             for name in backends:
                 backend = get_backend(name)
                 start = time.perf_counter()
-                _, info = backend.run_with_info(circuit, shots, seed)
+                _, info = backend.run_array_with_info(circuit, shots, seed)
                 elapsed = time.perf_counter() - start
                 rows.append(
                     ShotExecutionRow(
@@ -288,7 +288,7 @@ def trajectory_execution_report(
         for name in backends:
             backend = get_backend(name)
             start = time.perf_counter()
-            _, info = backend.run_with_info(circuit, shots, seed)
+            _, info = backend.run_array_with_info(circuit, shots, seed)
             elapsed = time.perf_counter() - start
             rows.append(
                 ShotExecutionRow(

@@ -18,7 +18,8 @@ so there is one seed convention and one dispatcher:
   :func:`repro.exec.retry.execute_with_retry`, in-process for one
   worker and on a cached :class:`~concurrent.futures.ProcessPoolExecutor`
   otherwise;
-- per-chunk results concatenate in plan order and per-chunk
+- per-chunk ``(shots, output bits)`` uint8 arrays (what pool workers
+  pickle back) concatenate in plan order and per-chunk
   :class:`~repro.sim.backend.RunInfo` telemetry merges via
   :meth:`RunInfo.merge`, with ``workers``/``chunks`` recorded.
 
@@ -163,31 +164,20 @@ class _ChunkTask:
     trace: Optional[_trace.TraceContext] = None
 
 
-def _run_chunk_body(
-    task: _ChunkTask,
-) -> tuple[list[tuple[int, ...]], RunInfo]:
+def _run_chunk_body(task: _ChunkTask) -> tuple[np.ndarray, RunInfo]:
     with _trace.span(
         "exec.chunk",
         shots=task.shots, seed=task.seed, attempt=task.attempt,
     ):
         maybe_inject_chunk_fault(task.faults, task.seed, task.attempt)
-        backend = get_backend(task.backend)
-        # The one place noise_model is forwarded only when set, so
-        # backends predating the noise subsystem keep serving ideal runs
-        # unchanged.
-        if task.noise_model is None:
-            return backend.run_with_info(task.circuit, task.shots, task.seed)
-        return backend.run_with_info(
-            task.circuit,
-            task.shots,
-            task.seed,
-            noise_model=task.noise_model,
+        return get_backend(task.backend).run_array_with_info(
+            task.circuit, task.shots, task.seed, task.noise_model
         )
 
 
 def _run_chunk(
     task: _ChunkTask,
-) -> tuple[list[tuple[int, ...]], RunInfo, Optional[list[dict]]]:
+) -> tuple[np.ndarray, RunInfo, Optional[list[dict]]]:
     """Worker entry point: one chunk, no ambient state consulted.
 
     Returns ``(results, info, spans)``.  ``spans`` is non-``None`` only
@@ -276,11 +266,12 @@ def parallel_run_with_info(
     use_processes: bool = True,
     retry: RetryPolicy = LIBRARY_RETRY,
     cancel_event=None,
-) -> tuple[list[tuple[int, ...]], RunInfo]:
+) -> tuple[np.ndarray, RunInfo]:
     """Run ``shots`` sharded across ``workers`` processes.
 
-    Returns ``(results, info)`` where ``results`` concatenates the
-    chunks in plan order and ``info`` is the :meth:`RunInfo.merge` of
+    Returns ``(results, info)`` where ``results`` is the ``(shots,
+    output bits)`` uint8 array of the chunks' arrays concatenated in
+    plan order and ``info`` is the :meth:`RunInfo.merge` of
     the per-chunk records with ``workers`` and ``chunks`` filled in.
     Deterministic for fixed ``(seed, workers)`` (and the workload);
     different worker counts give statistically equivalent histograms
@@ -335,12 +326,13 @@ def parallel_run_with_info(
             use_processes=use_processes,
             cancel_event=cancel_event,
         )
-        results: list[tuple[int, ...]] = []
+        parts: list[np.ndarray] = []
         infos: list[RunInfo] = []
         for chunk_results, chunk_info, chunk_spans in outcomes:
-            results.extend(chunk_results)
+            parts.append(chunk_results)
             infos.append(chunk_info)
             _trace.absorb_spans(chunk_spans)
+        results = parts[0] if len(parts) == 1 else np.concatenate(parts)
         dispatch_span.set(
             retries=telemetry.retries, degraded=telemetry.degraded
         )

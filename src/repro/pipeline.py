@@ -638,6 +638,13 @@ def _compile_kernel_impl(
         )
     if not cache:
         return _compile_uncached(kernel, options), "compiled"
+    return _through_cache(
+        _cache_key(kernel, options),
+        lambda: _compile_uncached(kernel, options),
+    )
+
+
+def _cache_key(kernel, options: CompileOptions) -> tuple:
     # The full (frozen) options participate in the key, so cached
     # results never cross configuration boundaries — a compile
     # requesting statistics or stricter verification is a miss, not a
@@ -646,12 +653,24 @@ def _compile_kernel_impl(
     # execution, so the same compiled artifact serves every backend,
     # noise, and sharding configuration.  The fingerprint and the dims
     # are memoized on the kernel.
-    key = (
+    return (
         _kernel_fingerprint(kernel),
         tuple(sorted(kernel.infer_dims().items())),
         _key_options(options),
     )
-    return _through_cache(key, lambda: _compile_uncached(kernel, options))
+
+
+def _cached_compile(kernel, *, pipeline: str) -> Optional[CompileResult]:
+    """The in-memory cached compile of ``kernel`` under a preset, or
+    ``None``.
+
+    A peek for callers deciding where to run a request: it never
+    compiles, counts no lookup and leaves the LRU order alone, so the
+    compile that follows is the one counted.
+    """
+    key = _cache_key(kernel, CompileOptions.preset(pipeline))
+    with _CACHE_LOCK:
+        return _COMPILE_CACHE.get(key)
 
 
 def _compile_uncached(kernel, options: CompileOptions) -> CompileResult:
@@ -736,8 +755,8 @@ def simulate_kernel_with_info(
     (``"compiled"`` / ``"memory"`` / ``"disk"``) for the compile this
     run executed.
     """
+    from repro.exec.parallel import parallel_run_with_info
     from repro.frontend.decorators import Bits
-    from repro.sim.backend import run_circuit_with_info
 
     def explicit_or(value, fallback):
         # Explicit arguments win over the options' execution fields.
@@ -759,18 +778,16 @@ def simulate_kernel_with_info(
         # Noise channels attach by gate name, so noisy runs execute the
         # unfused circuit (fused blocks would silently drop channels).
         circuit = result.optimized_circuit
-    outcomes, info = run_circuit_with_info(
+    bits, info = parallel_run_with_info(
         circuit,
-        shots=shots,
-        seed=seed,
+        shots,
+        seed,
+        workers=explicit_or(parallel_workers, options.parallel_workers),
         backend=explicit_or(backend, options.sim_backend),
         noise_model=noise_model,
-        parallel_workers=explicit_or(
-            parallel_workers, options.parallel_workers
-        ),
     )
     info = dataclasses.replace(info, compile_cache=provenance)
-    return [Bits(outcome) for outcome in outcomes], info
+    return [Bits(outcome) for outcome in bits.tolist()], info
 
 
 def simulate_kernel(

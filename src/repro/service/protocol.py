@@ -38,10 +38,11 @@ docs/service.md says so explicitly.
 
 from __future__ import annotations
 
-import collections
 import json
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
+
+import numpy as np
 
 from repro.errors import BadRequestError, QwertyError
 from repro.sim.batched import MAX_STATEVECTOR_QUBITS
@@ -226,10 +227,34 @@ def encode_response(response: Mapping[str, Any]) -> bytes:
 
 
 def counts_of(results) -> dict[str, int]:
-    """Sampled bit tuples -> {"0101": count} histogram for the wire."""
-    counts: dict[str, int] = {}
-    # Stringify each distinct outcome once, not once per shot.
-    for outcome, count in collections.Counter(results).items():
-        key = "".join(str(int(b)) for b in outcome)
-        counts[key] = counts.get(key, 0) + count
-    return counts
+    """Sampled shots -> {"0101": count} histogram for the wire.
+
+    ``results`` is the executor's ``(shots, bits)`` array, or any
+    sequence of equal-width bit tuples.  Each row packs into one key,
+    ``np.unique`` counts the keys, and each distinct outcome is
+    stringified once.  Any width works: up to 64 bits a key is an
+    unsigned integer, wider rows are opaque byte strings, and a
+    zero-bit register counts as ``{"": shots}``.  Keys keep the order
+    in which outcomes were first drawn.
+    """
+    bits = np.asarray(results, dtype=np.uint8)
+    shots = len(bits)
+    if shots == 0:
+        return {}
+    bits = bits.reshape(shots, -1)
+    width = bits.shape[1]
+    if width == 0:
+        return {"": shots}
+    nbytes = -(-width // 8)
+    if nbytes <= 8:
+        nbytes = 1 << (nbytes - 1).bit_length()  # 1, 2, 4 or 8
+    padded = np.zeros((shots, 8 * nbytes), dtype=np.uint8)
+    padded[:, :width] = bits
+    keys = np.packbits(padded.reshape(-1)).view(
+        f"u{nbytes}" if nbytes <= 8 else f"V{nbytes}"
+    )
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    digits = np.ascontiguousarray(padded[first[order], :width])
+    text = (digits + ord("0")).view(f"S{width}").ravel().astype(str)
+    return dict(zip(text.tolist(), counts[order].tolist()))

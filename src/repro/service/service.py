@@ -20,6 +20,11 @@ Robustness model
   sets the request's cancel event, which the retry layer honors
   between chunk waves by cancelling pool futures: the deadline
   actually stops the work instead of abandoning a zombie computation.
+- **Warm requests skip the hand-off.**  A request that only draws
+  shots from memory (see :meth:`ExecutionService._is_warm`) runs on
+  the worker loop itself rather than an executor thread; nothing can
+  cancel it there, so if it completes past its deadline its result is
+  discarded and the reply is still ``QW602``.
 - **Retries with a budget.**  Chunk execution goes through
   :mod:`repro.exec.retry`; transient faults (crashes, hangs, pool
   breakage) are absorbed and reported in ``RunInfo.retries`` /
@@ -388,18 +393,24 @@ class ExecutionService:
                     f"queued"
                 ),
             )
+        inline = self._is_warm(work)
         loop = asyncio.get_running_loop()
         self._in_flight += 1
         try:
-            # asyncio.wait_for rather than asyncio.timeout: identical
-            # semantics here, and it exists on Python 3.10 (the oldest
-            # version CI supports).
-            result = await asyncio.wait_for(
-                loop.run_in_executor(
-                    self._threads, self._execute_sync, work
-                ),
-                timeout=remaining,
-            )
+            if inline:
+                # Only draws shots: cheaper than the executor hop, and
+                # too short to hold up the other connections.
+                result = self._execute_sync(work)
+            else:
+                # asyncio.wait_for rather than asyncio.timeout:
+                # identical semantics here, and it exists on Python
+                # 3.10 (the oldest version CI supports).
+                result = await asyncio.wait_for(
+                    loop.run_in_executor(
+                        self._threads, self._execute_sync, work
+                    ),
+                    timeout=remaining,
+                )
         except asyncio.TimeoutError:
             # Cooperative cancellation: the retry layer checks the
             # event between chunk waves and cancels pool futures.
@@ -427,6 +438,17 @@ class ExecutionService:
             raise  # genuine shutdown cancellation
         finally:
             self._in_flight -= 1
+        if inline and time.monotonic() - work.admitted_at > work.deadline:
+            # Nothing could cancel a run on the loop; a late answer is
+            # still a missed deadline.
+            self._count("deadline_exceeded")
+            return self._error(
+                request.id,
+                DeadlineExceededError(
+                    f"deadline of {work.deadline:.3f}s exceeded; the "
+                    f"result was discarded"
+                ),
+            )
         self._count("completed")
         self._count("retries", result["info"]["retries"])
         self._count("faults_injected", result["info"]["faults_injected"])
@@ -442,8 +464,61 @@ class ExecutionService:
             self._consecutive_degraded = 0
         return protocol.ok_response(request.id, result)
 
+    def _is_warm(self, work: _Work) -> bool:
+        """Whether ``work`` only draws shots from memory, in-process.
+
+        A warm request's kernel is resolved, its compile is an
+        in-memory cache hit, it runs noiseless and fault-free on the
+        ``statevector`` backend, its chunks run in-process, and its
+        execution circuit's marginal is memoized.  Such a run costs
+        less than the executor hop, so the worker loop runs it itself.
+        Only the request and the caches are read: nothing is compiled,
+        exec'd or counted here.  A request this check cannot judge
+        (an unknown preset, say) takes the executor path, which
+        reports the error.
+        """
+        from repro.exec.parallel import chunk_plan, resolve_workers
+        from repro.pipeline import _cached_compile
+        from repro.sim.backend import (
+            DEFAULT_BACKEND,
+            VectorizedStatevectorBackend,
+            marginal_is_memoized,
+        )
+
+        request = work.request
+        if work.fault_plan is not None or request.noise:
+            return False
+        backend = request.backend or DEFAULT_BACKEND
+        if backend != VectorizedStatevectorBackend.name:
+            return False
+        workers = resolve_workers(
+            request.workers or self.config.parallel_workers
+        )
+        pooled = (
+            self.config.use_processes
+            and not self._serial_mode
+            and workers > 1
+            and len(chunk_plan(request.shots, workers)) > 1
+        )
+        if pooled:
+            return False
+        try:
+            kernel = _resolved_kernel(request)
+            compiled = (
+                None
+                if kernel is None
+                else _cached_compile(kernel, pipeline=request.preset)
+            )
+        except QwertyError:
+            return False
+        if compiled is None:
+            return False
+        circuit = compiled.execution_circuit or compiled.optimized_circuit
+        return circuit is not None and marginal_is_memoized(circuit)
+
     def _execute_sync(self, work: _Work) -> dict:
-        """The blocking compile + sharded run (service executor thread).
+        """The blocking compile + sharded run, on a service executor
+        thread or, for a warm request, on the worker loop.
 
         ``run_in_executor`` does not propagate contextvars, so the
         request span context rides on ``work.trace`` and is re-attached
@@ -589,23 +664,19 @@ _SOURCE_LOCK = threading.Lock()
 
 
 def _resolve_kernel(request: protocol.RunRequest):
-    from repro.evaluation import ALGORITHMS, asdf_kernel
+    from repro.evaluation import ALGORITHMS
     from repro.pipeline import compile_cache_max_entries
 
+    kernel = _resolved_kernel(request)
+    if kernel is not None:
+        return kernel
     if request.kernel is not None:
-        if request.kernel not in ALGORITHMS:
-            raise BadRequestError(
-                f"unknown kernel {request.kernel!r} (known algorithms: "
-                f"{', '.join(ALGORITHMS)}; or send 'source')"
-            )
-        return asdf_kernel(request.kernel, request.n)
+        raise BadRequestError(
+            f"unknown kernel {request.kernel!r} (known algorithms: "
+            f"{', '.join(ALGORITHMS)}; or send 'source')"
+        )
     source = request.source or ""
     digest = hashlib.sha256(source.encode()).hexdigest()
-    with _SOURCE_LOCK:
-        kernel = _SOURCE_KERNELS.get(digest)
-        if kernel is not None:
-            _SOURCE_KERNELS.move_to_end(digest)
-            return kernel
     filename = _source_filename(digest)
     try:
         kernel = _exec_source(source, filename)
@@ -624,6 +695,24 @@ def _resolve_kernel(request: protocol.RunRequest):
             evicted, _ = _SOURCE_KERNELS.popitem(last=False)
             linecache.cache.pop(_source_filename(evicted), None)
     return kernel
+
+
+def _resolved_kernel(request: protocol.RunRequest):
+    """The request's kernel if resolving it needs no ``exec``: a suite
+    kernel (memoized by ``asdf_kernel``) or a cached ``source``, which
+    becomes the most recently used; otherwise ``None``."""
+    from repro.evaluation import ALGORITHMS, asdf_kernel
+
+    if request.kernel is not None:
+        if request.kernel not in ALGORITHMS:
+            return None
+        return asdf_kernel(request.kernel, request.n)
+    digest = hashlib.sha256((request.source or "").encode()).hexdigest()
+    with _SOURCE_LOCK:
+        kernel = _SOURCE_KERNELS.get(digest)
+        if kernel is not None:
+            _SOURCE_KERNELS.move_to_end(digest)
+        return kernel
 
 
 def _source_filename(digest: str) -> str:

@@ -20,10 +20,10 @@ Three backends ship in-tree:
     measurements after the last gate, no classical control, no reset
     before a measurement) it evolves the state **once**, one step per
     execution-circuit gate or fused block, memoizes the marginal of
-    |psi|^2 over the measured qubits per process (keyed by circuit
-    content), and draws all shots from it with a
-    single ``np.random.Generator.choice`` call, making shot count — and
-    every later run of the same circuit — a near-constant cost.
+    |psi|^2 over the measured qubits and its CDF per process (keyed by
+    circuit content), and draws all shots from it in one vectorized
+    ``searchsorted``, making shot count — and every later run of the
+    same circuit — a near-constant cost.
     Circuits with genuine mid-circuit measurement, classically
     conditioned gates, or mid-evolution reset — and every run under a
     noise model, whose per-shot Kraus draws rule out a shared
@@ -41,6 +41,12 @@ Three backends ship in-tree:
 Every backend takes an optional ``noise_model=``
 (:class:`repro.noise.NoiseModel`) attaching Kraus channels per gate
 and readout confusion per measured qubit.
+
+The engines return shots as one ``(shots, output bits)`` uint8 array
+(:meth:`SimBackend.run_array_with_info`), and so does the shot
+executor.  Per-shot tuples are made only at the public boundary:
+:meth:`SimBackend.run_with_info`, ``run_circuit`` and
+``run_circuit_with_info`` (``simulate_kernel`` makes ``Bits``).
 
 Qubit-ordering convention (shared with the engine): qubit 0 is the
 *leftmost* ket bit, so basis-state index ``x`` has qubit ``q`` equal to
@@ -80,14 +86,18 @@ _MEMO_LOOKUPS = _metrics.counter(
 )
 
 #: Bounds of the per-process memo of terminal-measurement marginals
-#: (see :meth:`VectorizedStatevectorBackend.run_with_info`): the bytes
-#: its entries keep alive — each marginal plus the fused-block matrices
-#: its key holds — and the entry count.  An entry over the byte budget
-#: is not memoized.
+#: (see :meth:`VectorizedStatevectorBackend.run_array_with_info`): the
+#: bytes its entries keep alive — each marginal, its sampling CDF and
+#: the fused-block matrices its key holds — and the entry count.  An
+#: entry over the byte budget is not memoized.
 MARGINAL_MEMO_MAX_BYTES = 32 * 1024 * 1024
 MARGINAL_MEMO_MAX_ENTRIES = 128
 
-_MARGINAL_MEMO: "OrderedDict[tuple, tuple[np.ndarray, int]]" = OrderedDict()
+#: Each entry holds the marginal, its sampling CDF (see
+#: :func:`sampling_cdf`) and the bytes both keep alive.
+_MARGINAL_MEMO: "OrderedDict[tuple, tuple[np.ndarray, np.ndarray, int]]" = (
+    OrderedDict()
+)
 _MARGINAL_MEMO_LOCK = threading.Lock()
 
 
@@ -101,17 +111,21 @@ def _reset_marginal_memo_lock() -> None:
 os.register_at_fork(after_in_child=_reset_marginal_memo_lock)
 
 
-def _memo_get(key: tuple) -> Optional[np.ndarray]:
+def _memo_key(circuit: Circuit) -> tuple:
+    return (circuit.num_qubits, tuple(circuit.instructions))
+
+
+def _memo_get(key: tuple) -> Optional[tuple[np.ndarray, np.ndarray]]:
     with _MARGINAL_MEMO_LOCK:
         entry = _MARGINAL_MEMO.get(key)
         if entry is None:
             return None
         _MARGINAL_MEMO.move_to_end(key)
-        return entry[0]
+        return entry[0], entry[1]
 
 
-def _memo_put(key: tuple, marginal: np.ndarray) -> None:
-    size = marginal.nbytes + sum(
+def _memo_put(key: tuple, marginal: np.ndarray, cdf: np.ndarray) -> None:
+    size = marginal.nbytes + cdf.nbytes + sum(
         inst.matrix.nbytes
         for inst in key[1]
         if isinstance(inst, FusedUnitary)
@@ -119,16 +133,33 @@ def _memo_put(key: tuple, marginal: np.ndarray) -> None:
     if size > MARGINAL_MEMO_MAX_BYTES:
         return
     marginal.setflags(write=False)
+    cdf.setflags(write=False)
     with _MARGINAL_MEMO_LOCK:
-        _MARGINAL_MEMO[key] = (marginal, size)
+        _MARGINAL_MEMO[key] = (marginal, cdf, size)
         _MARGINAL_MEMO.move_to_end(key)
-        held = sum(size for _, size in _MARGINAL_MEMO.values())
+        held = sum(entry[2] for entry in _MARGINAL_MEMO.values())
         while (
             len(_MARGINAL_MEMO) > MARGINAL_MEMO_MAX_ENTRIES
             or held > MARGINAL_MEMO_MAX_BYTES
         ):
-            _, (_, evicted) = _MARGINAL_MEMO.popitem(last=False)
+            _, (_, _, evicted) = _MARGINAL_MEMO.popitem(last=False)
             held -= evicted
+
+
+def marginal_is_memoized(circuit: Circuit) -> bool:
+    """Whether a noiseless ``statevector`` run of ``circuit`` would only
+    draw shots: the circuit takes the terminal-measurement fast path
+    and its marginal is in the memo.
+
+    A peek, for callers deciding where to run a request: it counts no
+    lookup and leaves the LRU order alone.  The entry may still be
+    evicted before the run, which then evolves the circuit again.
+    """
+    if terminal_measurement_plan(circuit) is None:
+        return False
+    key = _memo_key(circuit)
+    with _MARGINAL_MEMO_LOCK:
+        return key in _MARGINAL_MEMO
 
 
 def clear_marginal_memo() -> None:
@@ -270,9 +301,10 @@ class RunInfo:
 class SimBackend:
     """Protocol for simulation backends.
 
-    Subclasses implement :meth:`run_with_info`.  Instances must be
-    stateless across calls (one backend object may serve many threads
-    of the evaluation harness).
+    Subclasses implement :meth:`run_array_with_info` (the in-tree
+    engines) or :meth:`run_with_info`; each has a default in terms of
+    the other.  Instances must be stateless across calls (one backend
+    object may serve many threads of the evaluation harness).
     """
 
     #: Registry name; subclasses override.
@@ -291,10 +323,47 @@ class SimBackend:
         ``noise_model`` is an optional :class:`repro.noise.NoiseModel`;
         backends that cannot execute under noise must raise
         :class:`~repro.errors.SimulationError` rather than silently
-        ignore it.  Backends may omit the parameter: the dispatcher
-        passes it only when set.
+        ignore it.  Backends overriding this method may omit the
+        parameter: it is passed only when set.
         """
-        raise NotImplementedError
+        bits, info = self.run_array_with_info(
+            circuit, shots, seed, noise_model
+        )
+        return bit_tuples(bits), info
+
+    def run_array_with_info(
+        self,
+        circuit: Circuit,
+        shots: int = 1,
+        seed: int = 0,
+        noise_model=None,
+    ) -> tuple[np.ndarray, RunInfo]:
+        """:meth:`run_with_info` with the shots as one ``(shots, output
+        bits)`` uint8 array: what the shot executor runs, merges and
+        ships between processes.
+
+        The default adapts a backend that implements only
+        :meth:`run_with_info`.
+        """
+        if type(self).run_with_info is SimBackend.run_with_info:
+            raise NotImplementedError(
+                f"{type(self).__name__} implements neither "
+                f"run_array_with_info nor run_with_info"
+            )
+        # Forwarded only when set, so backends predating the noise
+        # subsystem keep serving ideal runs unchanged.
+        extra = {} if noise_model is None else {"noise_model": noise_model}
+        results, info = self.run_with_info(circuit, shots, seed, **extra)
+        width = len(circuit.output_bits or range(circuit.num_bits))
+        return (
+            np.asarray(results, dtype=np.uint8).reshape(len(results), width),
+            info,
+        )
+
+
+def bit_tuples(bits: np.ndarray) -> list[tuple[int, ...]]:
+    """A ``(shots, bits)`` array as the public per-shot tuples."""
+    return list(map(tuple, bits.tolist()))
 
 
 def _trajectory_run(
@@ -303,16 +372,17 @@ def _trajectory_run(
     seed: int,
     noise_model=None,
     stats=None,
-) -> list[tuple[int, ...]]:
+) -> np.ndarray:
     """One independent trajectory per shot — a 1-row
-    :class:`BatchedStatevector` seeded ``seed + shot``.
+    :class:`BatchedStatevector` seeded ``seed + shot``; returns the
+    ``(shots, output bits)`` uint8 array.
 
     Under a noise model, each trajectory unravels every attached
     channel into its own Kraus draws, so ``stats`` counts noise events
     per shot.  The channel plan is computed once per run.
     """
-    results = []
-    output = circuit.output_bits or range(circuit.num_bits)
+    output = list(circuit.output_bits or range(circuit.num_bits))
+    results = np.empty((shots, len(output)), dtype=np.uint8)
     plan = channel_plan(circuit, noise_model)
     with _trace.span(
         "sim.sweep",
@@ -325,8 +395,8 @@ def _trajectory_run(
                 circuit.num_bits,
                 np.random.default_rng(seed + shot),
             )
-            bits = engine.run(circuit, noise_model, stats, plan)[0].tolist()
-            results.append(tuple(bits[i] for i in output))
+            bits = engine.run(circuit, noise_model, stats, plan)
+            results[shot] = bits[0, output]
     _SWEEPS.inc(engine="interpreter")
     return results
 
@@ -336,13 +406,13 @@ class InterpreterBackend(SimBackend):
 
     name = "interpreter"
 
-    def run_with_info(
+    def run_array_with_info(
         self,
         circuit: Circuit,
         shots: int = 1,
         seed: int = 0,
         noise_model=None,
-    ) -> tuple[list[tuple[int, ...]], RunInfo]:
+    ) -> tuple[np.ndarray, RunInfo]:
         from repro.noise.model import NoiseStats, effective_noise_model
 
         noise_model = effective_noise_model(noise_model)
@@ -415,13 +485,13 @@ class VectorizedStatevectorBackend(SimBackend):
 
     name = "statevector"
 
-    def run_with_info(
+    def run_array_with_info(
         self,
         circuit: Circuit,
         shots: int = 1,
         seed: int = 0,
         noise_model=None,
-    ) -> tuple[list[tuple[int, ...]], RunInfo]:
+    ) -> tuple[np.ndarray, RunInfo]:
         from repro.noise.model import NoiseStats, effective_noise_model
 
         noise_model = effective_noise_model(noise_model)
@@ -448,13 +518,13 @@ class VectorizedStatevectorBackend(SimBackend):
                 channel_applications=stats.channel_applications,
                 readout_applications=stats.readout_applications,
                 gates_fused=fused_gate_savings(circuit),
-                )
+            )
 
         # The normalized marginal over the measured qubits depends only
         # on the circuit's content — never on the seed or shot count —
         # so it is evolved once per process and memoized; every later
-        # run of the circuit only draws shots.
-        key = (circuit.num_qubits, tuple(circuit.instructions))
+        # run of the circuit only draws shots from its memoized CDF.
+        key = _memo_key(circuit)
         # The unitary prefix mixes plain gates with FusedUnitary blocks
         # from the compile-time fusion pass; each is one evolution step.
         prefix = [
@@ -466,20 +536,24 @@ class VectorizedStatevectorBackend(SimBackend):
             "sim.sweep",
             engine="fast-path", shots=shots, qubits=circuit.num_qubits,
         ) as span:
-            marginal = _memo_get(key)
-            evolutions = int(marginal is None)
-            if marginal is None:
+            memoized = _memo_get(key)
+            evolutions = int(memoized is None)
+            if memoized is None:
                 engine = BatchedStatevector(1, circuit.num_qubits)
                 for inst in prefix:
                     engine.apply(inst)
                 marginal = terminal_marginal(
                     np.abs(engine.state[0]) ** 2, circuit, plan
                 )
-                _memo_put(key, marginal)
+                cdf = sampling_cdf(marginal)
+                _memo_put(key, marginal, cdf)
+            else:
+                marginal, cdf = memoized
             outcome = "miss" if evolutions else "hit"
             span.set(memo=outcome)
             results = sample_marginal(
-                marginal, circuit, plan, shots, np.random.default_rng(seed)
+                marginal, circuit, plan, shots,
+                np.random.default_rng(seed), cdf=cdf,
             )
         _MEMO_LOOKUPS.inc(outcome=outcome)
         if evolutions:
@@ -518,26 +592,41 @@ def terminal_marginal(
     return probabilities / probabilities.sum()
 
 
+def sampling_cdf(marginal: np.ndarray) -> np.ndarray:
+    """The normalized cumulative sum that ``Generator.choice`` builds
+    from ``p``: ``cdf.searchsorted(rng.random(shots), side="right")``
+    draws exactly what ``rng.choice(marginal.size, shots, p=marginal)``
+    draws, without validating and summing ``p`` again on every run."""
+    cdf = marginal.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def sample_marginal(
     marginal: np.ndarray,
     circuit: Circuit,
     plan: Sequence[Measurement],
     shots: int,
     rng: np.random.Generator,
-) -> list[tuple[int, ...]]:
-    """Draw ``shots`` output-bit tuples from a :func:`terminal_marginal`.
+    cdf: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Draw ``shots`` outputs from a :func:`terminal_marginal`; returns
+    the ``(shots, output bits)`` uint8 array.
 
-    One ``rng.choice`` call, then the outcome bits scatter into the
-    plan's classical bits.  Both terminal-measurement backends sample
-    here — one sampling path, one seed convention, so their zero-noise
-    histograms match exactly.
+    One vectorized draw from the marginal's :func:`sampling_cdf`
+    (``cdf``, computed here when not given), then the outcome bits
+    scatter into the plan's classical bits.  Both terminal-measurement
+    backends sample here — one sampling path, one seed convention, so
+    their zero-noise histograms match exactly.
     """
     output = list(circuit.output_bits or range(circuit.num_bits))
     if not plan:
         # Nothing measured: the classical register stays all-zero.
-        return [(0,) * len(output)] * shots
+        return np.zeros((shots, len(output)), dtype=np.uint8)
 
-    outcomes = rng.choice(marginal.size, size=shots, p=marginal)
+    if cdf is None:
+        cdf = sampling_cdf(marginal)
+    outcomes = cdf.searchsorted(rng.random(shots), side="right")
 
     # Marginal axis order is sorted qubit order, so the outcome's bit
     # for qubit q sits at position pos[q] from the left (the same
@@ -545,10 +634,11 @@ def sample_marginal(
     measured = sorted({m.qubit for m in plan})
     pos = {qubit: i for i, qubit in enumerate(measured)}
     width = len(measured)
-    bits = np.zeros((shots, circuit.num_bits), dtype=np.int64)
+    bits = np.zeros((shots, circuit.num_bits), dtype=np.uint8)
     for meas in plan:
         bits[:, meas.bit] = (outcomes >> (width - 1 - pos[meas.qubit])) & 1
-    return list(map(tuple, bits[:, output].tolist()))
+    # take(), unlike bits[:, output], keeps the rows C-contiguous.
+    return bits.take(output, axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -626,7 +716,7 @@ def run_circuit_with_info(
     """
     from repro.exec.parallel import parallel_run_with_info
 
-    return parallel_run_with_info(
+    bits, info = parallel_run_with_info(
         circuit,
         shots,
         seed,
@@ -634,6 +724,7 @@ def run_circuit_with_info(
         backend=backend,
         noise_model=noise_model,
     )
+    return bit_tuples(bits), info
 
 
 register_backend(InterpreterBackend.name, InterpreterBackend)

@@ -418,8 +418,9 @@ def batched_run(
     max_batch_bytes: int = MAX_BATCH_BYTES,
     noise_model=None,
     stats=None,
-) -> tuple[list[tuple[int, ...]], int]:
-    """Run ``shots`` trajectories batched; returns ``(results, sweeps)``.
+) -> tuple[np.ndarray, int]:
+    """Run ``shots`` trajectories batched; returns ``(results, sweeps)``
+    with the results as one ``(shots, output bits)`` uint8 array.
 
     ``sweeps`` is the number of batched evolutions performed: 1 when
     all shots fit the :data:`MAX_BATCH_BYTES` envelope, more when the
@@ -437,7 +438,7 @@ def batched_run(
     rng = np.random.default_rng(seed)
     plan = channel_plan(circuit, noise_model)
     chunk = batch_chunk_size(circuit.num_qubits, max_batch_bytes)
-    results: list[tuple[int, ...]] = []
+    results = np.empty((shots, len(output)), dtype=np.uint8)
     sweeps = 0
     done = 0
     while done < shots:
@@ -451,7 +452,7 @@ def batched_run(
             )
             bits = engine.run(circuit, noise_model, stats, plan)
         _SWEEPS.inc(engine="batched")
-        results.extend(map(tuple, bits[:, output].tolist()))
+        results[done:done + size] = bits[:, output]
         sweeps += 1
         done += size
     return results, sweeps

@@ -178,7 +178,7 @@ class _Branch:
 class DensityMatrixBackend(SimBackend):
     """Exact rho evolution under a noise model (the small-n reference).
 
-    ``run_with_info`` computes the exact output distribution once
+    ``run_array_with_info`` computes the exact output distribution once
     (``evolutions == 1`` regardless of shot count) and samples shots
     from it.  Zero-noise terminal-measurement circuits reuse the
     vectorized statevector backend's sampling helper with the same
@@ -187,13 +187,13 @@ class DensityMatrixBackend(SimBackend):
 
     name = "density_matrix"
 
-    def run_with_info(
+    def run_array_with_info(
         self,
         circuit: Circuit,
         shots: int = 1,
         seed: int = 0,
         noise_model=None,
-    ) -> tuple[list[tuple[int, ...]], RunInfo]:
+    ) -> tuple[np.ndarray, RunInfo]:
         from repro.noise.model import NoiseStats, effective_noise_model
 
         noise_model = effective_noise_model(noise_model)
@@ -221,7 +221,9 @@ class DensityMatrixBackend(SimBackend):
             )
             weights = weights / weights.sum()
             drawn = rng.choice(len(outcomes), size=shots, p=weights)
-            results = [outcomes[index] for index in drawn]
+            width = len(circuit.output_bits or range(circuit.num_bits))
+            table = np.array(outcomes, dtype=np.uint8)
+            results = table.reshape(len(outcomes), width)[drawn]
         from repro.qcircuit.fusion import fused_gate_savings
 
         info = RunInfo(
@@ -243,9 +245,9 @@ class DensityMatrixBackend(SimBackend):
     ) -> dict[tuple[int, ...], float]:
         """The exact probability of every output-bit tuple.
 
-        The analysis twin of :meth:`run_with_info`: no sampling, just
-        the distribution the shots are drawn from.  Benchmarks use it
-        to compute fidelity-vs-noise-strength tables, and the
+        The analysis twin of :meth:`run_array_with_info`: no sampling,
+        just the distribution the shots are drawn from.  Benchmarks use
+        it to compute fidelity-vs-noise-strength tables, and the
         unraveling tests converge to it.
         """
         from repro.noise.model import NoiseStats, effective_noise_model

@@ -17,6 +17,7 @@ The load-bearing assertions are the determinism contracts:
 import threading
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
 from repro.algorithms import alternating_secret, bernstein_vazirani
@@ -221,7 +222,7 @@ def test_inprocess_crash_recovery_is_bit_identical():
             circuit, 96, seed=5, workers=2, use_processes=False,
             retry=RetryPolicy(),
         )
-    assert chaos == clean
+    assert np.array_equal(chaos, clean)
     assert info.retries >= 1
     assert info.faults_injected >= 1
     assert (clean_info.retries, clean_info.faults_injected) == (0, 0)
@@ -241,7 +242,7 @@ def test_hang_recovery_is_bit_identical_and_bounded():
             circuit, 96, seed=5, workers=2, use_processes=False,
             retry=RetryPolicy(timeout=5.0),
         )
-    assert hung == clean
+    assert np.array_equal(hung, clean)
 
 
 @pytest.mark.slow
@@ -262,7 +263,7 @@ def test_pooled_exit_crash_recovery_is_bit_identical():
             )
     finally:
         parallel_mod.shutdown_pools()
-    assert chaos == clean
+    assert np.array_equal(chaos, clean)
     assert info.retries >= 1
 
 
@@ -359,7 +360,7 @@ def test_pool_startup_failure_degrades_to_serial(monkeypatch):
     pooled, _ = parallel_run_with_info(
         circuit, 64, seed=5, workers=2, use_processes=True
     )
-    assert pooled == clean
+    assert np.array_equal(pooled, clean)
 
 
 def test_genuine_pool_dispatch_errors_propagate(monkeypatch):

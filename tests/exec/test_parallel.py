@@ -17,6 +17,7 @@ Three layers of coverage:
 import asyncio
 import os
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -43,6 +44,7 @@ from repro.service import ExecutionService, ServiceClient, ServiceConfig
 from repro.service.protocol import counts_of
 from repro.sim.backend import (
     RunInfo,
+    bit_tuples,
     clear_marginal_memo,
     run_circuit_with_info,
 )
@@ -178,7 +180,7 @@ def test_same_seed_and_workers_is_bit_stable():
     circuit = teleport_circuit()
     first, _ = parallel_run_with_info(circuit, 400, seed=3, workers=2)
     second, _ = parallel_run_with_info(circuit, 400, seed=3, workers=2)
-    assert first == second
+    assert np.array_equal(first, second)
     assert len(first) == 400
 
 
@@ -190,7 +192,7 @@ def test_serial_fallback_is_bit_identical_to_pooled_run():
     serial, serial_info = parallel_run_with_info(
         circuit, 400, seed=5, workers=2, use_processes=False
     )
-    assert pooled == serial
+    assert np.array_equal(pooled, serial)
     assert pooled_info == serial_info
     assert pooled_info.workers == 2
     assert pooled_info.chunks == 2
@@ -206,8 +208,10 @@ def test_worker_counts_give_statistically_equivalent_histograms():
     four, _ = parallel_run_with_info(
         circuit, 4000, seed=11, workers=4, use_processes=False
     )
-    assert one != four
-    assert_histograms_close(one, four, label="workers=1 vs workers=4")
+    assert not np.array_equal(one, four)
+    assert_histograms_close(
+        bit_tuples(one), bit_tuples(four), label="workers=1 vs workers=4"
+    )
 
 
 def test_single_worker_run_reports_one_chunk():
@@ -232,7 +236,7 @@ def test_noise_model_rides_through_the_parallel_path():
         conditioned_fanout_circuit(), 600, seed=9, workers=3,
         noise_model=model, use_processes=False,
     )
-    assert results == repeat
+    assert np.array_equal(results, repeat)
     assert info == repeat_info
 
 
@@ -259,7 +263,7 @@ def test_run_circuit_threads_parallel_workers():
     circuit = teleport_circuit()
     via_entry = run_circuit(circuit, 400, seed=3, parallel_workers=2)
     direct, _ = parallel_run_with_info(circuit, 400, seed=3, workers=2)
-    assert via_entry == direct
+    assert via_entry == bit_tuples(direct)
 
 
 def test_run_circuit_with_info_records_sharding():

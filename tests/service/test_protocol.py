@@ -6,9 +6,11 @@ or compute is spent on it, and every exception must serialize into the
 same structured error envelope.
 """
 
+import collections
 import json
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -184,6 +186,34 @@ def _counts_of_per_shot(results):
         key = "".join(str(int(b)) for b in outcome)
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def _counts_of_tuples(results):
+    """The tuple/``Counter`` implementation the array one replaced:
+    the oracle."""
+    counts = {}
+    for outcome, count in collections.Counter(results).items():
+        key = "".join(str(int(b)) for b in outcome)
+        counts[key] = counts.get(key, 0) + count
+    return counts
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 63, 64, 65, 128])
+def test_counts_of_matches_the_tuple_counter_at_any_width(width):
+    # bv n=128 has 128 output bits: wider than any machine integer.
+    rng = np.random.default_rng(width)
+    for shots, outcomes in ((1, 1), (256, 5), (300, 300)):
+        table = rng.integers(0, 2, size=(outcomes, width), dtype=np.uint8)
+        bits = table[rng.integers(0, outcomes, size=shots)]
+        expected = _counts_of_tuples(list(map(tuple, bits.tolist())))
+        for results in (
+            bits, np.asfortranarray(bits), list(map(tuple, bits.tolist()))
+        ):
+            counts = protocol.counts_of(results)
+            assert counts == expected
+            assert list(counts) == list(expected)
+    if width == 0:
+        assert protocol.counts_of(np.zeros((5, 0), np.uint8)) == {"": 5}
 
 
 @pytest.mark.parametrize("width", [0, 1, 3, 8])

@@ -449,17 +449,71 @@ def test_memo_bounds_evict(fresh_memo, monkeypatch):
     # Least recently used first out: the oldest circuit evolves again.
     assert [_evolutions(c) for c in circuits[::-1]] == [0, 0, 1]
 
-    # A 4-qubit marginal is 16 float64s; a budget of one entry's bytes
-    # keeps only the newest, and a smaller one memoizes nothing.
+    # A 4-qubit marginal and its sampling CDF are 16 float64s each; a
+    # budget of one entry's bytes keeps only the newest, and a smaller
+    # one memoizes nothing.
     clear_marginal_memo()
-    monkeypatch.setattr(backend, "MARGINAL_MEMO_MAX_BYTES", 16 * 8)
+    monkeypatch.setattr(backend, "MARGINAL_MEMO_MAX_BYTES", 2 * 16 * 8)
     assert [_evolutions(c) for c in circuits[:2]] == [1, 1]
     assert len(backend._MARGINAL_MEMO) == 1
     assert [_evolutions(c) for c in circuits[1::-1]] == [0, 1]
     clear_marginal_memo()
-    monkeypatch.setattr(backend, "MARGINAL_MEMO_MAX_BYTES", 16 * 8 - 1)
+    monkeypatch.setattr(backend, "MARGINAL_MEMO_MAX_BYTES", 2 * 16 * 8 - 1)
     assert [_evolutions(circuits[0]) for _ in range(2)] == [1, 1]
     assert len(backend._MARGINAL_MEMO) == 0
+
+
+def test_sampling_cdf_draws_exactly_what_choice_draws():
+    # The memo keeps each marginal's CDF, so a hit samples with one
+    # searchsorted; that must be the draw Generator.choice makes.
+    from repro.sim.backend import sampling_cdf
+
+    rng = np.random.default_rng(2026)
+    for index in range(200):
+        size = int(rng.integers(1, 2 ** int(rng.integers(1, 13)) + 1))
+        marginal = rng.random(size) ** 3
+        if index % 4 == 0:
+            marginal[rng.random(size) < 0.5] = 0.0
+            marginal[rng.integers(size)] = 1.0
+        marginal /= marginal.sum()
+        shots = int(rng.integers(1, 2000))
+        expected = np.random.default_rng(index).choice(
+            size, shots, p=marginal
+        )
+        drawn = sampling_cdf(marginal).searchsorted(
+            np.random.default_rng(index).random(shots), side="right"
+        )
+        assert np.array_equal(drawn, expected), index
+
+
+def test_marginal_is_memoized_peeks_without_counting(fresh_memo):
+    from repro.obs import metrics
+    from repro.sim.backend import marginal_is_memoized
+
+    lookups = metrics.instruments()["repro_sim_marginal_memo_total"]
+    circuit = _memo_circuit(theta=1.1)
+    before = (lookups.value(outcome="hit"), lookups.value(outcome="miss"))
+    assert not marginal_is_memoized(circuit)
+    assert _evolutions(circuit) == 1
+    assert marginal_is_memoized(circuit)
+    after = (lookups.value(outcome="hit"), lookups.value(outcome="miss"))
+    assert after == (before[0], before[1] + 1)  # only the run counted
+    # Mid-circuit measurement never takes the fast path.
+    circuit.add(g("x", [0]))
+    assert not marginal_is_memoized(circuit)
+
+
+def test_engines_return_uint8_arrays_and_the_boundary_tuples():
+    circuit = _memo_circuit(theta=0.7)
+    for name in ("statevector", "interpreter"):
+        bits, info = get_backend(name).run_array_with_info(circuit, 16, 3)
+        assert bits.dtype == np.uint8 and bits.shape == (16, 4)
+        assert bits.flags.c_contiguous
+        results, _ = get_backend(name).run_with_info(circuit, 16, 3)
+        assert results == [tuple(row) for row in bits.tolist()]
+        assert all(type(bit) is int for bit in results[0])
+    public = run_circuit(circuit, 16, seed=3)
+    assert isinstance(public, list) and isinstance(public[0], tuple)
 
 
 #: The service-warm request catalog: the five suite algorithms at
