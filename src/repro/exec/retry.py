@@ -157,6 +157,12 @@ def _budget_error(
     return error
 
 
+def runs_in_process(workers: int, chunks: int, use_processes: bool) -> bool:
+    """Whether a run's chunks execute in the calling process: with
+    ``use_processes=False``, one worker, or a one-chunk plan."""
+    return not use_processes or workers <= 1 or chunks <= 1
+
+
 def _fault_plan_is_active(tasks: Sequence) -> bool:
     return any(task.faults is not None for task in tasks)
 
@@ -207,7 +213,7 @@ def execute_with_retry(
             injected=injected,
         )
 
-    serial = not use_processes or workers <= 1 or len(tasks) <= 1
+    serial = runs_in_process(workers, len(tasks), use_processes)
 
     while pending:
         _check_cancel(cancel_event)
@@ -314,4 +320,5 @@ __all__ = [
     "RetryTelemetry",
     "backoff_delay",
     "execute_with_retry",
+    "runs_in_process",
 ]

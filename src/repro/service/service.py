@@ -65,7 +65,7 @@ from repro.errors import (
     ServiceUnavailableError,
 )
 from repro.exec.faults import FaultPlan, active_fault_plan, inject_faults
-from repro.exec.retry import RetryPolicy
+from repro.exec.retry import RetryPolicy, runs_in_process
 from repro.obs import logging as obslog
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as tracing
@@ -494,13 +494,11 @@ class ExecutionService:
         workers = resolve_workers(
             request.workers or self.config.parallel_workers
         )
-        pooled = (
-            self.config.use_processes
-            and not self._serial_mode
-            and workers > 1
-            and len(chunk_plan(request.shots, workers)) > 1
-        )
-        if pooled:
+        if not runs_in_process(
+            workers,
+            len(chunk_plan(request.shots, workers)),
+            self.config.use_processes and not self._serial_mode,
+        ):
             return False
         try:
             kernel = _resolved_kernel(request)
