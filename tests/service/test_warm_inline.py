@@ -9,6 +9,7 @@ the service's thread pool: a warm request never reaches its
 """
 
 import asyncio
+import sys
 import threading
 import time
 import types
@@ -82,6 +83,45 @@ def test_warm_requests_never_reach_the_thread_pool():
     for response in responses:
         assert response["result"]["counts"] == first["result"]["counts"]
         assert response["result"]["info"]["compile_cache"] == "memory"
+
+
+def test_concurrent_mixed_paths_match_serial_answers():
+    # With an empty memo, the first request for each circuit takes the
+    # executor while repeats may already run inline; a short switch
+    # interval makes the executor threads and the loop interleave.
+    catalog = [
+        dict(kernel=kernel, n=n, shots=64, seed=seed)
+        for kernel in ("bv", "grover", "simon")
+        for n in (3, 4)
+        for seed in (1, 2)
+    ] * 3
+
+    async def answers(concurrently):
+        async with ExecutionService(_config(executors=3)) as service:
+            client = ServiceClient(service)
+            runs = [
+                client.run(id=index, **fields)
+                for index, fields in enumerate(catalog)
+            ]
+            if concurrently:
+                responses = await asyncio.gather(*runs)
+            else:
+                responses = [await run for run in runs]
+        assert all(response["ok"] for response in responses), responses
+        return [response["result"]["counts"] for response in responses]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        clear_marginal_memo()
+        serial = asyncio.run(answers(concurrently=False))
+        clear_marginal_memo()
+        concurrent = asyncio.run(
+            asyncio.wait_for(answers(concurrently=True), timeout=60)
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == serial
 
 
 def _source(secret: str) -> dict:
