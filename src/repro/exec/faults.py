@@ -243,6 +243,26 @@ def chunk_fault_key(seed: int, attempt: int) -> str:
     return f"{seed}@{attempt}"
 
 
+def fires_on_first_attempt(plan: FaultPlan, chunk_seeds) -> bool:
+    """Whether ``plan`` can inject anything into a compile-cache hit
+    followed by first attempts of chunks with these data seeds.
+
+    Chunk sites are pure functions of ``(chunk seed, attempt)``, so
+    the answer is exact for crashes and hangs; any ``compile_error``
+    rate counts as firing, since compile sites draw from a per-process
+    counter.  A memory hit reads no disk, so ``diskcache_corrupt``
+    cannot fire.  When this is false, running under the plan is the
+    same as running without it.
+    """
+    if float(plan.rates.get("compile_error", 0.0)) > 0.0:
+        return True
+    return any(
+        plan.should(kind, chunk_fault_key(seed, 0))
+        for seed in chunk_seeds
+        for kind in ("worker_hang", "worker_crash")
+    )
+
+
 def maybe_inject_chunk_fault(
     plan: Optional[FaultPlan], seed: int, attempt: int
 ) -> None:

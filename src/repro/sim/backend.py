@@ -20,7 +20,7 @@ Three backends ship in-tree:
     measurements after the last gate, no classical control, no reset
     before a measurement) it evolves the state **once**, one step per
     execution-circuit gate or fused block, memoizes the marginal of
-    |psi|^2 over the measured qubits and its CDF per process (keyed by
+    |psi|^2 over the measured qubits as its CDF per process (keyed by
     circuit content), and draws all shots from it in one vectorized
     ``searchsorted``, making shot count — and every later run of the
     same circuit — a near-constant cost.
@@ -87,17 +87,16 @@ _MEMO_LOOKUPS = _metrics.counter(
 
 #: Bounds of the per-process memo of terminal-measurement marginals
 #: (see :meth:`VectorizedStatevectorBackend.run_array_with_info`): the
-#: bytes its entries keep alive — each marginal, its sampling CDF and
-#: the fused-block matrices its key holds — and the entry count.  An
-#: entry over the byte budget is not memoized.
+#: bytes its entries keep alive — each marginal's sampling CDF plus the
+#: fused-block matrices its key holds — and the entry count.  An entry
+#: over the byte budget is not memoized.
 MARGINAL_MEMO_MAX_BYTES = 32 * 1024 * 1024
 MARGINAL_MEMO_MAX_ENTRIES = 128
 
-#: Each entry holds the marginal, its sampling CDF (see
-#: :func:`sampling_cdf`) and the bytes both keep alive.
-_MARGINAL_MEMO: "OrderedDict[tuple, tuple[np.ndarray, np.ndarray, int]]" = (
-    OrderedDict()
-)
+#: Each entry holds a marginal's sampling CDF (see :func:`sampling_cdf`;
+#: a hit only draws shots, so the marginal itself is not kept) and the
+#: bytes the entry keeps alive.
+_MARGINAL_MEMO: "OrderedDict[tuple, tuple[np.ndarray, int]]" = OrderedDict()
 _MARGINAL_MEMO_LOCK = threading.Lock()
 
 
@@ -115,34 +114,33 @@ def _memo_key(circuit: Circuit) -> tuple:
     return (circuit.num_qubits, tuple(circuit.instructions))
 
 
-def _memo_get(key: tuple) -> Optional[tuple[np.ndarray, np.ndarray]]:
+def _memo_get(key: tuple) -> Optional[np.ndarray]:
     with _MARGINAL_MEMO_LOCK:
         entry = _MARGINAL_MEMO.get(key)
         if entry is None:
             return None
         _MARGINAL_MEMO.move_to_end(key)
-        return entry[0], entry[1]
+        return entry[0]
 
 
-def _memo_put(key: tuple, marginal: np.ndarray, cdf: np.ndarray) -> None:
-    size = marginal.nbytes + cdf.nbytes + sum(
+def _memo_put(key: tuple, cdf: np.ndarray) -> None:
+    size = cdf.nbytes + sum(
         inst.matrix.nbytes
         for inst in key[1]
         if isinstance(inst, FusedUnitary)
     )
     if size > MARGINAL_MEMO_MAX_BYTES:
         return
-    marginal.setflags(write=False)
     cdf.setflags(write=False)
     with _MARGINAL_MEMO_LOCK:
-        _MARGINAL_MEMO[key] = (marginal, cdf, size)
+        _MARGINAL_MEMO[key] = (cdf, size)
         _MARGINAL_MEMO.move_to_end(key)
-        held = sum(entry[2] for entry in _MARGINAL_MEMO.values())
+        held = sum(size for _, size in _MARGINAL_MEMO.values())
         while (
             len(_MARGINAL_MEMO) > MARGINAL_MEMO_MAX_ENTRIES
             or held > MARGINAL_MEMO_MAX_BYTES
         ):
-            _, (_, _, evicted) = _MARGINAL_MEMO.popitem(last=False)
+            _, (_, evicted) = _MARGINAL_MEMO.popitem(last=False)
             held -= evicted
 
 
@@ -522,8 +520,8 @@ class VectorizedStatevectorBackend(SimBackend):
 
         # The normalized marginal over the measured qubits depends only
         # on the circuit's content — never on the seed or shot count —
-        # so it is evolved once per process and memoized; every later
-        # run of the circuit only draws shots from its memoized CDF.
+        # so it is evolved once per process and its sampling CDF is
+        # memoized; every later run of the circuit only draws shots.
         key = _memo_key(circuit)
         # The unitary prefix mixes plain gates with FusedUnitary blocks
         # from the compile-time fusion pass; each is one evolution step.
@@ -536,24 +534,22 @@ class VectorizedStatevectorBackend(SimBackend):
             "sim.sweep",
             engine="fast-path", shots=shots, qubits=circuit.num_qubits,
         ) as span:
-            memoized = _memo_get(key)
-            evolutions = int(memoized is None)
-            if memoized is None:
+            cdf = _memo_get(key)
+            evolutions = int(cdf is None)
+            if cdf is None:
                 engine = BatchedStatevector(1, circuit.num_qubits)
                 for inst in prefix:
                     engine.apply(inst)
-                marginal = terminal_marginal(
-                    np.abs(engine.state[0]) ** 2, circuit, plan
+                cdf = sampling_cdf(
+                    terminal_marginal(
+                        np.abs(engine.state[0]) ** 2, circuit, plan
+                    )
                 )
-                cdf = sampling_cdf(marginal)
-                _memo_put(key, marginal, cdf)
-            else:
-                marginal, cdf = memoized
+                _memo_put(key, cdf)
             outcome = "miss" if evolutions else "hit"
             span.set(memo=outcome)
-            results = sample_marginal(
-                marginal, circuit, plan, shots,
-                np.random.default_rng(seed), cdf=cdf,
+            results = sample_cdf(
+                cdf, circuit, plan, shots, np.random.default_rng(seed)
             )
         _MEMO_LOOKUPS.inc(outcome=outcome)
         if evolutions:
@@ -608,24 +604,32 @@ def sample_marginal(
     plan: Sequence[Measurement],
     shots: int,
     rng: np.random.Generator,
-    cdf: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Draw ``shots`` outputs from a :func:`terminal_marginal`; returns
-    the ``(shots, output bits)`` uint8 array.
+    the ``(shots, output bits)`` uint8 array (see :func:`sample_cdf`)."""
+    return sample_cdf(sampling_cdf(marginal), circuit, plan, shots, rng)
 
-    One vectorized draw from the marginal's :func:`sampling_cdf`
-    (``cdf``, computed here when not given), then the outcome bits
-    scatter into the plan's classical bits.  Both terminal-measurement
-    backends sample here — one sampling path, one seed convention, so
-    their zero-noise histograms match exactly.
+
+def sample_cdf(
+    cdf: np.ndarray,
+    circuit: Circuit,
+    plan: Sequence[Measurement],
+    shots: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Draw ``shots`` outputs from a marginal's :func:`sampling_cdf`;
+    returns the ``(shots, output bits)`` uint8 array.
+
+    One vectorized draw, then the outcome bits scatter into the plan's
+    classical bits.  Both terminal-measurement backends sample here —
+    one sampling path, one seed convention, so their zero-noise
+    histograms match exactly.
     """
     output = list(circuit.output_bits or range(circuit.num_bits))
     if not plan:
         # Nothing measured: the classical register stays all-zero.
         return np.zeros((shots, len(output)), dtype=np.uint8)
 
-    if cdf is None:
-        cdf = sampling_cdf(marginal)
     outcomes = cdf.searchsorted(rng.random(shots), side="right")
 
     # Marginal axis order is sorted qubit order, so the outcome's bit

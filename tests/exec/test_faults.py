@@ -29,6 +29,7 @@ from repro.exec.faults import (
     FaultPlan,
     active_fault_plan,
     chunk_fault_key,
+    fires_on_first_attempt,
     inject_faults,
     maybe_inject_chunk_fault,
     plan_from_env,
@@ -179,6 +180,33 @@ def test_counted_draw_advances_per_kind(monkeypatch):
 # ----------------------------------------------------------------------
 # The chunk site.
 # ----------------------------------------------------------------------
+def test_first_attempt_prediction_matches_the_injection_sites():
+    seeds = derive_chunk_seeds(11, 2)
+    for plan_seed in range(40):
+        plan = FaultPlan(
+            {"worker_crash": 0.3, "worker_hang": 0.1},
+            seed=plan_seed,
+            hang_seconds=0.0,
+        )
+        fired = []
+        for seed in seeds:
+            try:
+                maybe_inject_chunk_fault(plan, seed, 0)
+            except FaultInjectedError:
+                fired.append(seed)
+            else:
+                fired += [seed] if plan.should(
+                    "worker_hang", chunk_fault_key(seed, 0)
+                ) else []
+        assert fires_on_first_attempt(plan, seeds) == bool(fired)
+    # Compile sites draw from a per-process counter: any rate fires;
+    # disk reads never happen on a memory hit.
+    assert fires_on_first_attempt(FaultPlan({"compile_error": 1e-9}), seeds)
+    assert not fires_on_first_attempt(
+        FaultPlan({"diskcache_corrupt": 1.0}), seeds
+    )
+
+
 def test_chunk_crash_raises_coded_fault():
     plan = FaultPlan({"worker_crash": 1.0})
     with pytest.raises(FaultInjectedError) as excinfo:

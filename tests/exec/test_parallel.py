@@ -93,6 +93,18 @@ def test_derive_chunk_seeds_deterministic_distinct_uint63():
     assert derive_chunk_seeds(7, 4) == derive_chunk_seeds(7, 16)[:4]
 
 
+def test_derive_chunk_seeds_is_memoized_but_none_stays_random():
+    expected = [
+        int(child.generate_state(1, dtype=np.uint64)[0] >> np.uint64(1))
+        for child in np.random.SeedSequence(11).spawn(3)
+    ]
+    seeds = derive_chunk_seeds(11, 3)
+    assert seeds == derive_chunk_seeds(11, 3) == expected
+    seeds.append(0)  # callers get their own list
+    assert derive_chunk_seeds(11, 3) == expected
+    assert derive_chunk_seeds(None, 2) != derive_chunk_seeds(None, 2)
+
+
 def test_resolve_workers():
     assert resolve_workers(3) == 3
     assert resolve_workers(None) == 1

@@ -1,11 +1,12 @@
 """Warm requests run on the worker loop, everything else on the executor.
 
 A request is warm when its kernel is resolved, its compile is an
-in-memory cache hit, it is noiseless and fault-free on the
-``statevector`` backend, its chunks run in-process, and its execution
-circuit's marginal is memoized (docs/service.md).  These tests watch
-the service's thread pool: a warm request never reaches its
-``submit``, every other request does exactly once.
+in-memory cache hit, it is noiseless on the ``statevector`` backend,
+its chunks run in-process, no fault of its plan fires on its first
+attempt, and its execution circuit's marginal is memoized
+(docs/service.md).  These tests watch the service's thread pool: a
+warm request never reaches its ``submit``, every other request does
+exactly once.
 """
 
 import asyncio
@@ -16,8 +17,14 @@ import types
 
 import pytest
 
+from repro import pipeline
 from repro.exec import parallel
-from repro.exec.faults import inject_faults
+from repro.exec.faults import (
+    FaultPlan,
+    chunk_fault_key,
+    fires_on_first_attempt,
+    inject_faults,
+)
 from repro.pipeline import compile_cache_info
 from repro.service import ExecutionService, ServiceClient, ServiceConfig
 from repro.service import service as service_module
@@ -78,7 +85,7 @@ def test_warm_requests_never_reach_the_thread_pool():
     assert first["ok"], first
     assert all(response["ok"] for response in responses), responses
     assert calls == []
-    # The decision peeks at the cache; only the run's own lookup counts.
+    # The decision peeks at the cache; the run counts its one hit.
     assert hits == [1, 1, 1]
     for response in responses:
         assert response["result"]["counts"] == first["result"]["counts"]
@@ -144,7 +151,8 @@ def test_requests_that_are_not_warm_take_the_executor(case):
                     id=1, noise={"depolarizing": 0.01}, **fields
                 )
             elif case == "fault-plan":
-                with inject_faults(worker_crash=0.0):
+                # Fires on every attempt; the 1 ms hang then continues.
+                with inject_faults(worker_hang=1.0, hang_seconds=0.001):
                     response = await client.run(id=1, **fields)
             elif case == "interpreter":
                 response = await client.run(
@@ -161,6 +169,92 @@ def test_requests_that_are_not_warm_take_the_executor(case):
     if case in ("fault-plan", "memo-miss"):
         # Same plan, same seeds: the executor's answer is the same.
         assert response["result"]["counts"] == warm["result"]["counts"]
+
+
+def _plans(fields, *, quiet: bool):
+    """Worker-crash plans by seed whose first attempt at the request's
+    two chunks fires nowhere (``quiet``) or somewhere; the loud ones
+    spare every second attempt, so their retries always succeed."""
+    seeds = parallel.derive_chunk_seeds(fields["seed"], 2)
+    for plan_seed in range(1000):
+        plan = FaultPlan({"worker_crash": 0.3}, seed=plan_seed)
+        if quiet != fires_on_first_attempt(plan, seeds) and (
+            quiet
+            or not any(
+                plan.should("worker_crash", chunk_fault_key(seed, 1))
+                for seed in seeds
+            )
+        ):
+            yield plan
+
+
+def test_a_plan_that_fires_nowhere_on_the_request_runs_inline():
+    # The plan's chunk decisions are pure functions of the data seeds,
+    # so a request none of whose sites fire runs exactly as without it.
+    fields = dict(kernel="bv", n=5, shots=64, seed=4)
+    quiet = next(_plans(fields, quiet=True))
+    loud = next(_plans(fields, quiet=False))
+
+    async def scenario():
+        async with ExecutionService(_config()) as service:
+            client = ServiceClient(service)
+            clean = await client.run(id=0, **fields)
+            calls = _count_submits(service)
+            with inject_faults(quiet):
+                spared = await client.run(id=1, **fields)
+            inline_calls = len(calls)
+            with inject_faults(loud):
+                hit = await client.run(id=2, **fields)
+            return clean, spared, hit, inline_calls, len(calls)
+
+    clean, spared, hit, inline_calls, total_calls = asyncio.run(scenario())
+    assert clean["ok"] and spared["ok"] and hit["ok"], (spared, hit)
+    assert (inline_calls, total_calls) == (0, 1)
+    assert spared["result"]["info"]["faults_injected"] == 0
+    assert hit["result"]["info"]["faults_injected"] >= 1
+    counts = clean["result"]["counts"]
+    assert spared["result"]["counts"] == hit["result"]["counts"] == counts
+
+
+def test_inline_run_keeps_the_compile_its_check_found(monkeypatch):
+    # An executor thread may evict the kernel or its compile between
+    # the warm check and the run; the loop must still neither exec
+    # source nor compile, and count exactly one memory hit.
+    fields = dict(shots=32, seed=5, **_source("1011001110"))
+    real_warm = ExecutionService._warm
+
+    def warm_then_evict(self, work):
+        found = real_warm(self, work)
+        if found is not None:
+            service_module._SOURCE_KERNELS.clear()
+            # Evicts every entry; clear_compile_cache() would also
+            # reset the counters this test reads.
+            with pipeline._CACHE_LOCK:
+                pipeline._COMPILE_CACHE.clear()
+        return found
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the event loop compiled or exec'd source")
+
+    async def scenario():
+        async with ExecutionService(_config()) as service:
+            client = ServiceClient(service)
+            cold = await client.run(id=0, **fields)
+            calls = _count_submits(service)
+            monkeypatch.setattr(ExecutionService, "_warm", warm_then_evict)
+            monkeypatch.setattr(service_module, "_exec_source", no_work)
+            monkeypatch.setattr(pipeline, "_compile_uncached", no_work)
+            before = compile_cache_info()["hits"]
+            warm = await client.run(id=1, **fields)
+            hits = compile_cache_info()["hits"] - before
+            monkeypatch.undo()
+            return cold, warm, calls, hits
+
+    cold, warm, calls, hits = asyncio.run(scenario())
+    assert cold["ok"] and warm["ok"], (cold, warm)
+    assert calls == [] and hits == 1
+    assert warm["result"]["info"]["compile_cache"] == "memory"
+    assert warm["result"]["counts"] == cold["result"]["counts"]
 
 
 def test_cold_source_is_execd_on_a_service_thread(monkeypatch):

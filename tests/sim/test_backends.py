@@ -449,23 +449,23 @@ def test_memo_bounds_evict(fresh_memo, monkeypatch):
     # Least recently used first out: the oldest circuit evolves again.
     assert [_evolutions(c) for c in circuits[::-1]] == [0, 0, 1]
 
-    # A 4-qubit marginal and its sampling CDF are 16 float64s each; a
-    # budget of one entry's bytes keeps only the newest, and a smaller
-    # one memoizes nothing.
+    # A 4-qubit marginal is 16 float64s; a budget of one entry's bytes
+    # keeps only the newest, and a smaller one memoizes nothing.
     clear_marginal_memo()
-    monkeypatch.setattr(backend, "MARGINAL_MEMO_MAX_BYTES", 2 * 16 * 8)
+    monkeypatch.setattr(backend, "MARGINAL_MEMO_MAX_BYTES", 16 * 8)
     assert [_evolutions(c) for c in circuits[:2]] == [1, 1]
     assert len(backend._MARGINAL_MEMO) == 1
     assert [_evolutions(c) for c in circuits[1::-1]] == [0, 1]
     clear_marginal_memo()
-    monkeypatch.setattr(backend, "MARGINAL_MEMO_MAX_BYTES", 2 * 16 * 8 - 1)
+    monkeypatch.setattr(backend, "MARGINAL_MEMO_MAX_BYTES", 16 * 8 - 1)
     assert [_evolutions(circuits[0]) for _ in range(2)] == [1, 1]
     assert len(backend._MARGINAL_MEMO) == 0
 
 
 def test_sampling_cdf_draws_exactly_what_choice_draws():
     # The memo keeps each marginal's CDF, so a hit samples with one
-    # searchsorted; that must be the draw Generator.choice makes.
+    # searchsorted; that must be the draw Generator.choice makes from
+    # the marginal.
     from repro.sim.backend import sampling_cdf
 
     rng = np.random.default_rng(2026)
