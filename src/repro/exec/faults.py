@@ -248,18 +248,24 @@ def fires_on_first_attempt(plan: FaultPlan, chunk_seeds) -> bool:
     followed by first attempts of chunks with these data seeds.
 
     Chunk sites are pure functions of ``(chunk seed, attempt)``, so
-    the answer is exact for crashes and hangs; any ``compile_error``
-    rate counts as firing, since compile sites draw from a per-process
-    counter.  A memory hit reads no disk, so ``diskcache_corrupt``
-    cannot fire.  When this is false, running under the plan is the
-    same as running without it.
+    the answer is exact for crashes and hangs.  A memory hit reads no
+    disk, so ``diskcache_corrupt`` cannot fire.  Any other kind with a
+    rate counts as firing: ``compile_error`` sites draw from a
+    per-process counter.  When this is false, running under the plan
+    is the same as running without it.
     """
-    if float(plan.rates.get("compile_error", 0.0)) > 0.0:
+    chunk_kinds = ("worker_hang", "worker_crash")
+    if any(
+        float(rate) > 0.0
+        and kind not in chunk_kinds
+        and kind != "diskcache_corrupt"
+        for kind, rate in plan.rates.items()
+    ):
         return True
     return any(
         plan.should(kind, chunk_fault_key(seed, 0))
         for seed in chunk_seeds
-        for kind in ("worker_hang", "worker_crash")
+        for kind in chunk_kinds
     )
 
 
