@@ -86,7 +86,6 @@ CACHE_FORMAT_VERSION = 2
 #: its ``os.replace``) older than this many seconds are swept on first
 #: cache use per process.  The TTL keeps the sweep from racing a live
 #: concurrent writer whose tmpfile is seconds old.
-TMP_TTL_ENV = "REPRO_CACHE_TMP_TTL"
 DEFAULT_TMP_TTL_SECONDS = 3600.0
 
 def _counts() -> dict[str, float]:
@@ -186,21 +185,19 @@ def _entry_path(digest: str) -> Path:
     return _compile_dir() / f"{digest}.pkl"
 
 
-def sweep_stale_tmpfiles(ttl_seconds: Optional[float] = None) -> int:
+def sweep_stale_tmpfiles(
+    ttl_seconds: float = DEFAULT_TMP_TTL_SECONDS,
+) -> int:
     """Remove orphaned ``*.tmp`` files older than the TTL.
 
     A worker killed between ``NamedTemporaryFile`` and ``os.replace``
     (an injected ``worker_crash``, an OOM kill, a hard service stop)
     leaks its tmpfile; they accumulate forever since no reader ever
     opens them.  Runs automatically on the first cache access per
-    process; the TTL (``REPRO_CACHE_TMP_TTL``, default one hour) keeps
-    the sweep from deleting a live concurrent writer's seconds-old
-    tmpfile out from under it.  Returns the number removed.
+    process; the TTL (default one hour) keeps the sweep from deleting
+    a live concurrent writer's seconds-old tmpfile out from under it.
+    Returns the number removed.
     """
-    if ttl_seconds is None:
-        ttl_seconds = float(
-            os.environ.get(TMP_TTL_ENV, DEFAULT_TMP_TTL_SECONDS)
-        )
     directory = _compile_dir()
     if not directory.is_dir():
         return 0

@@ -169,19 +169,25 @@ class _Span:
     """
 
     __slots__ = ("name", "attrs", "seconds", "_tracer", "_token", "_ids",
-                 "_start")
+                 "_start", "_discarded")
 
     def __init__(self, tracer: Optional[Tracer], name: str, attrs: dict):
         self._tracer = tracer
         self.name = name
         self.attrs = attrs
         self.seconds = 0.0
+        self._discarded = False
 
     def set(self, **attrs) -> "_Span":
         """Attach/overwrite attributes (e.g. an outcome discovered
         after entry)."""
         self.attrs.update(attrs)
         return self
+
+    def discard(self) -> None:
+        """Record nothing when the span exits: the work it would
+        describe did not happen (a lookup that found nothing)."""
+        self._discarded = True
 
     def __enter__(self) -> "_Span":
         if self._tracer is not None:
@@ -200,6 +206,8 @@ class _Span:
         self.seconds = time.perf_counter() - self._start
         if self._tracer is not None:
             _CTX.reset(self._token)
+            if self._discarded:
+                return False
             if exc_type is not None:
                 self.attrs.setdefault("error", exc_type.__name__)
             trace_id, span_id, parent_id = self._ids
@@ -228,6 +236,9 @@ class _NoopSpan:
 
     def set(self, **attrs) -> "_NoopSpan":
         return self
+
+    def discard(self) -> None:
+        pass
 
     def __enter__(self) -> "_NoopSpan":
         return self

@@ -67,15 +67,9 @@ class CompileOptions:
     — the gate-fused form the simulation entry points execute (see
     docs/performance.md); exporters and resource estimation keep
     consuming the unfused circuits, and ``fusion_spec=""`` disables
-    fusion.  ``sim_backend`` names the simulation backend
-    (:mod:`repro.sim.backend`) that ``simulate_kernel`` and the
-    evaluation harness use to execute the compiled circuit,
-    ``noise_model`` (a :class:`repro.noise.NoiseModel`) makes those
-    executions noisy, and ``parallel_workers`` shards the run's shot
-    chunks across a process pool (:mod:`repro.exec`; ``None`` means
-    one worker, ``0`` one worker per core); none of the three affects
-    compilation itself, and all three are excluded from the
-    compile-cache key.
+    fusion.  How a compiled circuit is executed (backend, noise model,
+    workers) is not an option: the simulation entry points take it as
+    explicit arguments.
 
     Build options from a named preset (:meth:`preset`, the
     :data:`PRESETS` table) or by setting the spec fields directly.
@@ -89,9 +83,6 @@ class CompileOptions:
     verify: bool = True
     verify_each: bool = False
     collect_statistics: bool = False
-    sim_backend: Optional[str] = None
-    noise_model: Optional[object] = None
-    parallel_workers: Optional[int] = None
 
     @classmethod
     def preset(cls, name: str, **overrides) -> "CompileOptions":
@@ -329,7 +320,6 @@ def _build_qwerty_module(kernel) -> tuple[ModuleOp, dict]:
 # The two-layer compile cache: per-process LRU over a persistent
 # on-disk store (repro.exec.diskcache).
 # ----------------------------------------------------------------------
-import functools
 import os
 import threading
 from collections import OrderedDict
@@ -452,7 +442,7 @@ def _cache_put(key: tuple, result: CompileResult) -> None:
         _CACHE_EVICTIONS.inc(layer="memory")
 
 
-def _through_cache(key: tuple, build) -> tuple[CompileResult, str]:
+def _through_cache(key: tuple, build) -> Optional[tuple[CompileResult, str]]:
     """The artifact for ``key`` and its provenance, via both layers.
 
     A hit takes only the LRU lock.  Concurrent misses of one key share
@@ -460,6 +450,10 @@ def _through_cache(key: tuple, build) -> tuple[CompileResult, str]:
     then ``build()``, the others wait and get the same object ("memory"
     provenance).  If that compile raises, every waiter gets the same
     error and nothing is cached, so the next call compiles again.
+
+    ``build=None`` only looks in memory: a hit is counted and traced
+    like any other, and a miss returns ``None`` with nothing counted,
+    traced or waited on.
     """
     with _trace.span("cache.lookup", layer="memory") as span:
         with _CACHE_LOCK:
@@ -467,11 +461,14 @@ def _through_cache(key: tuple, build) -> tuple[CompileResult, str]:
             if result is not None:
                 _COMPILE_CACHE.move_to_end(key)
                 flight, owner = None, False
-            else:
+            elif build is not None:
                 flight = _IN_FLIGHT.get(key)
                 owner = flight is None
                 if owner:
                     flight = _IN_FLIGHT[key] = Future()
+        if result is None and build is None:
+            span.discard()
+            return None
         outcome = "miss" if result is None else "hit"
         span.set(outcome=outcome)
     _CACHE_LOOKUPS.inc(layer="memory", outcome=outcome)
@@ -500,19 +497,6 @@ def _through_cache(key: tuple, build) -> tuple[CompileResult, str]:
     if provenance == "compiled":
         _diskcache.store(digest, result)
     return result, provenance
-
-
-@functools.lru_cache(maxsize=64)
-def _key_options(options: CompileOptions) -> CompileOptions:
-    """The options part of the compile-cache key: ``options`` without
-    the execution-only fields, derived once per distinct (frozen,
-    hashable) value."""
-    return dataclasses.replace(
-        options,
-        sim_backend=None,
-        noise_model=None,
-        parallel_workers=None,
-    )
 
 
 def _capture_fingerprint(capture) -> tuple:
@@ -598,109 +582,67 @@ def _compile_with_provenance(
     *,
     pipeline: Optional[str] = None,
     cache: bool = False,
-) -> tuple[CompileResult, str]:
+    build: bool = True,
+) -> Optional[tuple[CompileResult, str]]:
     """:func:`compile_kernel`, also returning this call's provenance.
 
     ``CompileResult.provenance`` is written too, but a cached result is
     shared, so a concurrent call may overwrite that field before the
     caller reads it back; callers that report provenance use the
     returned value.
+
+    ``build=False`` (with ``cache=True``) never compiles, for callers
+    that must not block on a compile: an in-memory hit is counted and
+    traced exactly like any other hit, and anything else returns
+    ``None`` with nothing counted or traced.
     """
     with _trace.span(
         "compile.kernel",
         kernel=getattr(kernel, "name", "<kernel>"),
         cache=cache,
     ) as span:
-        result, provenance = _compile_kernel_impl(
-            kernel, options, pipeline=pipeline, cache=cache
-        )
+        if options is not None and pipeline is not None:
+            raise TypeError("pass at most one of options= and pipeline=")
+        if build:
+            # Chaos hook: an active `compile_error` fault plan fails
+            # the compile up front with a coded diagnostic (before any
+            # cache consultation, so a warm cache cannot hide the
+            # injection).
+            _faults.maybe_inject_compile_error(kernel.name)
+        if options is None:
+            options = CompileOptions.preset(
+                "default" if pipeline is None else pipeline
+            )
+        if not cache:
+            found = _compile_uncached(kernel, options), "compiled"
+        else:
+            found = _through_cache(
+                _cache_key(kernel, options),
+                (lambda: _compile_uncached(kernel, options))
+                if build
+                else None,
+            )
+        if found is None:
+            span.discard()
+            return None
+        result, provenance = found
         result.provenance = provenance
         span.set(provenance=provenance)
     _COMPILES.inc(provenance=provenance)
     return result, provenance
 
 
-def _compile_kernel_impl(
-    kernel,
-    options: Optional[CompileOptions] = None,
-    pipeline: Optional[str] = None,
-    cache: bool = False,
-) -> tuple[CompileResult, str]:
-    if options is not None and pipeline is not None:
-        raise TypeError("pass at most one of options= and pipeline=")
-    # Chaos hook: an active `compile_error` fault plan fails the
-    # compile up front with a coded diagnostic (before any cache
-    # consultation, so a warm cache cannot hide the injection).
-    _faults.maybe_inject_compile_error(kernel.name)
-    if options is None:
-        options = CompileOptions.preset(
-            "default" if pipeline is None else pipeline
-        )
-    if not cache:
-        return _compile_uncached(kernel, options), "compiled"
-    return _through_cache(
-        _cache_key(kernel, options),
-        lambda: _compile_uncached(kernel, options),
-    )
-
-
 def _cache_key(kernel, options: CompileOptions) -> tuple:
     # The full (frozen) options participate in the key, so cached
     # results never cross configuration boundaries — a compile
     # requesting statistics or stricter verification is a miss, not a
-    # stale hit with statistics=None.  The simulation backend, noise
-    # model, and worker count are excluded: they only affect
-    # execution, so the same compiled artifact serves every backend,
-    # noise, and sharding configuration.  The fingerprint and the dims
+    # stale hit with statistics=None.  The fingerprint and the dims
     # are memoized on the kernel.
     return (
         _kernel_fingerprint(kernel),
         tuple(sorted(kernel.infer_dims().items())),
-        _key_options(options),
+        options,
     )
-
-
-def _cached_compile(kernel, *, pipeline: str) -> Optional[CompileResult]:
-    """The in-memory cached compile of ``kernel`` under a preset, or
-    ``None``.
-
-    A peek for callers deciding where to run a request: it never
-    compiles, counts no lookup and leaves the LRU order alone.  A
-    caller that goes on to use the result reports it with
-    :func:`_count_memory_hit`; one that does not compiles as usual,
-    and that compile is the one counted.
-    """
-    key = _cache_key(kernel, CompileOptions.preset(pipeline))
-    with _CACHE_LOCK:
-        return _COMPILE_CACHE.get(key)
-
-
-def _count_memory_hit(
-    kernel, result: CompileResult, *, pipeline: str
-) -> tuple[CompileResult, str]:
-    """Report ``result``, found by :func:`_cached_compile`, as the
-    memory hit of ``compile_kernel(kernel, pipeline=pipeline,
-    cache=True)``: the same spans and counters, and the entry, if it
-    is still cached, becomes the most recently used.  Returns
-    ``(result, "memory")`` like :func:`_compile_with_provenance`.
-
-    The caller keeps the result it peeked at, so an eviction in
-    between cannot turn the hit into a compile.
-    """
-    key = _cache_key(kernel, CompileOptions.preset(pipeline))
-    with _trace.span(
-        "compile.kernel", kernel=kernel.name, cache=True
-    ) as span:
-        with _trace.span("cache.lookup", layer="memory") as lookup:
-            with _CACHE_LOCK:
-                if key in _COMPILE_CACHE:
-                    _COMPILE_CACHE.move_to_end(key)
-            lookup.set(outcome="hit")
-        _CACHE_LOOKUPS.inc(layer="memory", outcome="hit")
-        result.provenance = "memory"
-        span.set(provenance="memory")
-    _COMPILES.inc(provenance="memory")
-    return result, "memory"
 
 
 def _compile_uncached(kernel, options: CompileOptions) -> CompileResult:
@@ -766,6 +708,15 @@ def _compile_uncached(kernel, options: CompileOptions) -> CompileResult:
     return result
 
 
+def _run_circuit(result: CompileResult, noise_model) -> Optional[Circuit]:
+    """The circuit a run of ``result`` executes: the fused execution
+    circuit, or under noise the unfused one, because noise channels
+    attach by gate name and fused blocks would silently drop them."""
+    if noise_model is not None:
+        return result.optimized_circuit
+    return result.execution_circuit or result.optimized_circuit
+
+
 def simulate_kernel_with_info(
     kernel,
     shots: int = 1,
@@ -788,32 +739,19 @@ def simulate_kernel_with_info(
     from repro.exec.parallel import parallel_run_with_info
     from repro.frontend.decorators import Bits
 
-    def explicit_or(value, fallback):
-        # Explicit arguments win over the options' execution fields.
-        return fallback if value is None else value
-
-    if options is None:
-        options = CompileOptions()
     result, provenance = _compile_with_provenance(
         kernel, options, cache=cache
     )
-    noise_model = explicit_or(noise_model, options.noise_model)
     if params:
         # bind() never writes to the compile cache, so a sweep reuses
         # one cached symbolic compile for every point.
         result = result.bind(params)
-    if noise_model is None:
-        circuit = result.execution_circuit or result.optimized_circuit
-    else:
-        # Noise channels attach by gate name, so noisy runs execute the
-        # unfused circuit (fused blocks would silently drop channels).
-        circuit = result.optimized_circuit
     bits, info = parallel_run_with_info(
-        circuit,
+        _run_circuit(result, noise_model),
         shots,
         seed,
-        workers=explicit_or(parallel_workers, options.parallel_workers),
-        backend=explicit_or(backend, options.sim_backend),
+        workers=parallel_workers,
+        backend=backend,
         noise_model=noise_model,
     )
     info = dataclasses.replace(info, compile_cache=provenance)
@@ -840,16 +778,15 @@ def simulate_kernel(
     pass ``cache=False`` to force a fresh compile.
 
     ``backend`` selects the simulation backend (docs/simulators.md);
-    it falls back to ``options.sim_backend`` and then to the registry
-    default (the vectorized ``"statevector"`` backend, which makes
-    large ``shots`` near-free on terminal-measurement circuits)::
+    it defaults to the registry default (the vectorized
+    ``"statevector"`` backend, which makes large ``shots`` near-free on
+    terminal-measurement circuits)::
 
         simulate_kernel(kernel, shots=1024, backend="statevector")
 
     ``noise_model`` (a :class:`repro.noise.NoiseModel`) executes the
-    compiled circuit under noise (docs/noise.md); it falls back to
-    ``options.noise_model``.  Noise never affects compilation, so noisy
-    and ideal runs share one cached compile::
+    compiled circuit under noise (docs/noise.md).  Noise never affects
+    compilation, so noisy and ideal runs share one cached compile::
 
         simulate_kernel(kernel, shots=1024,
                         noise_model=standard_noise_model(0.01))
@@ -864,9 +801,8 @@ def simulate_kernel(
     Every run goes through the parallel shot executor
     (:mod:`repro.exec`), the same path the service takes:
     ``parallel_workers`` shards the shot chunks across a process pool
-    with per-chunk derived seeds (``None`` falls back to
-    ``options.parallel_workers`` and then means one worker; ``0`` means
-    one worker per core).  Results are deterministic per
+    with per-chunk derived seeds (``None`` means one worker; ``0``
+    means one worker per core).  Results are deterministic per
     ``(seed, workers)``; sharding is best for trajectory workloads::
 
         simulate_kernel(kernel, shots=100_000, parallel_workers=4)

@@ -23,7 +23,6 @@ from repro.qwerty_ir.pipeline import (
     QWERTY_NOOPT_SPEC,
     QWERTY_OPT_SPEC,
     make_qwerty_pass_manager,
-    run_qwerty_opt,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "lift_lambdas",
     "make_qwerty_pass_manager",
     "predicate_function",
-    "run_qwerty_opt",
 ]

@@ -114,18 +114,3 @@ def make_qwerty_pass_manager(
         count_ops=count_module_ops if statistics is not None else None,
         statistics=statistics,
     )
-
-
-def run_qwerty_opt(
-    module: ModuleOp,
-    inline: bool = True,
-    statistics: Optional[PassStatistics] = None,
-) -> None:
-    """Run the full Qwerty IR optimization pipeline on ``module``.
-
-    ``inline=False`` reproduces the paper's "Asdf (No Opt)"
-    configuration from Table 1.  A thin wrapper over
-    :func:`make_qwerty_pass_manager` kept for its call sites and tests.
-    """
-    spec = QWERTY_OPT_SPEC if inline else QWERTY_NOOPT_SPEC
-    make_qwerty_pass_manager(spec, statistics=statistics).run(module)

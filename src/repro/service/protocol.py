@@ -101,7 +101,7 @@ class RunRequest:
             backend=payload.get("backend"),
             noise=payload.get("noise"),
             shots=_int_field(payload, "shots", 256, minimum=1),
-            seed=_int_field(payload, "seed", 0),
+            seed=_int_field(payload, "seed", 0, minimum=0),
             priority=_int_field(payload, "priority", 5),
             deadline=_float_field(payload, "deadline"),
             workers=_opt_int_field(payload, "workers", minimum=1),
@@ -111,6 +111,11 @@ class RunRequest:
                 "a run request names exactly one of 'kernel' (an "
                 "evaluation-suite algorithm) or 'source' (Python source "
                 "defining one @qpu kernel)"
+            )
+        if request.source is not None and not isinstance(request.source, str):
+            raise BadRequestError(
+                f"'source' must be a string of Python source, got "
+                f"{type(request.source).__name__}"
             )
         if request.kernel is not None and request.n > MAX_STATEVECTOR_QUBITS:
             # Every suite kernel needs at least n qubits: reject before

@@ -148,7 +148,9 @@ class _Work:
     worker loop and the executor thread both run outside the
     submitter's contextvar context, so they re-attach it explicitly
     (:func:`repro.obs.trace.attached`) and their spans land under the
-    same ``service.request`` span.
+    same ``service.request`` span.  ``compiled`` is the ``(compile,
+    provenance)`` pair the warm check found, if any: whichever path
+    runs the request uses it instead of looking it up again.
     """
 
     request: protocol.RunRequest
@@ -158,6 +160,7 @@ class _Work:
     cancel_event: threading.Event
     fault_plan: Optional[FaultPlan]
     trace: Optional[tracing.TraceContext] = None
+    compiled: Optional[tuple] = None
 
 
 class ExecutionService:
@@ -397,10 +400,10 @@ class ExecutionService:
         loop = asyncio.get_running_loop()
         self._in_flight += 1
         try:
-            if warm is not None:
+            if warm:
                 # Only draws shots: cheaper than the executor hop, and
                 # too short to hold up the other connections.
-                result = self._execute_sync(work, warm)
+                result = self._execute_sync(work)
             else:
                 # asyncio.wait_for rather than asyncio.timeout:
                 # identical semantics here, and it exists on Python
@@ -439,7 +442,7 @@ class ExecutionService:
         finally:
             self._in_flight -= 1
         late = time.monotonic() - work.admitted_at > work.deadline
-        if warm is not None and late:
+        if warm and late:
             # Nothing could cancel a run on the loop; a late answer is
             # still a missed deadline.
             self._count("deadline_exceeded")
@@ -473,20 +476,23 @@ class ExecutionService:
             self.config.use_processes and not self._serial_mode,
         )
 
-    def _warm(self, work: _Work) -> Optional[tuple]:
-        """``(kernel, compiled)`` if ``work`` only draws shots from
-        memory, in-process; otherwise ``None``.
+    def _warm(self, work: _Work) -> bool:
+        """Whether ``work`` only draws shots from memory, in-process.
 
         A warm request's kernel is resolved, its compile is an
         in-memory cache hit, it runs noiseless on the ``statevector``
         backend, its chunks run in-process, no fault of its plan (if
         any) fires on its first attempt, and its execution circuit's
         marginal is memoized.  Such a run costs less than the executor
-        hop, so the worker loop runs it itself, with the kernel and
-        compile found here: the loop never compiles or execs source.
-        Nothing is counted here; the run counts its one compile hit.
-        A request this check cannot judge (an unknown preset, say)
-        takes the executor path, which reports the error.
+        hop, so the worker loop runs it itself.
+
+        Once the cheap checks pass, this makes the request's one
+        counted compile lookup, which never compiles; a hit rides on
+        ``work.compiled`` to whichever path runs the request, so the
+        loop never compiles or execs source, and an executor run after
+        a memo miss does not look the compile up again.  A request
+        this check cannot judge (an unknown preset, say) takes the
+        executor path, which reports the error.
         """
         from repro.exec.faults import fires_on_first_attempt
         from repro.exec.parallel import (
@@ -494,7 +500,7 @@ class ExecutionService:
             derive_chunk_seeds,
             resolve_workers,
         )
-        from repro.pipeline import _cached_compile
+        from repro.pipeline import _compile_with_provenance, _run_circuit
         from repro.sim.backend import (
             DEFAULT_BACKEND,
             VectorizedStatevectorBackend,
@@ -503,38 +509,34 @@ class ExecutionService:
 
         request = work.request
         if request.noise:
-            return None
+            return False
         backend = request.backend or DEFAULT_BACKEND
         if backend != VectorizedStatevectorBackend.name:
-            return None
+            return False
         workers, use_processes = self._run_settings(request)
         workers = resolve_workers(workers)
         chunks = len(chunk_plan(request.shots, workers))
         if not runs_in_process(workers, chunks, use_processes):
-            return None
+            return False
         if work.fault_plan is not None and fires_on_first_attempt(
             work.fault_plan, derive_chunk_seeds(request.seed, chunks)
         ):
-            return None
+            return False
         try:
             kernel = _resolved_kernel(request)
-            compiled = (
-                None
-                if kernel is None
-                else _cached_compile(kernel, pipeline=request.preset)
-            )
+            if kernel is not None:
+                work.compiled = _compile_with_provenance(
+                    kernel, pipeline=request.preset, cache=True,
+                    build=False,
+                )
         except QwertyError:
-            return None
-        if compiled is None:
-            return None
-        circuit = _run_circuit(compiled, None)
-        if circuit is None or not marginal_is_memoized(circuit):
-            return None
-        return kernel, compiled
+            return False
+        if work.compiled is None:
+            return False
+        circuit = _run_circuit(work.compiled[0], None)
+        return circuit is not None and marginal_is_memoized(circuit)
 
-    def _execute_sync(
-        self, work: _Work, warm: Optional[tuple] = None
-    ) -> dict:
+    def _execute_sync(self, work: _Work) -> dict:
         """The blocking compile + sharded run, on a service executor
         thread or, for a warm request, on the worker loop.
 
@@ -545,14 +547,11 @@ class ExecutionService:
         with tracing.attached(work.trace), tracing.span(
             "service.execute", request_id=work.request.id
         ):
-            return self._run_request(work, warm)
+            return self._run_request(work)
 
-    def _run_request(self, work: _Work, warm: Optional[tuple]) -> dict:
+    def _run_request(self, work: _Work) -> dict:
         from repro.exec.parallel import parallel_run_with_info
-        from repro.pipeline import (
-            _compile_with_provenance,
-            _count_memory_hit,
-        )
+        from repro.pipeline import _compile_with_provenance, _run_circuit
 
         request = work.request
         workers, use_processes = self._run_settings(request)
@@ -564,22 +563,15 @@ class ExecutionService:
         try:
             if plan_scope is not None:
                 plan_scope.__enter__()
-            if warm is None:
-                kernel = _resolve_kernel(request)
-                # An unknown preset raises PassPipelineError (QW301),
-                # which already renders as a structured coded response
-                # downstream.  The provenance is this call's own: the
-                # cached result's field may be rewritten by a
-                # concurrent request.
-                compiled, provenance = _compile_with_provenance(
-                    kernel, pipeline=request.preset, cache=True
-                )
-            else:
-                # The compile _warm found, kept even if an executor
-                # thread has evicted it since.
-                compiled, provenance = _count_memory_hit(
-                    *warm, pipeline=request.preset
-                )
+            # The warm check's hit is kept even if an executor thread
+            # has evicted it since.  Otherwise an unknown preset raises
+            # PassPipelineError (QW301), which already renders as a
+            # structured coded response downstream.  The provenance is
+            # this request's own: the cached result's field may be
+            # rewritten by a concurrent request.
+            compiled, provenance = work.compiled or _compile_with_provenance(
+                _resolve_kernel(request), pipeline=request.preset, cache=True
+            )
             noise_model = _build_noise_model(request.noise)
             circuit = _run_circuit(compiled, noise_model)
             if work.cancel_event.is_set():
@@ -734,15 +726,6 @@ def _resolved_kernel(request: protocol.RunRequest):
         if kernel is not None:
             _SOURCE_KERNELS.move_to_end(digest)
         return kernel
-
-
-def _run_circuit(compiled, noise_model):
-    """The circuit a run executes: the fused execution circuit, or the
-    unfused one under noise, whose channels attach by gate name (fused
-    blocks would silently drop them; same rule as simulate_kernel)."""
-    if noise_model is not None:
-        return compiled.optimized_circuit
-    return compiled.execution_circuit or compiled.optimized_circuit
 
 
 def _source_filename(digest: str) -> str:

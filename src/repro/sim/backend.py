@@ -299,35 +299,13 @@ class RunInfo:
 class SimBackend:
     """Protocol for simulation backends.
 
-    Subclasses implement :meth:`run_array_with_info` (the in-tree
-    engines) or :meth:`run_with_info`; each has a default in terms of
-    the other.  Instances must be stateless across calls (one backend
-    object may serve many threads of the evaluation harness).
+    Subclasses implement :meth:`run_array_with_info`.  Instances must
+    be stateless across calls (one backend object may serve many
+    threads of the evaluation harness).
     """
 
     #: Registry name; subclasses override.
     name = "abstract"
-
-    def run_with_info(
-        self,
-        circuit: Circuit,
-        shots: int = 1,
-        seed: int = 0,
-        noise_model=None,
-    ) -> tuple[list[tuple[int, ...]], RunInfo]:
-        """Sample ``shots`` output-bit tuples from ``circuit``; returns
-        ``(results, RunInfo)``.
-
-        ``noise_model`` is an optional :class:`repro.noise.NoiseModel`;
-        backends that cannot execute under noise must raise
-        :class:`~repro.errors.SimulationError` rather than silently
-        ignore it.  Backends overriding this method may omit the
-        parameter: it is passed only when set.
-        """
-        bits, info = self.run_array_with_info(
-            circuit, shots, seed, noise_model
-        )
-        return bit_tuples(bits), info
 
     def run_array_with_info(
         self,
@@ -336,27 +314,33 @@ class SimBackend:
         seed: int = 0,
         noise_model=None,
     ) -> tuple[np.ndarray, RunInfo]:
-        """:meth:`run_with_info` with the shots as one ``(shots, output
-        bits)`` uint8 array: what the shot executor runs, merges and
-        ships between processes.
+        """Sample ``shots`` runs of ``circuit``; returns ``(bits,
+        RunInfo)`` with the shots as one ``(shots, output bits)`` uint8
+        array: what the shot executor runs, merges and ships between
+        processes.
 
-        The default adapts a backend that implements only
-        :meth:`run_with_info`.
+        ``noise_model`` is an optional :class:`repro.noise.NoiseModel`;
+        backends that cannot execute under noise must raise
+        :class:`~repro.errors.SimulationError` rather than silently
+        ignore it.
         """
-        if type(self).run_with_info is SimBackend.run_with_info:
-            raise NotImplementedError(
-                f"{type(self).__name__} implements neither "
-                f"run_array_with_info nor run_with_info"
-            )
-        # Forwarded only when set, so backends predating the noise
-        # subsystem keep serving ideal runs unchanged.
-        extra = {} if noise_model is None else {"noise_model": noise_model}
-        results, info = self.run_with_info(circuit, shots, seed, **extra)
-        width = len(circuit.output_bits or range(circuit.num_bits))
-        return (
-            np.asarray(results, dtype=np.uint8).reshape(len(results), width),
-            info,
+        raise NotImplementedError(
+            f"{type(self).__name__} does not implement run_array_with_info"
         )
+
+    def run_with_info(
+        self,
+        circuit: Circuit,
+        shots: int = 1,
+        seed: int = 0,
+        noise_model=None,
+    ) -> tuple[list[tuple[int, ...]], RunInfo]:
+        """:meth:`run_array_with_info` with the shots as output-bit
+        tuples."""
+        bits, info = self.run_array_with_info(
+            circuit, shots, seed, noise_model
+        )
+        return bit_tuples(bits), info
 
 
 def bit_tuples(bits: np.ndarray) -> list[tuple[int, ...]]:

@@ -9,8 +9,8 @@ Three layers of coverage:
   to the pooled run, and different worker counts give statistically
   equivalent histograms (margins from tests/stats.py);
 - the ``parallel_workers=`` threading through every public entry point
-  (``run_circuit``, ``simulate_kernel``, ``kernel.histogram()``,
-  ``CompileOptions``), which all run shots through the one chunk plan:
+  (``run_circuit``, ``simulate_kernel``, ``kernel.histogram()``),
+  which all run shots through the one chunk plan:
   ``None`` means one worker, so a default call equals ``workers=1``.
 """
 
@@ -30,11 +30,7 @@ from repro.exec import (
 from repro.algorithms import alternating_secret, bernstein_vazirani
 from repro.evaluation import asdf_kernel
 from repro.noise import NoiseModel, depolarizing
-from repro.pipeline import (
-    CompileOptions,
-    simulate_kernel,
-    simulate_kernel_with_info,
-)
+from repro.pipeline import simulate_kernel, simulate_kernel_with_info
 from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement
 from repro.qcircuit.examples import (
     conditioned_fanout_circuit,
@@ -298,19 +294,6 @@ def test_simulate_kernel_with_info_records_parallel_provenance():
     assert info.workers == 2
     assert info.chunks == 2
     assert info.compile_cache in {"compiled", "memory", "disk"}
-
-
-def test_compile_options_carry_parallel_workers():
-    kernel = _bv_kernel()
-    baseline, base_info = simulate_kernel_with_info(
-        kernel, shots=64, seed=0,
-        options=CompileOptions(parallel_workers=2),
-    )
-    explicit, _ = simulate_kernel_with_info(
-        kernel, shots=64, seed=0, parallel_workers=2
-    )
-    assert base_info.workers == 2
-    assert [str(b) for b in baseline] == [str(b) for b in explicit]
 
 
 def test_histogram_accepts_parallel_workers():

@@ -341,24 +341,3 @@ def test_kernel_entry_points_thread_noise_model():
         noise_model=standard_noise_model(0.08),
     )
     assert max(dense, key=dense.get) == "101"
-
-
-def test_compile_options_noise_model_fallback():
-    from repro import CompileOptions, simulate_kernel
-    from repro.algorithms import bernstein_vazirani
-    from repro.noise import standard_noise_model
-
-    kernel = bernstein_vazirani("11")
-    options = CompileOptions(noise_model=standard_noise_model(0.5))
-    results = simulate_kernel(kernel, shots=512, options=options, seed=2)
-    counts = empirical_distribution([str(bits) for bits in results])
-    assert len(counts) > 1  # the options-level model applied
-    # An explicit noise_model=None cannot override options (it is the
-    # "unset" sentinel); an explicit model wins over the options model.
-    quiet = simulate_kernel(
-        kernel,
-        shots=64,
-        options=CompileOptions(),
-        noise_model=standard_noise_model(0.0),
-    )
-    assert {str(bits) for bits in quiet} == {"11"}

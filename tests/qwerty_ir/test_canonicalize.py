@@ -14,7 +14,12 @@ from repro.ir import (
 from repro.ir.core import walk
 from repro.ir.types import I1
 from repro.ir.verifier import verify_module
-from repro.qwerty_ir import canonicalize, lift_lambdas, run_qwerty_opt
+from repro.qwerty_ir import (
+    QWERTY_OPT_SPEC,
+    canonicalize,
+    lift_lambdas,
+    make_qwerty_pass_manager,
+)
 
 
 def rev_type(n):
@@ -204,7 +209,7 @@ def test_full_pipeline_inlines_to_straight_line():
     module.add(func)
     module.entry_point = "kernel"
 
-    run_qwerty_opt(module)
+    make_qwerty_pass_manager(QWERTY_OPT_SPEC).run(module)
     verify_module(module)
     names = [op.name for op in module.get("kernel").entry.ops]
     assert qwerty.CALL not in names
@@ -226,7 +231,7 @@ def test_inline_adjoint_call_generates_specialization():
     module.add(func)
     module.entry_point = "kernel"
 
-    run_qwerty_opt(module)
+    make_qwerty_pass_manager(QWERTY_OPT_SPEC).run(module)
     verify_module(module)
     trans = [
         op

@@ -5,7 +5,11 @@ from repro.dialects import qwerty
 from repro.ir import Builder, FuncOp, FunctionType, ModuleOp, QBundleType
 from repro.ir.core import walk
 from repro.ir.verifier import verify_module
-from repro.qwerty_ir import run_qwerty_opt
+from repro.qwerty_ir import (
+    QWERTY_NOOPT_SPEC,
+    QWERTY_OPT_SPEC,
+    make_qwerty_pass_manager,
+)
 from repro.qwerty_ir.pipeline import drop_unused_private_funcs
 
 
@@ -28,7 +32,7 @@ def test_lambda_then_inline_end_to_end():
     module.add(kernel)
     module.entry_point = "kernel"
 
-    run_qwerty_opt(module)
+    make_qwerty_pass_manager(QWERTY_OPT_SPEC).run(module)
     verify_module(module)
     assert list(module.funcs) == ["kernel"]
     ops = [op.name for op in module.get("kernel").entry.ops]
@@ -47,7 +51,7 @@ def test_no_opt_mode_only_lifts():
     module.add(kernel)
     module.entry_point = "kernel"
 
-    run_qwerty_opt(module, inline=False)
+    make_qwerty_pass_manager(QWERTY_NOOPT_SPEC).run(module)
     ops = [op.name for op in walk(module.get("kernel").entry)]
     assert qwerty.CALL_INDIRECT in ops
     assert qwerty.FUNC_CONST in ops

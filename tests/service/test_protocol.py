@@ -107,6 +107,22 @@ def test_integer_fields_reject_floats_bools_and_minima():
         protocol.RunRequest.from_payload({"kernel": "bv", "workers": 0})
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"kernel": "bv", "seed": -1}, ">= 0"),
+        ({"source": 5}, "'source' must be a string"),
+        ({"source": ["x"]}, "'source' must be a string"),
+    ],
+    ids=["negative-seed", "int-source", "list-source"],
+)
+def test_negative_seeds_and_non_string_sources_are_qw604(payload, message):
+    # Unchecked, either fails only at execution, as a QW000.
+    with pytest.raises(BadRequestError, match=message) as excinfo:
+        protocol.RunRequest.from_payload(payload)
+    assert excinfo.value.code == "QW604"
+
+
 def test_deadline_must_be_a_positive_number():
     with pytest.raises(BadRequestError, match="'deadline'"):
         protocol.RunRequest.from_payload(

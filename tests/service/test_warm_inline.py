@@ -25,7 +25,8 @@ from repro.exec.faults import (
     fires_on_first_attempt,
     inject_faults,
 )
-from repro.pipeline import compile_cache_info
+from repro.obs import trace as tracing
+from repro.pipeline import clear_compile_cache, compile_cache_info
 from repro.service import ExecutionService, ServiceClient, ServiceConfig
 from repro.service import service as service_module
 from repro.sim import clear_marginal_memo
@@ -85,11 +86,42 @@ def test_warm_requests_never_reach_the_thread_pool():
     assert first["ok"], first
     assert all(response["ok"] for response in responses), responses
     assert calls == []
-    # The decision peeks at the cache; the run counts its one hit.
+    # The warm check's lookup is each request's one counted hit.
     assert hits == [1, 1, 1]
     for response in responses:
         assert response["result"]["counts"] == first["result"]["counts"]
         assert response["result"]["info"]["compile_cache"] == "memory"
+
+
+def test_each_request_traces_one_memory_lookup():
+    # The warm check's lookup leaves no span when it misses, so a cold
+    # request traces only its executor compile, and a warm one the
+    # check's hit.
+    fields = dict(kernel="simon", n=5, shots=64, seed=3)
+
+    async def scenario():
+        async with ExecutionService(_config()) as service:
+            client = ServiceClient(service)
+            return [await client.run(id=i, **fields) for i in range(2)]
+
+    clear_compile_cache()
+    tracer = tracing.enable_tracing()
+    try:
+        responses = asyncio.run(scenario())
+    finally:
+        tracing.disable_tracing()
+    assert all(response["ok"] for response in responses), responses
+    lookups = [
+        span["attrs"]["outcome"]
+        for span in tracer.by_name("cache.lookup")
+        if span["attrs"]["layer"] == "memory"
+    ]
+    compiles = [
+        span["attrs"]["provenance"]
+        for span in tracer.by_name("compile.kernel")
+    ]
+    assert lookups == ["miss", "hit"]
+    assert len(compiles) == 2 and compiles[1] == "memory"
 
 
 def test_concurrent_mixed_paths_match_serial_answers():
@@ -216,25 +248,30 @@ def test_a_plan_that_fires_nowhere_on_the_request_runs_inline():
     assert spared["result"]["counts"] == hit["result"]["counts"] == counts
 
 
-def test_inline_run_keeps_the_compile_its_check_found(monkeypatch):
+@pytest.mark.parametrize("memo", ["memo-hit", "memo-miss"])
+def test_run_keeps_the_compile_its_check_found(monkeypatch, memo):
     # An executor thread may evict the kernel or its compile between
-    # the warm check and the run; the loop must still neither exec
-    # source nor compile, and count exactly one memory hit.
+    # the warm check and the run.  Whether the request then runs on the
+    # loop (memo hit) or on an executor thread (memo miss), it neither
+    # execs source nor compiles, and its one lookup is a memory hit.
     fields = dict(shots=32, seed=5, **_source("1011001110"))
     real_warm = ExecutionService._warm
 
     def warm_then_evict(self, work):
-        found = real_warm(self, work)
-        if found is not None:
+        warm = real_warm(self, work)
+        if work.compiled is not None:
             service_module._SOURCE_KERNELS.clear()
             # Evicts every entry; clear_compile_cache() would also
             # reset the counters this test reads.
             with pipeline._CACHE_LOCK:
                 pipeline._COMPILE_CACHE.clear()
-        return found
+        return warm
 
     def no_work(*args, **kwargs):
-        raise AssertionError("the event loop compiled or exec'd source")
+        raise AssertionError("the request compiled or exec'd source")
+
+    def compiles():
+        return pipeline._COMPILES.value(provenance="compiled")
 
     async def scenario():
         async with ExecutionService(_config()) as service:
@@ -244,15 +281,24 @@ def test_inline_run_keeps_the_compile_its_check_found(monkeypatch):
             monkeypatch.setattr(ExecutionService, "_warm", warm_then_evict)
             monkeypatch.setattr(service_module, "_exec_source", no_work)
             monkeypatch.setattr(pipeline, "_compile_uncached", no_work)
-            before = compile_cache_info()["hits"]
+            if memo == "memo-miss":
+                clear_marginal_memo()
+            before = compile_cache_info()
+            compiled_before = compiles()
             warm = await client.run(id=1, **fields)
-            hits = compile_cache_info()["hits"] - before
+            after = compile_cache_info()
+            lookups = (
+                after["hits"] - before["hits"],
+                after["misses"] - before["misses"],
+                compiles() - compiled_before,
+            )
             monkeypatch.undo()
-            return cold, warm, calls, hits
+            return cold, warm, calls, lookups
 
-    cold, warm, calls, hits = asyncio.run(scenario())
+    cold, warm, calls, lookups = asyncio.run(scenario())
     assert cold["ok"] and warm["ok"], (cold, warm)
-    assert calls == [] and hits == 1
+    assert len(calls) == (1 if memo == "memo-miss" else 0)
+    assert lookups == (1, 0, 0)  # one memory hit, no miss, no compile
     assert warm["result"]["info"]["compile_cache"] == "memory"
     assert warm["result"]["counts"] == cold["result"]["counts"]
 

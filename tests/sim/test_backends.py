@@ -78,11 +78,13 @@ def test_register_custom_backend():
     class EchoBackend(SimBackend):
         name = "echo-test"
 
-        def run_with_info(self, circuit, shots=1, seed=0):
+        def run_array_with_info(self, circuit, shots=1, seed=0,
+                                noise_model=None):
             from repro.sim.backend import RunInfo
 
-            results = [(0,) * len(circuit.output_bits or range(circuit.num_bits))] * shots
-            return results, RunInfo(self.name, shots, 0, False)
+            width = len(circuit.output_bits or range(circuit.num_bits))
+            bits = np.zeros((shots, width), dtype=np.uint8)
+            return bits, RunInfo(self.name, shots, 0, False)
 
     register_backend("echo-test", EchoBackend)
     try:
@@ -592,21 +594,6 @@ def test_simulate_kernel_backend_kwarg():
     by_shot = simulate_kernel(kernel, shots=4, backend="interpreter")
     assert [str(b) for b in by_vector] == ["1011"] * 4
     assert [str(b) for b in by_shot] == ["1011"] * 4
-
-
-def test_compile_options_sim_backend_default():
-    from repro.algorithms import bernstein_vazirani
-    from repro.pipeline import CompileOptions, simulate_kernel
-
-    kernel = bernstein_vazirani("101")
-    options = CompileOptions(sim_backend="interpreter")
-    results = simulate_kernel(kernel, shots=2, options=options)
-    assert [str(b) for b in results] == ["101"] * 2
-    # An explicit backend= overrides the options' default.
-    results = simulate_kernel(
-        kernel, shots=2, options=options, backend="statevector"
-    )
-    assert [str(b) for b in results] == ["101"] * 2
 
 
 def test_kernel_call_backend_kwarg():
