@@ -320,6 +320,8 @@ def _build_qwerty_module(kernel) -> tuple[ModuleOp, dict]:
 # The two-layer compile cache: per-process LRU over a persistent
 # on-disk store (repro.exec.diskcache).
 # ----------------------------------------------------------------------
+import contextlib
+import gc
 import os
 import threading
 from collections import OrderedDict
@@ -442,6 +444,39 @@ def _cache_put(key: tuple, result: CompileResult) -> None:
         _CACHE_EVICTIONS.inc(layer="memory")
 
 
+#: Compiles running under :func:`_collector_paused`, and whether the
+#: first of them found the cyclic collector enabled; guarded by
+#: :data:`_GC_PAUSE_LOCK`.
+_GC_PAUSES = 0
+_GC_RESUME = False
+_GC_PAUSE_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Keep CPython's cyclic collector off for the body.
+
+    A miss allocates hundreds of thousands of objects, and each
+    generation-2 collection it triggers walks everything the memory
+    compile cache retains, which is garbage-free.  Pauses nest across
+    threads: the collector comes back only when the last overlapping
+    compile leaves, and only if it was on when the first one entered.
+    """
+    global _GC_PAUSES, _GC_RESUME
+    with _GC_PAUSE_LOCK:
+        if _GC_PAUSES == 0:
+            _GC_RESUME = gc.isenabled()
+            gc.disable()
+        _GC_PAUSES += 1
+    try:
+        yield
+    finally:
+        with _GC_PAUSE_LOCK:
+            _GC_PAUSES -= 1
+            if _GC_PAUSES == 0 and _GC_RESUME:
+                gc.enable()
+
+
 def _through_cache(key: tuple, build) -> Optional[tuple[CompileResult, str]]:
     """The artifact for ``key`` and its provenance, via both layers.
 
@@ -449,7 +484,9 @@ def _through_cache(key: tuple, build) -> Optional[tuple[CompileResult, str]]:
     one in-flight compile: the first caller tries the disk layer and
     then ``build()``, the others wait and get the same object ("memory"
     provenance).  If that compile raises, every waiter gets the same
-    error and nothing is cached, so the next call compiles again.
+    error and nothing is cached, so the next call compiles again.  The
+    owner's disk load and build run with the cyclic collector paused
+    (:func:`_collector_paused`); hits and waiters never pause it.
 
     ``build=None`` only looks in memory: a hit is counted and traced
     like any other, and a miss returns ``None`` with nothing counted,
@@ -482,9 +519,10 @@ def _through_cache(key: tuple, build) -> Optional[tuple[CompileResult, str]]:
     # stale-salt entry reads as a miss and is recompiled.
     digest = _diskcache.key_digest(key)
     try:
-        result, provenance = _diskcache.load(digest), "disk"
-        if not isinstance(result, CompileResult):
-            result, provenance = build(), "compiled"
+        with _collector_paused():
+            result, provenance = _diskcache.load(digest), "disk"
+            if not isinstance(result, CompileResult):
+                result, provenance = build(), "compiled"
     except BaseException as error:
         with _CACHE_LOCK:
             del _IN_FLIGHT[key]

@@ -9,8 +9,9 @@ This pass shrinks the count at compile time, in two composed moves:
    Quantum controls are folded into the block as explicit block
    unitaries (:func:`controlled_matrix`), so a CX ladder fuses just
    like a single-qubit run.  Product matrices are LRU-cached per block
-   signature, so recompiles of the same kernel (parameter sweeps, the
-   compile cache's misses) pay the matmuls once.
+   *shape* (the gate list in block-relative positions), so every block
+   of one shape — in one circuit, across kernels, across recompiles —
+   shares one read-only array and pays the matmuls once.
 2. **Layer grouping** — runs on *disjoint* qubit sets that would each
    cost a sweep are kron-grouped into one fused-layer op under the same
    qubit budget, applied by the backends as a single batched
@@ -131,7 +132,7 @@ class FusedUnitary:
         if len(set(self.targets)) != len(self.targets):
             raise SimulationError("fused unitary touches a qubit twice")
         matrix = self.matrix
-        if matrix.base is not None:
+        if matrix.base is not None and not _immutable_view(matrix):
             # A view could still change through its writable base.
             matrix = matrix.copy()
         matrix.setflags(write=False)
@@ -139,7 +140,10 @@ class FusedUnitary:
 
     def __setstate__(self, state: dict) -> None:
         # Unpickling (a disk-cache load, a pool worker's task) bypasses
-        # __init__ and restores the matrix writable; freeze it again.
+        # __init__; validate and freeze again.  Pickle protocol 5 loads
+        # a read-only array as a read-only view over immutable bytes,
+        # which is kept as is, so blocks that shared one matrix before
+        # the pickle still share one after it.
         self.__dict__.update(state)
         self.__post_init__()
 
@@ -161,6 +165,17 @@ class FusedUnitary:
         return hash((self.targets, self.gate_count))
 
 
+def _immutable_view(matrix: np.ndarray) -> bool:
+    """Whether nothing can write through ``matrix``'s base chain: every
+    array in it is read-only and it ends in immutable ``bytes``."""
+    base = matrix
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return False
+        base = base.base
+    return isinstance(base, bytes)
+
+
 def fused_gate_savings(circuit: Circuit) -> int:
     """Gate applications eliminated by fusion: for every
     :class:`FusedUnitary`, the absorbed gates minus the one sweep the
@@ -174,39 +189,30 @@ def fused_gate_savings(circuit: Circuit) -> int:
 
 
 # ----------------------------------------------------------------------
-# Block-matrix construction (cached per signature).
+# Block-matrix construction (cached per block shape).
 # ----------------------------------------------------------------------
 @functools.lru_cache(maxsize=1024)
-def _cached_block_matrix(
-    qubits: tuple[int, ...],
-    signature: tuple,
-) -> np.ndarray:
-    """The product matrix of one fused block, built once per signature.
+def _cached_block_matrix(k: int, signature: tuple) -> np.ndarray:
+    """The product matrix of one fused block shape, built once.
 
     ``signature`` is the block's gate list as hashable
-    ``(name, params, qubits, ctrl_states)`` tuples in program order.
+    ``(name, params, positions, ctrl_states)`` tuples in program order,
+    where ``positions`` index the block's ``k`` sorted qubits — so
+    blocks of one shape on different qubits share one read-only array.
     Each gate folds into the accumulating matrix by applying it to the
     *row* axes of the block matrix viewed as a ``(2,)*k + (2^k,)``
     tensor — ``U_full @ M`` without materializing ``U_full``.
     """
     from repro.sim.kernels import apply_matrix_inplace, gate_matrix
 
-    k = len(qubits)
     dim = 1 << k
     matrix = np.eye(dim, dtype=complex)
     tensor = matrix.reshape((2,) * k + (dim,))
-    position = {qubit: index for index, qubit in enumerate(qubits)}
-    for name, params, gate_qubits, ctrl_states in signature:
+    for name, params, positions, ctrl_states in signature:
         full = controlled_matrix(gate_matrix(name, params), ctrl_states)
-        apply_matrix_inplace(
-            tensor, full, tuple(position[q] for q in gate_qubits)
-        )
+        apply_matrix_inplace(tensor, full, positions)
     matrix.setflags(write=False)
     return matrix
-
-
-def _gate_signature(gate: CircuitGate) -> tuple:
-    return (gate.name, gate.params, gate.qubits, gate.ctrl_states)
 
 
 class _Block:
@@ -237,12 +243,21 @@ class _Block:
             # A lone gate gains nothing from becoming a raw matrix;
             # keep it as-is (readable, noise-attachable, exportable).
             return self.gates[0]
-        signature = tuple(_gate_signature(gate) for gate in self.gates)
+        position = {qubit: index for index, qubit in enumerate(self.qubits)}
+        signature = tuple(
+            (
+                gate.name,
+                gate.params,
+                tuple(position[q] for q in gate.qubits),
+                gate.ctrl_states,
+            )
+            for gate in self.gates
+        )
         loc = next(
             (gate.loc for gate in self.gates if gate.loc is not None), None
         )
         return FusedUnitary(
-            _cached_block_matrix(self.qubits, signature),
+            _cached_block_matrix(len(self.qubits), signature),
             self.qubits,
             gate_count=len(self.gates),
             loc=loc,

@@ -39,6 +39,7 @@ docs/service.md says so explicitly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
@@ -117,6 +118,11 @@ class RunRequest:
                 f"'source' must be a string of Python source, got "
                 f"{type(request.source).__name__}"
             )
+        if request.backend is not None and not isinstance(request.backend, str):
+            raise BadRequestError(
+                f"'backend' must be a backend name or null, got "
+                f"{type(request.backend).__name__}"
+            )
         if request.kernel is not None and request.n > MAX_STATEVECTOR_QUBITS:
             # Every suite kernel needs at least n qubits: reject before
             # compiling what the engine could never simulate.
@@ -170,9 +176,17 @@ def _float_field(payload, key) -> Optional[float]:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadRequestError(f"{key!r} must be a number, got {value!r}")
-    if value <= 0:
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        # json.loads accepts NaN and Infinity, and a NaN deadline
+        # compares false against every elapsed time.
+        raise BadRequestError(f"{key!r} must be finite, got {value}")
+    if number <= 0:
         raise BadRequestError(f"{key!r} must be > 0, got {value}")
-    return float(value)
+    return number
 
 
 def parse_request(line: "str | bytes") -> dict:

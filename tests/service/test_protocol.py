@@ -113,11 +113,29 @@ def test_integer_fields_reject_floats_bools_and_minima():
         ({"kernel": "bv", "seed": -1}, ">= 0"),
         ({"source": 5}, "'source' must be a string"),
         ({"source": ["x"]}, "'source' must be a string"),
+        ({"kernel": "bv", "backend": ["x"]}, "'backend' must be"),
+        ({"kernel": "bv", "backend": 3}, "'backend' must be"),
+        (json.loads('{"kernel": "bv", "deadline": NaN}'), "finite"),
+        (json.loads('{"kernel": "bv", "deadline": Infinity}'), "finite"),
+        ({"kernel": "bv", "deadline": 10**400}, "finite"),
     ],
-    ids=["negative-seed", "int-source", "list-source"],
+    ids=[
+        "negative-seed",
+        "int-source",
+        "list-source",
+        "list-backend",
+        "int-backend",
+        "nan-deadline",
+        "inf-deadline",
+        "huge-int-deadline",
+    ],
 )
 def test_negative_seeds_and_non_string_sources_are_qw604(payload, message):
-    # Unchecked, either fails only at execution, as a QW000.
+    # Unchecked, a bad seed, source or backend fails only at execution,
+    # and an integer deadline past the float range fails to convert:
+    # each as a QW000.  json.loads accepts NaN, and a NaN deadline
+    # compares false against every elapsed time: a warm run never
+    # expires and an executor run times out at once.
     with pytest.raises(BadRequestError, match=message) as excinfo:
         protocol.RunRequest.from_payload(payload)
     assert excinfo.value.code == "QW604"
