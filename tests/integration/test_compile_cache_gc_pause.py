@@ -52,8 +52,7 @@ def _kernel(n=5):
     return bernstein_vazirani(alternating_secret(n))
 
 
-def _watch_build(monkeypatch):
-    """Record ``gc.isenabled()`` inside every build."""
+def test_cold_miss_builds_paused_and_restores(cold_cache, monkeypatch):
     seen = []
     real_build = pipeline._compile_uncached
 
@@ -62,11 +61,6 @@ def _watch_build(monkeypatch):
         return real_build(kernel, options)
 
     monkeypatch.setattr(pipeline, "_compile_uncached", build)
-    return seen
-
-
-def test_cold_miss_builds_paused_and_restores(cold_cache, monkeypatch):
-    seen = _watch_build(monkeypatch)
     result = compile_kernel(_kernel(), cache=True)
     assert result.provenance == "compiled"
     assert seen == [False]
