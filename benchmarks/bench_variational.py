@@ -9,14 +9,20 @@ measured:
   parameters is forced into).  Asserts the acceptance criterion:
   compile-once is >= 5x faster.
 - **Batched grid evaluation**: a VQE energy landscape evaluated at G
-  points through one ``(G, 2, …, 2)`` batched state vs G independent
+  points as the rows of one ``BatchedStatevector`` vs G independent
   statevector runs.
+- **Parameter-shift gradient**: the 2P shifted points of an 8-qubit
+  ansatz as one grid (``parameter_shift_gradient``) vs two
+  ``expectation`` calls per symbolic gate, the point-by-point form of
+  the same rule kept here as the reference.
 
 Writes ``BENCH_variational.json`` (in the ``EXPECTED_BENCH_JSON``
-manifest) so the CI perf-regression gate tracks both.
+manifest) so the CI perf-regression gate tracks all three.
 """
 
+import math
 import time
+from dataclasses import replace
 
 import numpy as np
 from conftest import bench_record, write_bench_json, write_result
@@ -29,17 +35,26 @@ from repro import (
     compile_kernel,
     qpu,
 )
+from repro.qcircuit.circuit import (
+    Circuit,
+    CircuitGate,
+    bind_circuit,
+    circuit_parameters,
+)
 from repro.sim.backend import run_circuit_with_info
 from repro.variational import (
     evaluate_grid,
     expectation,
     hardware_efficient_ansatz,
     ising_observable,
+    parameter_shift_gradient,
 )
 
 SWEEP_POINTS = 120
 GRID_POINTS = 200
 SHOTS = 16
+GRADIENT_QUBITS = 8
+GRADIENT_REPEATS = 5
 
 theta = Parameter("theta")
 
@@ -145,9 +160,78 @@ def _bench_grid():
     summary = (
         f"{GRID_POINTS}-point energy grid "
         f"({circuit.num_qubits} qubits, {len(params)} params)\n"
-        f"  batched (G,2,...,2): {batched_s * 1e3:9.1f} ms\n"
+        f"  batched rows:        {batched_s * 1e3:9.1f} ms\n"
         f"  per-point loop:      {looped_s * 1e3:9.1f} ms\n"
         f"  speedup: {looped_s / batched_s:.1f}x"
+    )
+    return records, summary
+
+
+def _per_point_gradient(circuit, observable, values):
+    """The two-term shift rule with two ``expectation`` calls per
+    symbolic gate occurrence, each on its own bound circuit."""
+    names = [p.name for p in circuit_parameters(circuit)]
+    bound = bind_circuit(circuit, values)
+    gradient = np.zeros(len(names))
+    for position, inst in enumerate(circuit.instructions):
+        if not (isinstance(inst, CircuitGate) and inst.is_symbolic):
+            continue
+        angle = bound.instructions[position].params[0]
+        energies = []
+        for sign in (+1.0, -1.0):
+            variant = list(bound.instructions)
+            variant[position] = replace(
+                variant[position], params=(angle + sign * math.pi / 2.0,)
+            )
+            shifted = Circuit(
+                circuit.num_qubits, bound.num_bits, variant,
+                list(bound.output_bits),
+            )
+            energies.append(expectation(shifted, observable))
+        slope = (energies[0] - energies[1]) / 2.0
+        for param, coefficient in inst.params[0].terms:
+            gradient[names.index(param.name)] += coefficient * slope
+    return gradient
+
+
+def _best_ms(fn):
+    """Best of ``GRADIENT_REPEATS`` timed calls, and the last result."""
+    best = math.inf
+    for _ in range(GRADIENT_REPEATS):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3, result
+
+
+def _bench_gradient():
+    n = GRADIENT_QUBITS
+    circuit, params = hardware_efficient_ansatz(n, layers=2)
+    observable = ising_observable(n, [(q, q + 1) for q in range(n - 1)], h=0.5)
+    rng = np.random.default_rng(0)
+    values = {p.name: float(v) for p, v in zip(
+        params, rng.uniform(-np.pi, np.pi, len(params))
+    )}
+    batched_ms, batched = _best_ms(
+        lambda: parameter_shift_gradient(circuit, observable, values)
+    )
+    looped_ms, looped = _best_ms(
+        lambda: _per_point_gradient(circuit, observable, values)
+    )
+    assert np.abs(batched - looped).max() < 1e-12
+    rows = 2 * len(params)  # one symbolic gate per parameter
+    records = [
+        bench_record("vqe-gradient", "batched", batched_ms, evolutions=1),
+        bench_record(
+            "vqe-gradient", "per-point", looped_ms, evolutions=rows
+        ),
+    ]
+    summary = (
+        f"parameter-shift gradient ({n} qubits, {len(params)} params, "
+        f"{rows} shifted points, best of {GRADIENT_REPEATS})\n"
+        f"  batched ({rows}-row grid): {batched_ms:9.2f} ms\n"
+        f"  per-point ({rows} runs):   {looped_ms:9.2f} ms\n"
+        f"  speedup: {looped_ms / batched_ms:.1f}x"
     )
     return records, summary
 
@@ -169,4 +253,13 @@ def test_batched_grid_evaluation(benchmark):
     )
     write_bench_json("variational", records)
     write_result("variational_grid.txt", summary)
+    assert records[0]["wall_ms"] > 0.0
+
+
+def test_batched_parameter_shift_gradient(benchmark):
+    records, summary = benchmark.pedantic(
+        _bench_gradient, rounds=1, iterations=1
+    )
+    write_bench_json("variational", records)
+    write_result("variational_gradient.txt", summary)
     assert records[0]["wall_ms"] > 0.0

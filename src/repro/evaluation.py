@@ -219,19 +219,19 @@ def shot_execution_report(
     registered backend samples the same number of shots with the same
     seed.  Sizes must stay within the dense-simulation qubit limit.
 
-    Circuits are gate-fused before execution (the ``default``
-    pipeline's execution form — docs/performance.md), so the rows'
-    ``gates_fused`` column reports the fusion pass's savings.
+    Each row runs its compile's ``execution_circuit`` (the ``default``
+    pipeline's fused execution form — docs/performance.md), so the
+    rows' ``gates_fused`` column reports the compile-time fusion
+    pass's savings.
     """
-    from repro.qcircuit.fusion import fuse_adjacent_gates
     from repro.sim.backend import get_backend
 
     rows = []
     for algorithm in algorithms:
         for n in sizes:
-            circuit = fuse_adjacent_gates(
-                compiled_circuit(algorithm, "asdf", n)
-            )
+            circuit = asdf_kernel(algorithm, n).compile(
+                pipeline="default", cache=True
+            ).execution_circuit
             for name in backends:
                 backend = get_backend(name)
                 start = time.perf_counter()

@@ -178,12 +178,16 @@ class BatchedStatevector:
         else:
             self.apply_gate(op)
 
-    def apply_gate(self, gate: CircuitGate) -> None:
+    def apply_gate(
+        self, gate: CircuitGate, matrix: Optional[np.ndarray] = None
+    ) -> None:
         """Apply ``gate``, only on the shots whose condition bit
-        matches when it is classically conditioned."""
+        matches when it is classically conditioned.  ``matrix``, a
+        ``(shots, d, d)`` stack for an unconditioned gate, replaces the
+        gate's own matrix with one per row."""
         mask = self._fired(gate)
         if mask is not False:
-            self._apply_to_masked(mask, gate)
+            self._apply_to_masked(mask, gate, matrix)
 
     def _fired(self, gate: CircuitGate) -> "Optional[np.ndarray] | bool":
         """The shots ``gate`` fires on: ``None`` for every shot, a
@@ -198,10 +202,11 @@ class BatchedStatevector:
         return mask if fired else False
 
     def _apply_to_masked(
-        self, mask: Optional[np.ndarray], gate: CircuitGate
+        self, mask: Optional[np.ndarray], gate: CircuitGate, matrix=None
     ) -> None:
-        """Apply ``gate`` to the trajectories ``mask`` selects (all of
-        them when ``mask`` is ``None``).
+        """Apply ``gate`` (or ``matrix`` in its place) to the
+        trajectories ``mask`` selects (all of them when ``mask`` is
+        ``None``).
 
         Fancy indexing copies the selected trajectories out, so a
         sub-batch must be scattered back after the gate.
@@ -210,7 +215,9 @@ class BatchedStatevector:
         view, axes = control_sliced_view(
             states, gate.targets, gate.controls, gate.ctrl_states
         )
-        apply_matrix_inplace(view, gate_matrix(gate.name, gate.params), axes)
+        if matrix is None:
+            matrix = gate_matrix(gate.name, gate.params)
+        apply_matrix_inplace(view, matrix, axes)
         if mask is not None:
             self.state[mask] = states
 

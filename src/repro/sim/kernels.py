@@ -8,7 +8,8 @@ to k target axes of a complex tensor, in place*.  It is plain NumPy: an
 LRU-cached axis permutation, one reshape to a ``(2^k, rest)`` block,
 one matmul, and the inverse permutation written back into the caller's
 buffer, so it serves any array layout (the batched engine's leading
-shot axis, control-sliced views).  See docs/performance.md.
+shot axis, control-sliced views).  A stack of matrices applies one
+per row of the leading axis.  See docs/performance.md.
 """
 
 from __future__ import annotations
@@ -149,10 +150,14 @@ def apply_matrix_inplace(
     batched engine, or the surviving axes of a control-sliced view —
     rides along unchanged.  The first target is the matrix's most
     significant index bit.
+
+    A ``(rows, 2^k, 2^k)`` stack gives row ``r`` of ``state``'s
+    leading axis (never a target) its own ``matrix[r]``.
     """
     k = len(targets)
-    perm, inverse = _axis_permutation(state.ndim, targets)
+    lead = targets if matrix.ndim == 2 else (0,) + targets
+    perm, inverse = _axis_permutation(state.ndim, lead)
     permuted_shape = tuple(state.shape[axis] for axis in perm)
-    block = state.transpose(perm).reshape(2**k, -1)
+    block = state.transpose(perm).reshape(matrix.shape[:-2] + (2**k, -1))
     updated = np.matmul(matrix, block)
     state[...] = updated.reshape(permuted_shape).transpose(inverse)

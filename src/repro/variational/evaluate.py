@@ -1,15 +1,15 @@
 """Expectation values and batched parameter-grid evaluation.
 
 :func:`evaluate_grid` is the sweep engine: it simulates a *symbolic*
-circuit at ``G`` parameter points in one pass by stacking the grid into
-the leading batch axis of a ``(G, 2, …, 2)`` state tensor — the same
-layout (and the same :func:`control_sliced_view` slicing) as the
-shot-batched trajectory engine.  Fixed gates are applied once across
-the whole batch; each symbolic gate evaluates its affine angle
-expression over the grid vectorized, builds a ``(G, 2, 2)`` matrix
-stack, and contracts it in a single einsum.  Parameter-shift gradients
-(:mod:`repro.variational.gradients`) and the optimizer loop ride on
-this, so a whole VQE run touches the compiler exactly once.
+circuit at ``G`` parameter points in one pass on the statevector
+engine, :class:`~repro.sim.batched.BatchedStatevector`, with one grid
+point per row.  Fixed gates apply one matrix across every row; each
+symbolic gate evaluates its affine angle over the grid columns and
+applies a ``(G, 2, 2)`` stack, one matrix per row.  Grids are split
+into row chunks by the engine's memory envelope, like shot batches.
+Parameter-shift gradients (:mod:`repro.variational.gradients`) and the
+optimizer loop ride on this, so a whole VQE run touches the compiler
+exactly once.
 """
 
 from __future__ import annotations
@@ -28,13 +28,9 @@ from repro.qcircuit.circuit import (
     bind_circuit,
     circuit_parameters,
 )
-from repro.sim.kernels import apply_matrix_inplace, gate_matrix
-from repro.sim.batched import control_sliced_view
+from repro.sim.batched import BatchedStatevector, batch_chunk_size
 from repro.sim.statevector import apply_gates_to_state
 from repro.variational.observables import DiagonalObservable
-
-#: Parameterized gates the vectorized evaluator knows how to stack.
-_SYMBOLIC_GATES = {"p", "rx", "ry", "rz"}
 
 
 def _unitary_gates(circuit: Circuit) -> list[CircuitGate]:
@@ -132,18 +128,6 @@ def _grid_arrays(
     return arrays, lengths.pop() if lengths else 0
 
 
-def _angles_over_grid(
-    expr, arrays: Mapping[str, np.ndarray], points: int
-) -> np.ndarray:
-    """Evaluate an affine angle expression at every grid point at once."""
-    if not isinstance(expr, ParamExpr):
-        return np.full(points, float(expr))
-    theta = np.full(points, expr.constant, dtype=float)
-    for param, coefficient in expr.terms:
-        theta += coefficient * arrays[param.name]
-    return theta
-
-
 def _stacked_matrices(name: str, theta: np.ndarray) -> np.ndarray:
     """A ``(G, 2, 2)`` stack of one rotation gate at ``G`` angles."""
     mats = np.zeros((theta.shape[0], 2, 2), dtype=complex)
@@ -173,34 +157,32 @@ def grid_probabilities(circuit: Circuit, grid: Mapping) -> np.ndarray:
 
     ``grid`` maps parameter names (or ``Parameter`` objects) to
     equal-length 1-D arrays of angles in radians; point ``g`` binds
-    every parameter to its ``g``-th entry.  The whole sweep runs as one
-    batched simulation over a ``(G, 2, …, 2)`` state tensor.
+    every parameter to its ``g``-th entry.  Each chunk of
+    :func:`~repro.sim.batched.batch_chunk_size` points runs as one
+    batched sweep, one grid point per row.
     """
     names = [p.name for p in circuit_parameters(circuit)]
     arrays, points = _grid_arrays(grid, names)
-    if points == 0:
-        return np.zeros((0, 2 ** circuit.num_qubits))
     gates = _unitary_gates(circuit)
-    n = max(circuit.num_qubits, 1)
-    state = np.zeros((points,) + (2,) * n, dtype=complex)
-    state[(slice(None),) + (0,) * n] = 1.0
-    for gate in gates:
-        view, axes = control_sliced_view(
-            state, gate.targets, gate.controls, gate.ctrl_states
+    n = circuit.num_qubits
+    probabilities = np.empty((points, 2**n))
+    chunk = batch_chunk_size(n)
+    for start in range(0, points, chunk):
+        rows = {
+            name: column[start:start + chunk]
+            for name, column in arrays.items()
+        }
+        engine = BatchedStatevector(min(chunk, points - start), n)
+        for gate in gates:
+            if gate.is_symbolic:
+                theta = ParamExpr.of(gate.params[0]).evaluate(rows)
+                engine.apply_gate(gate, _stacked_matrices(gate.name, theta))
+            else:
+                engine.apply_gate(gate)
+        probabilities[start:start + engine.shots] = (
+            np.abs(engine.state.reshape(engine.shots, -1)) ** 2
         )
-        if not gate.is_symbolic:
-            # One fixed matrix broadcast across the whole batch axis.
-            apply_matrix_inplace(
-                view, gate_matrix(gate.name, gate.params), axes
-            )
-            continue
-        theta = _angles_over_grid(gate.params[0], arrays, points)
-        mats = _stacked_matrices(gate.name, theta)
-        # Bring the (sliced) target axis next to the batch axis and
-        # contract each grid point against its own 2x2 matrix.
-        moved = np.moveaxis(view, axes[0], 1)
-        moved[...] = np.einsum("gij,gj...->gi...", mats, moved)
-    return np.abs(state.reshape(points, -1)) ** 2
+    return probabilities
 
 
 def evaluate_grid(
@@ -211,8 +193,8 @@ def evaluate_grid(
     """``<H>`` at every grid point, batched: a ``(G,)`` float array.
 
     Equivalent to ``[expectation(circuit, observable, point) for point
-    in grid]`` but runs the whole sweep through one batched state, so
-    fixed gates cost one apply total instead of one per point.
+    in grid]`` but runs the whole sweep as batched rows of one engine,
+    so fixed gates cost one apply per chunk instead of one per point.
     """
     probabilities = grid_probabilities(circuit, grid)
     eigenvalues = observable.eigenvalues(circuit.num_qubits)

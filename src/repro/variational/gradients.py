@@ -11,7 +11,9 @@ a biased gradient — decompose the gate first.
 
 Angles may be affine expressions over several parameters; the chain
 rule sums ``coef · (E_+ − E_−)/2`` over every gate occurrence, shifting
-each occurrence's *bound* angle independently.
+each occurrence's *bound* angle independently.  All ``2P`` shifted
+points of ``P`` occurrences run as one parameter grid
+(:func:`~repro.variational.evaluate.evaluate_grid`).
 """
 
 from __future__ import annotations
@@ -24,18 +26,15 @@ import math
 import numpy as np
 
 from repro.errors import QwertyTypeError, SimulationError
-from repro.parameters import ParamExpr
+from repro.parameters import ParamExpr, Parameter
 from repro.qcircuit.circuit import (
     Circuit,
     CircuitGate,
     bind_circuit,
     circuit_parameters,
 )
-from repro.variational.evaluate import expectation
+from repro.variational.evaluate import evaluate_grid, expectation
 from repro.variational.observables import DiagonalObservable
-
-#: Gates the two-term shift rule covers when uncontrolled.
-_SHIFT_GATES = {"p", "rx", "ry", "rz"}
 
 
 def _parameter_names(
@@ -47,10 +46,6 @@ def _parameter_names(
 
 
 def _check_shift_valid(gate: CircuitGate) -> None:
-    if gate.name not in _SHIFT_GATES:
-        raise SimulationError(
-            f"gate {gate.name!r} cannot carry a symbolic parameter"
-        )
     if gate.controls and gate.name != "p":
         raise SimulationError(
             f"the two-term parameter-shift rule is invalid for a "
@@ -70,37 +65,41 @@ def parameter_shift_gradient(
 
     ``values`` binds every parameter (radians); the result is ordered
     like ``parameters`` (default: the circuit's parameters sorted by
-    name, matching :func:`circuit_parameters`).  Costs two exact
-    evaluations per (symbolic gate, parameter) pair.
+    name, matching :func:`circuit_parameters`).  Each symbolic gate
+    occurrence becomes its own parameter at its bound angle, and one
+    grid of two rows per occurrence evaluates every ``±π/2`` shift in
+    a single batched sweep.
     """
     names = _parameter_names(circuit, parameters)
     bound = bind_circuit(circuit, values)
-    gradient = np.zeros(len(names))
-    index_of = {name: i for i, name in enumerate(names)}
+    instructions = list(bound.instructions)
+    exprs: list[ParamExpr] = []
+    angles: list[float] = []
     for position, inst in enumerate(circuit.instructions):
         if not (isinstance(inst, CircuitGate) and inst.is_symbolic):
             continue
         _check_shift_valid(inst)
-        expr = inst.params[0]
-        assert isinstance(expr, ParamExpr)
-        angle = bound.instructions[position].params[0]
-        shifted_values = {}
-        for sign in (+1.0, -1.0):
-            variant = list(bound.instructions)
-            variant[position] = replace(
-                bound.instructions[position],
-                params=(angle + sign * math.pi / 2.0,),
-            )
-            shifted_values[sign] = expectation(
-                Circuit(
-                    circuit.num_qubits,
-                    bound.num_bits,
-                    variant,
-                    list(bound.output_bits),
-                ),
-                observable,
-            )
-        slope = (shifted_values[+1.0] - shifted_values[-1.0]) / 2.0
+        slot = ParamExpr.of(Parameter(f"shift_{len(exprs)}"))
+        exprs.append(ParamExpr.of(inst.params[0]))
+        angles.append(instructions[position].params[0])
+        instructions[position] = replace(inst, params=(slot,))
+    # Row 2k shifts occurrence k by +π/2, row 2k+1 by −π/2.
+    shifts = np.kron(np.eye(len(angles)), [[1.0], [-1.0]]) * (math.pi / 2.0)
+    columns = (np.array(angles) + shifts).T
+    energies = evaluate_grid(
+        Circuit(
+            circuit.num_qubits,
+            bound.num_bits,
+            instructions,
+            list(bound.output_bits),
+        ),
+        observable,
+        {f"shift_{k}": column for k, column in enumerate(columns)},
+    )
+    slopes = (energies[0::2] - energies[1::2]) / 2.0
+    gradient = np.zeros(len(names))
+    index_of = {name: i for i, name in enumerate(names)}
+    for expr, slope in zip(exprs, slopes):
         for param, coefficient in expr.terms:
             if param.name in index_of:
                 gradient[index_of[param.name]] += coefficient * slope

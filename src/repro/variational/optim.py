@@ -101,7 +101,7 @@ class AdamW(Adam):
         return super().step(decayed, grad)
 
 
-class ADOPT:
+class ADOPT(Adam):
     """ADOPT: modified Adam that converges for any β₂.
 
     Two changes versus Adam: the gradient is normalized by the
@@ -118,16 +118,7 @@ class ADOPT:
         beta2: float = 0.9999,
         eps: float = 1e-6,
     ) -> None:
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise SimulationError("betas must lie in [0, 1)")
-        if lr <= 0.0 or eps <= 0.0:
-            raise SimulationError("lr and eps must be positive")
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.m: Optional[np.ndarray] = None
-        self.v: Optional[np.ndarray] = None
+        super().__init__(lr, beta1, beta2, eps)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         params = np.asarray(params, dtype=float)
@@ -136,6 +127,7 @@ class ADOPT:
             self.v = grad**2
             self.m = np.zeros_like(grad)
             return params.copy()
+        self._ensure_state(params.shape)
         normalized = grad / np.maximum(np.sqrt(self.v), self.eps)
         self.m = self.beta1 * self.m + (1.0 - self.beta1) * normalized
         new_params = params - self.lr * self.m

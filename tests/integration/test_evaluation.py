@@ -7,8 +7,10 @@ from repro.evaluation import (
     evaluate,
     format_series,
     format_table1,
+    shot_execution_report,
     table1,
 )
+from repro.qcircuit.fusion import fused_gate_savings
 
 
 def test_asdf_kernels_build_for_all_algorithms():
@@ -63,3 +65,14 @@ def test_all_compilers_agree_on_grover_output():
         results = run_circuit(circuit, shots=10, seed=1)
         hits = sum(1 for r in results if r == (1, 1, 1))
         assert hits >= 9, compiler
+
+
+def test_shot_report_runs_the_compiled_execution_circuit():
+    # The rows run the compile-time fused form, not a second fusion of
+    # the decomposed circuit at run time.
+    execution = asdf_kernel("grover", 5).compile(
+        pipeline="default", cache=True
+    ).execution_circuit
+    rows = shot_execution_report(algorithms=("grover",), sizes=(5,))
+    assert fused_gate_savings(execution) == 92
+    assert [row.gates_fused for row in rows] == [92] * len(rows)

@@ -218,6 +218,25 @@ def test_one_row_measure_matches_a_batch_row(qubit):
         assert np.allclose(single.state[0], batch.state[0])
 
 
+def test_apply_gate_takes_a_per_row_matrix_stack():
+    # Controlled p at three angles, one per row, against three 1-row
+    # engines each applying its own bound gate.
+    angles = [0.3, -1.1, 2.0]
+    gate = CircuitGate("p", (1,), controls=(0,))
+    batch = BatchedStatevector(3, 2)
+    batch.apply_gate(CircuitGate("h", (0,)))
+    batch.apply_gate(CircuitGate("h", (1,)))
+    batch.apply_gate(gate, np.stack([gate_matrix("p", (a,)) for a in angles]))
+    for row, angle in enumerate(angles):
+        single = BatchedStatevector(1, 2)
+        single.apply_gate(CircuitGate("h", (0,)))
+        single.apply_gate(CircuitGate("h", (1,)))
+        single.apply_gate(
+            CircuitGate("p", (1,), controls=(0,), params=(angle,))
+        )
+        assert np.allclose(batch.state[row], single.state[0], atol=1e-12)
+
+
 def test_batched_rejects_too_many_qubits_and_empty_batches():
     with pytest.raises(SimulationError, match="dense-simulation"):
         BatchedStatevector(2, 25)

@@ -3,7 +3,8 @@
 Checks :func:`apply_matrix_inplace` against a dense-matrix reference
 on every target layout the engines pass it: plain target tuples, the
 batched ``(shots, 2, ..., 2)`` layout, and the non-contiguous
-control-sliced views of ``BatchedStatevector.apply_gate``.
+control-sliced views of ``BatchedStatevector.apply_gate`` — and its
+``(rows, d, d)`` stack form against one 2-D apply per row.
 """
 
 from __future__ import annotations
@@ -97,6 +98,43 @@ def test_numpy_kernel_matches_dense_reference_on_control_sliced_view(
     apply_matrix_inplace(view, matrix, axes)
     assert np.allclose(batched[:, :, 1], expected, atol=1e-10)
     # The control-0 half is not part of the view and stays untouched.
+    assert np.array_equal(batched[:, :, 0], original[:, :, 0])
+
+
+def _per_row(state, stack, targets):
+    """The stack applied the slow way: one 2-D apply per row."""
+    rows = state.copy()
+    for row, matrix in zip(rows, stack):
+        apply_matrix_inplace(row, matrix, tuple(t - 1 for t in targets))
+    return rows
+
+
+@pytest.mark.parametrize("targets", [(2,), (3, 1)])
+def test_matrix_stack_applies_one_matrix_per_row(targets):
+    rows, n = 4, 3
+    state = _random_state((rows,) + (2,) * n)
+    stack = np.stack(
+        [_random_unitary(2 ** len(targets), seed=r) for r in range(rows)]
+    )
+    expected = _per_row(state, stack, targets)
+    apply_matrix_inplace(state, stack, targets)
+    assert np.allclose(state, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("targets", [(0,), (3, 0)])
+def test_matrix_stack_on_control_sliced_view(targets):
+    # A controlled symbolic gate over a parameter grid: the control
+    # slice keeps the row axis, so each row still gets its own matrix.
+    rows, n = 3, 4
+    batched = _random_state((rows,) + (2,) * n)
+    original = batched.copy()
+    stack = np.stack(
+        [_random_unitary(2 ** len(targets), seed=r) for r in range(rows)]
+    )
+    view, axes = control_sliced_view(batched, targets, (1,), (1,))
+    expected = _per_row(view, stack, axes)
+    apply_matrix_inplace(view, stack, axes)
+    assert np.allclose(batched[:, :, 1], expected, atol=1e-12)
     assert np.array_equal(batched[:, :, 0], original[:, :, 0])
 
 

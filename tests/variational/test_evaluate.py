@@ -1,10 +1,10 @@
 """Batched grid evaluation vs per-point evaluation — they must agree.
 
-``evaluate_grid`` stacks a whole parameter sweep into the leading axis
-of one ``(G, 2, …, 2)`` state tensor; these tests pin it to the scalar
-path (`expectation`) point by point, including controlled gates (the
-shared ``control_sliced_view`` slicing) and multi-parameter affine
-angles (the einsum path).
+``evaluate_grid`` runs a whole parameter sweep as the rows of one
+``BatchedStatevector``; these tests pin it to the scalar path
+(`expectation`) point by point, including controlled gates (the
+shared ``control_sliced_view`` slicing), multi-parameter affine angles
+(the per-row matrix stacks) and grids split into row chunks.
 """
 
 import numpy as np
@@ -155,3 +155,18 @@ class TestEvaluateGrid:
         circuit.add(CircuitGate("ry", (0,), params=(ParamExpr.of(theta),)))
         probs = grid_probabilities(circuit, {"theta": []})
         assert probs.shape == (0, 2)
+
+    def test_chunked_grid_matches_one_chunk(self, monkeypatch):
+        from repro.variational import evaluate
+
+        circuit = _controlled_symbolic_circuit()
+        rng = np.random.default_rng(5)
+        grid = {
+            "theta": rng.uniform(-np.pi, np.pi, 10),
+            "phi": rng.uniform(-np.pi, np.pi, 10),
+        }
+        whole = grid_probabilities(circuit, grid)
+        monkeypatch.setattr(evaluate, "batch_chunk_size", lambda n: 3)
+        chunked = grid_probabilities(circuit, grid)
+        assert chunked.shape == whole.shape == (10, 4)
+        assert np.abs(chunked - whole).max() <= 1e-12

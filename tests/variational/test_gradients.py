@@ -90,6 +90,44 @@ class TestShiftMatchesFiniteDifferences:
             assert g == pytest.approx(-np.sin(t), abs=1e-12)
 
 
+class TestOneGrid:
+    def test_gradient_is_one_sweep_of_two_rows_per_occurrence(
+        self, monkeypatch
+    ):
+        from repro.variational import evaluate, gradients
+
+        edges = [(0, 1), (1, 2), (0, 2)]
+        circuit, params = qaoa_maxcut_ansatz(3, edges, layers=2)
+        occurrences = sum(
+            1
+            for inst in circuit.instructions
+            if isinstance(inst, CircuitGate) and inst.is_symbolic
+        )
+        assert occurrences > len(params)
+        sweeps = []
+
+        class Spy(evaluate.BatchedStatevector):
+            def __init__(self, shots, *args, **kwargs):
+                sweeps.append(shots)
+                super().__init__(shots, *args, **kwargs)
+
+        def no_expectation(*args, **kwargs):
+            raise AssertionError("parameter shift called expectation")
+
+        monkeypatch.setattr(evaluate, "BatchedStatevector", Spy)
+        monkeypatch.setattr(gradients, "expectation", no_expectation)
+        values = _random_values(params, seed=2)
+        shift = parameter_shift_gradient(
+            circuit, maxcut_observable(edges), values
+        )
+        assert sweeps == [2 * occurrences]
+        monkeypatch.undo()
+        central = finite_difference_gradient(
+            circuit, maxcut_observable(edges), values
+        )
+        assert shift == pytest.approx(central, abs=1e-6)
+
+
 class TestValidityBoundary:
     def test_controlled_rotation_refused(self):
         circuit = Circuit(2, 0)

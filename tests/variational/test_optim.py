@@ -80,6 +80,16 @@ class TestAdamFirstStep:
             ADOPT(beta2=-0.1)
 
 
+@pytest.mark.parametrize("optimizer", [Adam, AdamW, ADOPT])
+def test_state_shape_mismatch_rejected_after_first_step(optimizer):
+    # ADOPT's first step only seeds its second moment; a later step of
+    # another shape must still be refused, not broadcast against it.
+    opt = optimizer()
+    opt.step(np.zeros(3), np.ones(3))
+    with pytest.raises(SimulationError, match="optimizer state has shape"):
+        opt.step(np.zeros(1), np.ones(1))
+
+
 class TestAdamW:
     def test_decay_is_decoupled(self):
         # With a zero gradient, AdamW still shrinks the parameters by
