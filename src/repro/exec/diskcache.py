@@ -135,31 +135,21 @@ def _compile_dir() -> Path:
 
 
 @functools.lru_cache(maxsize=1)
-def _source_fingerprint(
-    root: str = os.path.dirname(os.path.dirname(os.path.realpath(__file__))),
-) -> str:
+def _source_fingerprint() -> str:
     """A digest of the ``repro`` package's own source files.
 
     Folding (relative path, size, mtime_ns) of every ``*.py`` under
     the package root into the salt makes *any* compiler edit invalidate
     the whole cache — the safe direction: an unnecessary miss costs one
     recompile, a stale hit would silently serve old-compiler output.
-    Computed once per process (~100 stat calls).  Files are visited in
-    ``Path`` order (by path components: ``a/x.py`` before ``a.py``),
-    so the digest equals a ``sorted(Path(root).rglob("*.py"))`` walk's
-    without paying for ``pathlib`` on a fresh process's first lookup.
+    Computed once per process (~100 stat calls).
     """
+    root = Path(__file__).resolve().parent.parent
     digest = hashlib.sha256()
     try:
-        files = sorted(
-            tuple(directory[len(root):].split(os.sep)[1:]) + (name,)
-            for directory, _, names in os.walk(root)
-            for name in names
-            if name.endswith(".py")
-        )
-        for parts in files:
-            stat = os.stat(os.path.join(root, *parts))
-            digest.update(os.sep.join(parts).encode())
+        for path in sorted(root.rglob("*.py")):
+            stat = path.stat()
+            digest.update(str(path.relative_to(root)).encode())
             digest.update(f":{stat.st_size}:{stat.st_mtime_ns};".encode())
     except OSError:
         # An unreadable tree falls back to a constant — the version

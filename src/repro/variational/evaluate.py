@@ -152,26 +152,22 @@ def _stacked_matrices(name: str, theta: np.ndarray) -> np.ndarray:
     return mats
 
 
-def grid_probabilities(circuit: Circuit, grid: Mapping) -> np.ndarray:
-    """Probabilities at every grid point: a ``(G, 2^n)`` array.
-
-    ``grid`` maps parameter names (or ``Parameter`` objects) to
-    equal-length 1-D arrays of angles in radians; point ``g`` binds
-    every parameter to its ``g``-th entry.  Each chunk of
-    :func:`~repro.sim.batched.batch_chunk_size` points runs as one
-    batched sweep, one grid point per row.
-    """
+def _grid_sweep(
+    circuit: Circuit, grid: Mapping, weights: Optional[np.ndarray]
+) -> np.ndarray:
+    """Run a grid, one point per engine row, in chunks of
+    :func:`~repro.sim.batched.batch_chunk_size` rows: the ``(G, 2^n)``
+    probabilities, or with ``weights`` each chunk's ``(2^n,)``-weighted
+    sums, taken before the next chunk runs, so one chunk's state is the
+    most ever held."""
     names = [p.name for p in circuit_parameters(circuit)]
     arrays, points = _grid_arrays(grid, names)
     gates = _unitary_gates(circuit)
-    n = circuit.num_qubits
-    probabilities = np.empty((points, 2**n))
+    n = max(circuit.num_qubits, 1)
+    result = np.empty((points, 2**n) if weights is None else points)
     chunk = batch_chunk_size(n)
     for start in range(0, points, chunk):
-        rows = {
-            name: column[start:start + chunk]
-            for name, column in arrays.items()
-        }
+        rows = {name: col[start:start + chunk] for name, col in arrays.items()}
         engine = BatchedStatevector(min(chunk, points - start), n)
         for gate in gates:
             if gate.is_symbolic:
@@ -179,10 +175,21 @@ def grid_probabilities(circuit: Circuit, grid: Mapping) -> np.ndarray:
                 engine.apply_gate(gate, _stacked_matrices(gate.name, theta))
             else:
                 engine.apply_gate(gate)
-        probabilities[start:start + engine.shots] = (
-            np.abs(engine.state.reshape(engine.shots, -1)) ** 2
-        )
-    return probabilities
+        probs = np.abs(engine.state.reshape(engine.shots, -1)) ** 2
+        if weights is not None:
+            probs = probs @ weights
+        result[start:start + engine.shots] = probs
+    return result
+
+
+def grid_probabilities(circuit: Circuit, grid: Mapping) -> np.ndarray:
+    """Probabilities at every grid point: a ``(G, 2^n)`` array.
+
+    ``grid`` maps parameter names (or ``Parameter`` objects) to
+    equal-length 1-D arrays of angles in radians; point ``g`` binds
+    every parameter to its ``g``-th entry.
+    """
+    return _grid_sweep(circuit, grid, None)
 
 
 def evaluate_grid(
@@ -194,8 +201,8 @@ def evaluate_grid(
 
     Equivalent to ``[expectation(circuit, observable, point) for point
     in grid]`` but runs the whole sweep as batched rows of one engine,
-    so fixed gates cost one apply per chunk instead of one per point.
+    so fixed gates cost one apply per chunk instead of one per point,
+    and holds one chunk's state at a time however large ``G`` is.
     """
-    probabilities = grid_probabilities(circuit, grid)
     eigenvalues = observable.eigenvalues(circuit.num_qubits)
-    return probabilities @ eigenvalues
+    return _grid_sweep(circuit, grid, eigenvalues)

@@ -146,27 +146,6 @@ def test_version_salt_folds_in_source_fingerprint(cache_dir):
     assert salt == diskcache.version_salt()
 
 
-def test_source_fingerprint_matches_pathlib_order(tmp_path):
-    # String order puts "a-b.py" < "a.py" < "a/x.py"; Path order
-    # compares components, so "a/x.py" comes first.  The digest must
-    # follow Path order to stay equal to the rglob formula.
-    import hashlib
-    from pathlib import Path
-
-    for name in ("a.py", "a/x.py", "a-b.py", "a/b/y.py", "b.py", "a/z.txt"):
-        path = tmp_path / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(name * 3)
-    expected = hashlib.sha256()
-    for path in sorted(Path(tmp_path).rglob("*.py")):
-        stat = path.stat()
-        expected.update(str(path.relative_to(tmp_path)).encode())
-        expected.update(f":{stat.st_size}:{stat.st_mtime_ns};".encode())
-    # __wrapped__ skips the per-process cache of the package's digest.
-    digest = diskcache._source_fingerprint.__wrapped__(str(tmp_path))
-    assert digest == expected.hexdigest()
-
-
 # ----------------------------------------------------------------------
 # In-memory LRU accounting: counters, eviction order, env bound.
 # ----------------------------------------------------------------------

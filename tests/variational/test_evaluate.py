@@ -170,3 +170,34 @@ class TestEvaluateGrid:
         chunked = grid_probabilities(circuit, grid)
         assert chunked.shape == whole.shape == (10, 4)
         assert np.abs(chunked - whole).max() <= 1e-12
+
+    def test_evaluate_grid_memory_does_not_grow_with_points(self, monkeypatch):
+        # Each chunk is reduced to its energies before the next runs, so
+        # a 16x longer grid costs a (G,) result, not a (G, 2^n) array
+        # (32 KiB more per point at n=12 if it were kept).
+        import tracemalloc
+
+        from repro.variational import evaluate
+
+        circuit, params = hardware_efficient_ansatz(12, layers=1)
+        obs = ising_observable(12, [(q, q + 1) for q in range(11)])
+        monkeypatch.setattr(evaluate, "batch_chunk_size", lambda n: 2)
+        rng = np.random.default_rng(7)
+
+        def grid(points: int) -> dict:
+            return {p.name: rng.uniform(-np.pi, np.pi, points) for p in params}
+
+        def peak(points: int) -> int:
+            sweep = grid(points)
+            tracemalloc.start()
+            try:
+                evaluate_grid(circuit, obs, sweep)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # An untraced run first fills the interpreter's object free
+        # lists, a bounded one-time cost that is not the grid's.
+        evaluate_grid(circuit, obs, grid(256))
+        small, large = peak(4), peak(64)
+        assert large - small < 128 * 1024, (small, large)
