@@ -156,6 +156,11 @@ class TestEvaluateGrid:
         probs = grid_probabilities(circuit, {"theta": []})
         assert probs.shape == (0, 2)
 
+    def test_zero_qubit_grid_matches_exact_probabilities(self):
+        circuit = Circuit(0, 0)
+        probs = grid_probabilities(circuit, {"theta": [0.1, 0.2]})
+        assert np.array_equal(probs, [exact_probabilities(circuit)] * 2)
+
     def test_chunked_grid_matches_one_chunk(self, monkeypatch):
         from repro.variational import evaluate
 
