@@ -22,7 +22,6 @@ from conftest import (
 from repro.evaluation import (
     ALGORITHMS,
     PAPER_SIZES,
-    SHOT_BACKENDS,
     compiled_circuit,
     evaluate,
     format_series,
@@ -92,11 +91,11 @@ def test_fig11_asdf_compile_and_estimate(benchmark, algorithm):
 
 
 # ----------------------------------------------------------------------
-# Per-backend shot-execution timing (no pytest-benchmark fixture, so
-# the CI benchmark-smoke job can run these with plain pytest).
+# Shot-execution timing (no pytest-benchmark fixture, so the CI
+# benchmark-smoke job can run these with plain pytest).
 # ----------------------------------------------------------------------
 def test_fig11_shot_backend_timing():
-    """Per-backend shot execution across benchmarks at a fixed size."""
+    """Shot execution across benchmarks at a fixed size."""
     # Time real evolutions, not memo hits left by earlier benchmarks.
     clear_marginal_memo()
     rows = shot_execution_report(
@@ -117,39 +116,22 @@ def test_fig11_shot_backend_timing():
         ],
     )
 
-    by_backend = {
-        (r.algorithm, r.backend): r for r in rows
-    }
-    for algorithm in ("bv", "dj", "grover"):
-        interp = by_backend[(algorithm, "interpreter")]
-        vector = by_backend[(algorithm, "statevector")]
-        # All three are terminal-measurement circuits: the vectorized
-        # backend must take the fast path (one evolution) and must not
-        # be slower than per-shot execution.
-        assert vector.fast_path and vector.evolutions == 1, algorithm
-        assert interp.evolutions == interp.shots, algorithm
-        assert vector.seconds <= interp.seconds, (
-            algorithm,
-            vector.seconds,
-            interp.seconds,
-        )
+    # All three are terminal-measurement circuits: the vectorized
+    # backend must take the fast path (one evolution).
+    for row in rows:
+        assert row.fast_path and row.evolutions == 1, row.algorithm
 
 
-def test_fig11_vectorized_speedup_smoke():
-    """Acceptance smoke: 4096 shots, one evolution, >= 20x faster."""
+def test_fig11_vectorized_smoke():
+    """Smoke: 4096 shots in one evolution, then a memo hit in none."""
     from repro.sim.backend import run_circuit_with_info
 
     circuit = compiled_circuit("bv", "asdf", 5)
     shots = 4096
 
-    start = time.perf_counter()
-    per_shot, interp_info = run_circuit_with_info(
-        circuit, shots=shots, seed=0, backend="interpreter"
-    )
-    interp_seconds = time.perf_counter() - start
-
     # The vectorized run is ~10 ms; take the best of three so a
-    # scheduler stall on a contended CI runner cannot fake a slowdown.
+    # scheduler stall on a contended CI runner cannot inflate the
+    # recorded time (gated against benchmarks/baselines/).
     # Each repeat starts from an empty marginal memo, so it times the
     # evolution, not a memo hit.
     vector_seconds = math.inf
@@ -163,7 +145,6 @@ def test_fig11_vectorized_speedup_smoke():
 
     assert vector_info.fast_path
     assert vector_info.evolutions == 1
-    speedup = interp_seconds / vector_seconds
 
     # The memo is now warm: a repeat run only draws the shots.
     hit_seconds = math.inf
@@ -176,24 +157,16 @@ def test_fig11_vectorized_speedup_smoke():
     assert hit_info.fast_path and hit_info.evolutions == 0
     assert hit == vectorized
     write_result(
-        "fig11_vectorized_speedup.txt",
-        f"backends: {', '.join(SHOT_BACKENDS)}\n"
+        "fig11_vectorized_smoke.txt",
         f"circuit: bv n=5 ({circuit.num_qubits} qubits), {shots} shots\n"
-        f"interpreter: {interp_seconds:.4f} s "
-        f"({interp_info.evolutions} evolutions)\n"
         f"statevector: {vector_seconds:.4f} s "
         f"({vector_info.evolutions} evolution)\n"
         f"statevector, memo hit: {hit_seconds:.4f} s "
-        f"({hit_info.evolutions} evolutions)\n"
-        f"speedup: {speedup:.1f}x\n",
+        f"({hit_info.evolutions} evolutions)\n",
     )
     write_bench_json(
         "fig11_runtime",
         [
-            bench_record(
-                "bv-n5-4096shots", "interpreter", interp_seconds * 1e3,
-                shots=shots, evolutions=interp_info.evolutions,
-            ),
             bench_record(
                 "bv-n5-4096shots", "statevector", vector_seconds * 1e3,
                 shots=shots, evolutions=vector_info.evolutions,
@@ -205,32 +178,20 @@ def test_fig11_vectorized_speedup_smoke():
             ),
         ],
     )
-    assert speedup >= 20.0, speedup
-    # Bernstein-Vazirani is deterministic, so both backends must agree
-    # on every single shot, not just in distribution.
-    assert per_shot == vectorized
 
 
-def test_fig11_batched_teleport_speedup_smoke():
-    """Acceptance smoke for the batched trajectory engine: teleportation
+def test_fig11_batched_teleport_smoke():
+    """Smoke for the batched trajectory engine: teleportation
     (mid-circuit measurement + classically conditioned corrections) at
-    4096 shots must run as ONE batched sweep and beat the per-shot
-    interpreter by >= 5x wall-clock."""
+    4096 shots must run as ONE batched sweep."""
     from repro.qcircuit import teleport_circuit
     from repro.sim.backend import run_circuit_with_info
 
     circuit = teleport_circuit()
     shots = 4096
 
-    start = time.perf_counter()
-    _, interp_info = run_circuit_with_info(
-        circuit, shots=shots, seed=0, backend="interpreter"
-    )
-    interp_seconds = time.perf_counter() - start
-    assert interp_info.evolutions == shots and not interp_info.batched
-
     # Best of three, like the terminal-path smoke, so a scheduler stall
-    # on a contended CI runner cannot fake a slowdown.
+    # on a contended CI runner cannot inflate the recorded time.
     batched_seconds = math.inf
     for _ in range(3):
         start = time.perf_counter()
@@ -243,24 +204,16 @@ def test_fig11_batched_teleport_speedup_smoke():
 
     assert batched_info.batched and not batched_info.fast_path
     assert batched_info.evolutions == 1
-    speedup = interp_seconds / batched_seconds
     write_result(
-        "fig11_batched_teleport_speedup.txt",
+        "fig11_batched_teleport_smoke.txt",
         f"circuit: teleportation ({circuit.num_qubits} qubits, "
         f"mid-circuit measurement + conditioned gates), {shots} shots\n"
-        f"interpreter: {interp_seconds:.4f} s "
-        f"({interp_info.evolutions} evolutions)\n"
         f"statevector (batched): {batched_seconds:.4f} s "
-        f"({batched_info.evolutions} batched sweep)\n"
-        f"speedup: {speedup:.1f}x\n",
+        f"({batched_info.evolutions} batched sweep)\n",
     )
     write_bench_json(
         "fig11_runtime",
         [
-            bench_record(
-                "teleport-4096shots", "interpreter", interp_seconds * 1e3,
-                shots=shots, evolutions=interp_info.evolutions,
-            ),
             bench_record(
                 "teleport-4096shots", "statevector-batched",
                 batched_seconds * 1e3,
@@ -268,11 +221,10 @@ def test_fig11_batched_teleport_speedup_smoke():
             ),
         ],
     )
-    assert speedup >= 5.0, speedup
 
 
-def test_fig11_trajectory_workloads_batched_never_slower():
-    """The batched engine must win on every non-terminal workload."""
+def test_fig11_trajectory_workloads_run_batched():
+    """Every non-terminal workload runs as one batched sweep."""
     rows = trajectory_execution_report(shots=1024)
     write_result(
         "fig11_trajectory_backends.txt", format_shot_report(rows)
@@ -290,14 +242,8 @@ def test_fig11_trajectory_workloads_batched_never_slower():
             for row in rows
         ],
     )
-    by_key = {(r.algorithm, r.backend): r for r in rows}
-    for label in ("teleport", "cond-fanout", "qubit-reuse"):
-        interp = by_key[(label, "interpreter")]
-        batched = by_key[(label, "statevector")]
-        assert batched.batched and batched.evolutions == 1, label
-        assert interp.evolutions == interp.shots, label
-        assert batched.seconds <= interp.seconds, (
-            label,
-            batched.seconds,
-            interp.seconds,
-        )
+    assert [r.algorithm for r in rows] == [
+        "teleport", "cond-fanout", "qubit-reuse",
+    ]
+    for row in rows:
+        assert row.batched and row.evolutions == 1, row.algorithm

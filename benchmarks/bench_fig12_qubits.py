@@ -65,11 +65,10 @@ def test_fig12_physical_qubits(benchmark):
 
 
 def test_fig12_shot_backend_qubit_scaling():
-    """Per-backend shot timing as the (simulated) qubit count grows.
+    """Shot timing as the (simulated) qubit count grows.
 
-    Fig. 12's theme at simulation scale: the interpreter pays
-    O(shots x 2^n) while the vectorized backend pays one evolution, so
-    the gap must widen — and never invert — as n grows.
+    Fig. 12's theme at simulation scale: the vectorized backend pays
+    one evolution per run whatever the shot count, at every n.
     """
     # Time real evolutions, not memo hits left by earlier benchmarks.
     clear_marginal_memo()
@@ -91,22 +90,15 @@ def test_fig12_shot_backend_qubit_scaling():
         ],
     )
 
-    by_key = {(r.input_size, r.backend): r for r in rows}
-    for n in (4, 6, 8, 10):
-        vector = by_key[(n, "statevector")]
-        interp = by_key[(n, "interpreter")]
-        assert vector.fast_path and vector.evolutions == 1, n
-        assert vector.seconds <= interp.seconds, (
-            n,
-            vector.seconds,
-            interp.seconds,
-        )
+    assert [r.input_size for r in rows] == [4, 6, 8, 10]
+    for row in rows:
+        assert row.fast_path and row.evolutions == 1, row.input_size
 
 
 def test_fig12_qubit_reuse_trajectory_scaling():
     """Fig. 12's qubit-reuse theme at simulation scale: a reused qubit
     measured and reset round after round keeps the batched engine at
-    one sweep while the interpreter pays one evolution per shot."""
+    one sweep over all shots."""
     from repro.qcircuit import qubit_reuse_circuit
 
     shots = 512
@@ -134,15 +126,6 @@ def test_fig12_qubit_reuse_trajectory_scaling():
             for row in rows
         ],
     )
-    by_key = {(r.algorithm, r.backend): r for r in rows}
-    for rounds in rounds_axis:
-        label = f"qubit-reuse-r{rounds}"
-        batched = by_key[(label, "statevector")]
-        interp = by_key[(label, "interpreter")]
-        assert batched.batched and batched.evolutions == 1, label
-        assert interp.evolutions == shots, label
-        assert batched.seconds <= interp.seconds, (
-            label,
-            batched.seconds,
-            interp.seconds,
-        )
+    assert len(rows) == len(rounds_axis)
+    for row in rows:
+        assert row.batched and row.evolutions == 1, row.algorithm

@@ -4,9 +4,9 @@ Not a paper figure — the paper's evaluation (§7–§8) executes ideal
 circuits only — but the noisy-execution analogue of the Fig. 11 shot
 benchmarks: fidelity-vs-noise-strength tables from the exact
 density-matrix reference, convergence of the stochastic Kraus
-unraveling to it, and the wall-clock comparison between the exact
-``density_matrix`` backend, the batched unraveled ``statevector``
-backend, and the per-shot ``interpreter`` under the same model.
+unraveling to it, and the wall-clock of the exact ``density_matrix``
+backend and the batched unraveled ``statevector`` backend under the
+same model.
 """
 
 import math
@@ -80,24 +80,14 @@ def test_noise_fidelity_vs_strength_table():
 
 def test_noise_unraveled_timing_smoke():
     """Teleport at 4096 shots under depolarizing + readout noise: the
-    batched unraveling must stay one sweep and beat the per-shot
-    interpreter by >= 3x wall-clock (the noisy analogue of the PR 4
-    batched-teleport smoke; the margin is lower because every gate now
-    carries Kraus-draw work in both engines)."""
+    batched unraveling must stay one sweep with honest per-sweep noise
+    counts (the noisy analogue of the batched-teleport smoke)."""
     circuit = teleport_circuit()
     model = standard_noise_model(0.05)
     shots = 4096
 
-    start = time.perf_counter()
-    _, interp_info = run_circuit_with_info(
-        circuit, shots=shots, seed=0,
-        backend="interpreter", noise_model=model,
-    )
-    interp_seconds = time.perf_counter() - start
-    assert interp_info.evolutions == shots
-
-    # Best of three, like the other speedup smokes, so a scheduler
-    # stall on a contended CI runner cannot fake a slowdown.
+    # Best of three, like the other timing smokes, so a scheduler
+    # stall on a contended CI runner cannot inflate the recorded time.
     batched_seconds = math.inf
     for _ in range(3):
         start = time.perf_counter()
@@ -123,28 +113,18 @@ def test_noise_unraveled_timing_smoke():
     density_seconds = time.perf_counter() - start
     assert density_info.evolutions == 1
 
-    speedup = interp_seconds / batched_seconds
     write_result(
         "noise_teleport_timing.txt",
         f"teleportation under standard_noise_model(0.05), {shots} shots\n"
-        f"interpreter (per-shot unraveling): {interp_seconds:.4f} s "
-        f"({interp_info.evolutions} evolutions, "
-        f"{interp_info.channel_applications} channel events)\n"
-        f"statevector (batched unraveling):  {batched_seconds:.4f} s "
+        f"statevector (batched unraveling): {batched_seconds:.4f} s "
         f"({batched_info.evolutions} sweep, "
         f"{batched_info.channel_applications} channel events)\n"
-        f"density_matrix (exact):            {density_seconds:.4f} s "
-        f"({density_info.evolutions} evolution)\n"
-        f"batched speedup over interpreter: {speedup:.1f}x\n",
+        f"density_matrix (exact):           {density_seconds:.4f} s "
+        f"({density_info.evolutions} evolution)\n",
     )
     write_bench_json(
         "noise",
         [
-            bench_record(
-                "teleport-noisy-4096shots", "interpreter",
-                interp_seconds * 1e3,
-                shots=shots, evolutions=interp_info.evolutions,
-            ),
             bench_record(
                 "teleport-noisy-4096shots", "statevector-batched",
                 batched_seconds * 1e3,
@@ -157,7 +137,6 @@ def test_noise_unraveled_timing_smoke():
             ),
         ],
     )
-    assert speedup >= 3.0, speedup
 
     # And the fast engine is still *correct*: its histogram converges
     # to the density-matrix reference distribution.

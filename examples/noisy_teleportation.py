@@ -66,8 +66,8 @@ def main() -> None:
 
     # Stochastic Kraus unraveling: all 4096 trajectories evolve as ONE
     # batched sweep (RunInfo.evolutions == 1), each drawing its own
-    # Kraus operators — compare RunInfo under backend="interpreter",
-    # which pays one evolution (and its own draws) per shot.
+    # Kraus operators; the density matrix above is the exact
+    # distribution they converge to.
     results, info = run_circuit_with_info(
         circuit, shots=shots, seed=7,
         backend="statevector", noise_model=model,

@@ -53,9 +53,8 @@ def main() -> None:
 
     # Worked shots example: 1024 shots through the vectorized backend.
     # The circuit has only terminal measurements, so the backend
-    # performs ONE statevector evolution and samples all shots at once;
-    # compare backend="interpreter", which replays the evolution per
-    # shot.  (kernel.histogram(shots=1024, backend="statevector") wraps
+    # performs ONE statevector evolution and samples all shots at once.
+    # (kernel.histogram(shots=1024, backend="statevector") wraps
     # this same call when only the counts are needed.)  Every shot
     # agrees here because the distribution is a point mass.
     results = simulate_kernel(kernel, shots=1024, backend="statevector")

@@ -177,21 +177,17 @@ def format_table1(rows: list[Table1Row]) -> str:
     return "\n".join(lines)
 
 
-#: Backends compared by the shot-execution benchmarks.
-SHOT_BACKENDS = ("interpreter", "statevector")
-
-
 @dataclass(frozen=True)
 class ShotExecutionRow:
     """Timing of one (benchmark, backend) shot-execution run.
 
     ``evolutions`` counts statevector evolution sweeps — the vectorized
     backend's terminal-measurement fast path does exactly one per run,
-    independent of ``shots``; the per-shot interpreter does ``shots``;
-    the batched trajectory engine (``batched`` True) does one batched
-    sweep per memory-envelope chunk, usually 1.  ``gates_fused`` comes
-    straight from :class:`~repro.sim.backend.RunInfo`: gates eliminated
-    by the compile-time fusion pass (docs/performance.md).
+    independent of ``shots``; the batched trajectory engine
+    (``batched`` True) does one batched sweep per memory-envelope
+    chunk, usually 1.  ``gates_fused`` comes straight from
+    :class:`~repro.sim.backend.RunInfo`: gates eliminated by the
+    compile-time fusion pass (docs/performance.md).
     """
 
     algorithm: str
@@ -205,77 +201,83 @@ class ShotExecutionRow:
     gates_fused: int = 0
 
 
+def _timed_shot_row(
+    label: str, input_size: int, circuit: Circuit, shots: int, seed: int
+) -> ShotExecutionRow:
+    """Run ``circuit`` on the default backend, timed, as one row."""
+    from repro.sim.backend import DEFAULT_BACKEND, get_backend
+
+    start = time.perf_counter()
+    _, info = get_backend(DEFAULT_BACKEND).run_array_with_info(
+        circuit, shots, seed
+    )
+    elapsed = time.perf_counter() - start
+    return ShotExecutionRow(
+        label,
+        input_size,
+        DEFAULT_BACKEND,
+        shots,
+        elapsed,
+        info.evolutions,
+        info.fast_path,
+        info.batched,
+        gates_fused=info.gates_fused,
+    )
+
+
 def shot_execution_report(
     algorithms: Iterable[str] = ("bv", "grover"),
     sizes: Iterable[int] = (5,),
     shots: int = 256,
     seed: int = 0,
-    backends: Sequence[str] = SHOT_BACKENDS,
 ) -> list[ShotExecutionRow]:
-    """Execute compiled benchmark circuits under each backend, timed.
+    """Execute compiled benchmark circuits on the ``statevector``
+    backend, timed.
 
     The evaluation harness's analogue of the paper's shot runs (§7):
-    every circuit goes through the same compiled artifact, and each
-    registered backend samples the same number of shots with the same
-    seed.  Sizes must stay within the dense-simulation qubit limit.
+    every circuit goes through the same compiled artifact and samples
+    ``shots`` shots with the same seed.  Sizes must stay within the
+    dense-simulation qubit limit.
 
     Each row runs its compile's ``execution_circuit`` (the ``default``
     pipeline's fused execution form — docs/performance.md), so the
     rows' ``gates_fused`` column reports the compile-time fusion
     pass's savings.
     """
-    from repro.sim.backend import get_backend
-
-    rows = []
-    for algorithm in algorithms:
-        for n in sizes:
-            circuit = asdf_kernel(algorithm, n).compile(
+    return [
+        _timed_shot_row(
+            algorithm,
+            n,
+            asdf_kernel(algorithm, n).compile(
                 pipeline="default", cache=True
-            ).execution_circuit
-            for name in backends:
-                backend = get_backend(name)
-                start = time.perf_counter()
-                _, info = backend.run_array_with_info(circuit, shots, seed)
-                elapsed = time.perf_counter() - start
-                rows.append(
-                    ShotExecutionRow(
-                        algorithm,
-                        n,
-                        name,
-                        shots,
-                        elapsed,
-                        info.evolutions,
-                        info.fast_path,
-                        info.batched,
-                        gates_fused=info.gates_fused,
-                    )
-                )
-    return rows
+            ).execution_circuit,
+            shots,
+            seed,
+        )
+        for algorithm in algorithms
+        for n in sizes
+    ]
 
 
 def trajectory_execution_report(
     circuits: "dict[str, Circuit] | None" = None,
     shots: int = 1024,
     seed: int = 0,
-    backends: Sequence[str] = SHOT_BACKENDS,
 ) -> list[ShotExecutionRow]:
     """Time *non-terminal* circuits (mid-circuit measurement, classical
-    conditioning, mid-evolution reset) under each backend.
+    conditioning, mid-evolution reset) on the ``statevector`` backend.
 
     These are the workloads the terminal-measurement fast path cannot
-    touch; on the ``statevector`` backend they run on the batched
-    trajectory engine (one sweep over all shots), while ``interpreter``
-    pays one full evolution per shot.  ``circuits`` maps a label to a
-    flat circuit; the default set is teleportation, the conditioned
-    fan-out, and the Fig. 12-style qubit-reuse loop from
-    :mod:`repro.qcircuit.examples`.
+    touch; they run on the batched trajectory engine (one sweep over
+    all shots).  ``circuits`` maps a label to a flat circuit; the
+    default set is teleportation, the conditioned fan-out, and the
+    Fig. 12-style qubit-reuse loop from :mod:`repro.qcircuit.examples`.
     """
     from repro.qcircuit.examples import (
         conditioned_fanout_circuit,
         qubit_reuse_circuit,
         teleport_circuit,
     )
-    from repro.sim.backend import get_backend
 
     if circuits is None:
         circuits = {
@@ -283,27 +285,10 @@ def trajectory_execution_report(
             "cond-fanout": conditioned_fanout_circuit(),
             "qubit-reuse": qubit_reuse_circuit(),
         }
-    rows = []
-    for label, circuit in circuits.items():
-        for name in backends:
-            backend = get_backend(name)
-            start = time.perf_counter()
-            _, info = backend.run_array_with_info(circuit, shots, seed)
-            elapsed = time.perf_counter() - start
-            rows.append(
-                ShotExecutionRow(
-                    label,
-                    circuit.num_qubits,
-                    name,
-                    shots,
-                    elapsed,
-                    info.evolutions,
-                    info.fast_path,
-                    info.batched,
-                    gates_fused=info.gates_fused,
-                )
-            )
-    return rows
+    return [
+        _timed_shot_row(label, circuit.num_qubits, circuit, shots, seed)
+        for label, circuit in circuits.items()
+    ]
 
 
 #: Backends compared by the noisy-execution benchmarks: the exact

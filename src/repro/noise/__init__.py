@@ -3,10 +3,10 @@
 The fifth-layer scenario axis of the reproduction: every circuit the
 compiler emits can execute under a :class:`NoiseModel`, either exactly
 (the ``density_matrix`` backend evolves :math:`\\rho` through each
-channel's Kraus sum) or stochastically (the ``statevector`` /
-``interpreter`` backends unravel each channel into per-trajectory Kraus
-draws).  See docs/noise.md for the channel zoo, attachment rules, and
-the memory/accuracy trade-offs between the two executions.
+channel's Kraus sum) or stochastically (the ``statevector`` backend
+unravels each channel into per-trajectory Kraus draws).  See
+docs/noise.md for the channel zoo, attachment rules, and the
+memory/accuracy trade-offs between the two executions.
 """
 
 from repro.noise.channels import (

@@ -38,12 +38,11 @@ class NoiseStats:
     """Mutable telemetry accumulator shared by the execution engines.
 
     ``channel_applications`` counts channel-application *events* the
-    engine actually performed: per shot for the per-shot interpreter,
-    per batched sweep (one masked Kraus draw covers every shot) for the
-    batched trajectory engine, and per evolved branch for the exact
-    density-matrix backend.  ``readout_applications`` counts
-    measurements whose recorded bit went through a confusion matrix:
-    per shot for the interpreter, per sweep for the batched engine
+    engine actually performed: per batched sweep (one masked Kraus
+    draw covers every shot) for the batched trajectory engine, and per
+    evolved branch for the exact density-matrix backend.
+    ``readout_applications`` counts measurements whose recorded bit
+    went through a confusion matrix: per sweep for the batched engine
     (one vectorized flip draw covers every shot), and per
     ``Measurement`` instruction for the density-matrix backend (the
     confusion is folded into the exact distribution once, however many

@@ -18,9 +18,9 @@ This pass shrinks the count at compile time, in two composed moves:
    matmul/einsum sweep.
 
 The result is a :class:`FusedUnitary` instruction stream that every
-backend executes natively — the per-shot interpreter, the vectorized
-statevector sampler, the shot-batched trajectory engine, and the
-density-matrix backend all benefit.  This is the only fusion in the
+backend executes natively — the vectorized statevector sampler, the
+shot-batched trajectory engine, and the density-matrix backend all
+benefit.  This is the only fusion in the
 tree: the simulators apply the execution circuit's instructions as
 they are.  Classically conditioned gates are fusion barriers on
 the qubits they touch; measurements and resets flush every pending

@@ -46,6 +46,7 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from repro.errors import BadRequestError, QwertyError
+from repro.sim.backend import available_backends
 from repro.sim.batched import MAX_STATEVECTOR_QUBITS
 
 #: Operations the service understands.  ``metrics`` returns the
@@ -122,6 +123,14 @@ class RunRequest:
             raise BadRequestError(
                 f"'backend' must be a backend name or null, got "
                 f"{type(request.backend).__name__}"
+            )
+        if (
+            request.backend is not None
+            and request.backend not in available_backends()
+        ):
+            raise BadRequestError(
+                f"unknown backend {request.backend!r} (known: "
+                f"{', '.join(available_backends())})"
             )
         if request.kernel is not None and request.n > MAX_STATEVECTOR_QUBITS:
             # Every suite kernel needs at least n qubits: reject before

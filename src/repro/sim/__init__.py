@@ -22,7 +22,6 @@ from repro.sim.statevector import (
 )
 from repro.sim.backend import (
     DEFAULT_BACKEND,
-    InterpreterBackend,
     RunInfo,
     SimBackend,
     VectorizedStatevectorBackend,
@@ -51,7 +50,6 @@ __all__ = [
     "BatchedStatevector",
     "DensityMatrixBackend",
     "DensityMatrixSimulator",
-    "InterpreterBackend",
     "ModuleInterpreter",
     "RunInfo",
     "SimBackend",

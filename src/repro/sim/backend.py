@@ -7,13 +7,7 @@ point — ``run_circuit``, ``simulate_kernel``, ``interpret_module``, and
 the evaluation harness — so a new simulation strategy plugs in without
 touching any of them.  See docs/simulators.md for the full guide.
 
-Three backends ship in-tree:
-
-``"interpreter"``
-    One independent statevector trajectory per shot, seeded
-    ``seed + shot`` (a 1-row batch of :mod:`repro.sim.batched`).
-    O(shots x gates x 2^n), but handles every circuit one instruction
-    at a time: the simple per-shot reference.
+Two backends ship in-tree:
 
 ``"statevector"``
     The vectorized sampler.  For *terminal-measurement* circuits (all
@@ -68,14 +62,13 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement, Reset
 from repro.qcircuit.fusion import FusedUnitary, fused_gate_savings
-from repro.sim.batched import BatchedStatevector, batched_run, channel_plan
+from repro.sim.batched import BatchedStatevector, batched_run
 
 # Get-or-create: same series repro.sim.batched increments for its
-# batched sweeps; this module adds the fast-path and interpreter ones.
+# batched sweeps; this module adds the fast-path ones.
 _SWEEPS = _metrics.counter(
     "repro_sim_sweeps_total",
-    "Simulator sweeps by engine (batched evolutions, fast-path samples, "
-    "interpreter trajectory loops)",
+    "Simulator sweeps by engine (batched evolutions, fast-path samples)",
     labels=("engine",),
 )
 
@@ -187,11 +180,11 @@ class RunInfo:
     (the circuit's marginal was already evolved in this process); the
     batched trajectory engine does one *batched* sweep per
     memory-envelope chunk (usually 1 — see
-    :data:`repro.sim.batched.MAX_BATCH_BYTES`); per-shot trajectory
-    execution does ``shots``; the exact density-matrix backend reports
-    1 (one rho evolution serves every shot).  ``batched`` is True when
-    the batched engine ran (so an ``evolutions`` of 1 means one sweep
-    over all shots at once, not one single-shot evolution).
+    :data:`repro.sim.batched.MAX_BATCH_BYTES`); the exact
+    density-matrix backend reports 1 (one rho evolution serves every
+    shot).  ``batched`` is True when the batched engine ran (so an
+    ``evolutions`` of 1 means one sweep over all shots at once, not one
+    single-shot evolution).
     ``fused_ops`` is the fast path's evolution step count — the
     execution circuit's gates and fused blocks, reported on memo hits
     too (``None`` off the fast path).
@@ -346,71 +339,6 @@ class SimBackend:
 def bit_tuples(bits: np.ndarray) -> list[tuple[int, ...]]:
     """A ``(shots, bits)`` array as the public per-shot tuples."""
     return list(map(tuple, bits.tolist()))
-
-
-def _trajectory_run(
-    circuit: Circuit,
-    shots: int,
-    seed: int,
-    noise_model=None,
-    stats=None,
-) -> np.ndarray:
-    """One independent trajectory per shot — a 1-row
-    :class:`BatchedStatevector` seeded ``seed + shot``; returns the
-    ``(shots, output bits)`` uint8 array.
-
-    Under a noise model, each trajectory unravels every attached
-    channel into its own Kraus draws, so ``stats`` counts noise events
-    per shot.  The channel plan is computed once per run.
-    """
-    output = list(circuit.output_bits or range(circuit.num_bits))
-    results = np.empty((shots, len(output)), dtype=np.uint8)
-    plan = channel_plan(circuit, noise_model)
-    with _trace.span(
-        "sim.sweep",
-        engine="interpreter", shots=shots, qubits=circuit.num_qubits,
-    ):
-        for shot in range(shots):
-            engine = BatchedStatevector(
-                1,
-                circuit.num_qubits,
-                circuit.num_bits,
-                np.random.default_rng(seed + shot),
-            )
-            bits = engine.run(circuit, noise_model, stats, plan)
-            results[shot] = bits[0, output]
-    _SWEEPS.inc(engine="interpreter")
-    return results
-
-
-class InterpreterBackend(SimBackend):
-    """Per-shot trajectory execution: one 1-row batch per shot."""
-
-    name = "interpreter"
-
-    def run_array_with_info(
-        self,
-        circuit: Circuit,
-        shots: int = 1,
-        seed: int = 0,
-        noise_model=None,
-    ) -> tuple[np.ndarray, RunInfo]:
-        from repro.noise.model import NoiseStats, effective_noise_model
-
-        noise_model = effective_noise_model(noise_model)
-        stats = NoiseStats()
-        results = _trajectory_run(
-            circuit, shots, seed, noise_model=noise_model, stats=stats
-        )
-        return results, RunInfo(
-            self.name,
-            shots,
-            evolutions=shots,
-            fast_path=False,
-            channel_applications=stats.channel_applications,
-            readout_applications=stats.readout_applications,
-            gates_fused=fused_gate_savings(circuit),
-        )
 
 
 def terminal_measurement_plan(
@@ -715,7 +643,6 @@ def run_circuit_with_info(
     return bit_tuples(bits), info
 
 
-register_backend(InterpreterBackend.name, InterpreterBackend)
 register_backend(
     VectorizedStatevectorBackend.name, VectorizedStatevectorBackend
 )

@@ -1,10 +1,10 @@
 """The statevector engine: shot-batched trajectories.
 
 Every statevector simulation in the repository runs here — the
-terminal-measurement fast path's single evolution, the per-shot
-``interpreter`` backend, the module interpreter, and the shot-batched
-trajectory runs of non-terminal circuits (teleportation,
-repeat-until-success patterns, the qubit-reuse layouts of Fig. 12).
+terminal-measurement fast path's single evolution, the module
+interpreter, and the shot-batched trajectory runs of non-terminal
+circuits (teleportation, repeat-until-success patterns, the
+qubit-reuse layouts of Fig. 12).
 One trajectory is simply a batch of one row.
 
 The state is one ``(shots, 2, 2, ..., 2)`` complex array — axis 0 is
@@ -37,10 +37,9 @@ number of sweeps honestly (1 for teleportation at 4096 shots; more
 only for very wide circuits at very high shot counts).
 
 :func:`batched_run` drives every shot of a run from one
-``Generator(seed)``, so its results agree with the ``interpreter``
-backend's ``seed + shot`` convention (one 1-row batch per shot) in
-distribution, not bit for bit.  See docs/simulators.md ("Batched
-trajectory engine").
+``Generator(seed)``: the one seed convention of every seeded
+statevector run.  See docs/simulators.md ("Batched trajectory
+engine").
 """
 
 from __future__ import annotations
@@ -75,8 +74,7 @@ _OUTCOMES = np.array([False, True])
 
 _SWEEPS = _metrics.counter(
     "repro_sim_sweeps_total",
-    "Simulator sweeps by engine (batched evolutions, fast-path samples, "
-    "interpreter trajectory loops)",
+    "Simulator sweeps by engine (batched evolutions, fast-path samples)",
     labels=("engine",),
 )
 

@@ -46,8 +46,8 @@ def run_circuit(
     to the one shared :data:`~repro.sim.backend.DEFAULT_BACKEND` — the
     vectorized ``"statevector"`` sampler — like every other execution
     entry point (``simulate_kernel``, ``kernel()``,
-    ``interpret_module``).  Pass ``backend="interpreter"`` for one
-    independent trajectory per shot, and ``noise_model`` (a
+    ``interpret_module``).  Pass ``backend="density_matrix"`` for the
+    exact reference, and ``noise_model`` (a
     :class:`repro.noise.NoiseModel`) to execute under noise
     (docs/noise.md).
 

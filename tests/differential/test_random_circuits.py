@@ -6,7 +6,6 @@ known gates with random controls/polarities and rotation angles, and
 conditioning, and reset — and every engine configuration must produce
 statistically equivalent histograms:
 
-- the per-shot **interpreter** (the reference trajectory engine),
 - the vectorized **statevector** backend (terminal-measurement fast
   path *and* the batched trajectory engine),
 - **fused** vs unfused execution (``fuse_adjacent_gates``),
@@ -149,30 +148,22 @@ def _check_config(label, outcomes, exact):
 def test_terminal_circuits_agree_across_engines(circuit, seed):
     exact = _reference_distribution(circuit)
     fused = fuse_adjacent_gates(circuit)
-    configs = [
-        ("statevector", circuit),
-        ("statevector", fused),
-        ("interpreter", circuit),
-    ]
-    for backend_name, form in configs:
+    for label, form in (
+        ("statevector", circuit), ("statevector/fused", fused)
+    ):
         outcomes = run_circuit(
-            form, shots=SHOTS, seed=seed, backend=backend_name
+            form, shots=SHOTS, seed=seed, backend="statevector"
         )
-        _check_config(
-            backend_name + ("/fused" if form is fused else ""),
-            outcomes,
-            exact,
-        )
+        _check_config(label, outcomes, exact)
 
 
 @given(circuit=trajectory_circuits(), seed=st.integers(0, 2**16))
 def test_trajectory_circuits_agree_across_engines(circuit, seed):
     exact = _reference_distribution(circuit)
-    for backend_name in ("statevector", "interpreter"):
-        outcomes = run_circuit(
-            circuit, shots=SHOTS, seed=seed, backend=backend_name
-        )
-        _check_config(backend_name, outcomes, exact)
+    outcomes = run_circuit(
+        circuit, shots=SHOTS, seed=seed, backend="statevector"
+    )
+    _check_config("statevector", outcomes, exact)
 
 
 @given(
@@ -191,15 +182,14 @@ def test_noisy_circuits_agree_with_exact_density(
     }[channel]
     noise_model = NoiseModel().add_channel(factory(strength))
     exact = _reference_distribution(circuit, noise_model)
-    for backend_name in ("statevector", "interpreter"):
-        outcomes = run_circuit(
-            circuit,
-            shots=SHOTS,
-            seed=seed,
-            backend=backend_name,
-            noise_model=noise_model,
-        )
-        _check_config(f"{backend_name}/{channel}", outcomes, exact)
+    outcomes = run_circuit(
+        circuit,
+        shots=SHOTS,
+        seed=seed,
+        backend="statevector",
+        noise_model=noise_model,
+    )
+    _check_config(f"statevector/{channel}", outcomes, exact)
 
 
 def test_threshold_sanity():

@@ -254,12 +254,12 @@ def test_unknown_backend_fails_fast_in_the_parent():
                                backend="no-such-backend")
 
 
-def test_interpreter_backend_through_the_parallel_path():
+def test_density_matrix_backend_through_the_parallel_path():
     results, info = parallel_run_with_info(
         teleport_circuit(), 200, seed=2, workers=2,
-        backend="interpreter", use_processes=False,
+        backend="density_matrix", use_processes=False,
     )
-    assert info.backend == "interpreter"
+    assert info.backend == "density_matrix"
     assert info.shots == 200
     assert info.chunks == 2
 

@@ -75,4 +75,4 @@ def test_shot_report_runs_the_compiled_execution_circuit():
     ).execution_circuit
     rows = shot_execution_report(algorithms=("grover",), sizes=(5,))
     assert fused_gate_savings(execution) == 92
-    assert [row.gates_fused for row in rows] == [92] * len(rows)
+    assert [row.gates_fused for row in rows] == [92]

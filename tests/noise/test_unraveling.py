@@ -1,6 +1,6 @@
-"""Stochastic Kraus unraveling tests: the batched trajectory engine and
-the per-shot interpreter must both converge to the exact density-matrix
-distribution, with honest RunInfo telemetry."""
+"""Stochastic Kraus unraveling tests: the batched trajectory engine must
+converge to the exact density-matrix distribution, with honest RunInfo
+telemetry."""
 
 import numpy as np
 import pytest
@@ -76,21 +76,24 @@ def test_batched_kraus_masked_subset_only():
 
 
 def test_single_shot_kraus_matches_channel_statistics():
-    """The per-shot interpreter's unraveling of amplitude damping on
-    |1>: P(read 0) = gamma."""
+    """One-row batches unravel amplitude damping on |1> with
+    P(read 0) = gamma: one 1-shot run per seed, so every draw goes
+    through the engine's single-row measurement and Kraus paths."""
     gamma = 0.25
     trials = 2000
     circuit = Circuit(num_qubits=1, num_bits=1)
     circuit.add(CircuitGate("x", (0,)))
     circuit.add(Measurement(0, 0))
     model = NoiseModel().add_channel(amplitude_damping(gamma))
-    results, info = run_circuit_with_info(
-        circuit, shots=trials, seed=0,
-        backend="interpreter", noise_model=model,
-    )
-    assert info.evolutions == trials
-    assert info.channel_applications == trials
-    damped = sum(1 for (bit,) in results if bit == 0)
+    stats = NoiseStats()
+    damped = 0
+    for seed in range(trials):
+        bits, sweeps = batched_run(
+            circuit, 1, seed, noise_model=model, stats=stats
+        )
+        assert sweeps == 1
+        damped += int(bits[0, 0] == 0)
+    assert stats.channel_applications == trials
     sigma = (trials * gamma * (1 - gamma)) ** 0.5
     assert abs(damped - gamma * trials) < 5 * sigma
 
@@ -196,22 +199,6 @@ def test_conditioned_fanout_unraveling_converges_to_density_matrix():
     )
 
 
-def test_interpreter_unraveling_converges_to_density_matrix():
-    """The per-shot interpreter is a second, independent unraveling —
-    cross-validating the batched implementation."""
-    circuit = teleport_circuit()
-    model = teleport_noise_model()
-    exact = DensityMatrixBackend().output_distribution(circuit, model)
-    results, info = run_circuit_with_info(
-        circuit, shots=4000, seed=29,
-        backend="interpreter", noise_model=model,
-    )
-    assert info.evolutions == 4000 and not info.batched
-    assert_matches_distribution(
-        results, exact, label="interpreter unraveling"
-    )
-
-
 def test_noisy_terminal_circuit_takes_batched_path():
     """Noise rules out the single-evolution fast path even for
     terminal-measurement circuits."""
@@ -274,19 +261,18 @@ def test_runinfo_reports_honest_counts_per_sweep():
 
 def test_never_fired_conditioned_gate_counts_no_channel_event():
     """A gate conditioned on a bit that never reads the required value
-    applies no noise — both engines must report zero channel events
-    (the batched engine's masked draw no-ops on an empty mask)."""
+    applies no noise — the batched engine must report zero channel
+    events (its masked draw no-ops on an empty mask)."""
     circuit = Circuit(num_qubits=2, num_bits=2, output_bits=[1])
     circuit.add(Measurement(0, 0))  # qubit 0 is |0>: bit 0 always 0
     circuit.add(CircuitGate("x", (1,), condition=(0, 1)))  # never fires
     circuit.add(Measurement(1, 1))
     model = NoiseModel().add_channel(depolarizing(0.2), gates=("x",))
-    for backend in ("statevector", "interpreter"):
-        _, info = run_circuit_with_info(
-            circuit, shots=64, seed=0,
-            backend=backend, noise_model=model,
-        )
-        assert info.channel_applications == 0, backend
+    _, info = run_circuit_with_info(
+        circuit, shots=64, seed=0,
+        backend="statevector", noise_model=model,
+    )
+    assert info.channel_applications == 0
 
 
 def test_runinfo_counts_scale_with_chunking():

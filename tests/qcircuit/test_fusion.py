@@ -155,7 +155,7 @@ def test_measurement_flushes_every_pending_block():
         repeat_until_success_circuit,
     ],
 )
-@pytest.mark.parametrize("backend", ["interpreter", "statevector"])
+@pytest.mark.parametrize("backend", ["statevector"])
 def test_examples_histograms_survive_fusion(make_circuit, backend):
     circuit = make_circuit()
     fused = fuse_adjacent_gates(circuit)

@@ -27,7 +27,11 @@ from repro.exec.parallel import (
     parallel_run_with_info,
 )
 from repro.exec.retry import RetryPolicy
-from repro.pipeline import clear_compile_cache, compile_kernel
+from repro.pipeline import (
+    clear_compile_cache,
+    compile_cache_info,
+    compile_kernel,
+)
 from repro.service import ExecutionService, ServiceClient, ServiceConfig
 
 SHOTS = 96
@@ -523,6 +527,27 @@ def test_bad_requests_never_reach_the_queue():
     # protocol) is discovered at execution time.
     assert stats["result"]["counters"]["accepted"] == 1
     assert stats["result"]["error_codes"]["QW604"] == 4
+
+
+@pytest.mark.parametrize("backend", ["interpreter", "nope"])
+def test_unknown_backends_are_rejected_before_any_compile_lookup(backend):
+    def lookups():
+        info = compile_cache_info()
+        return info["hits"] + info["misses"]
+
+    async def scenario():
+        async with ExecutionService(make_config()) as service:
+            before = lookups()
+            response = await ServiceClient(service).run(
+                id=1, kernel="bv", n=6, backend=backend
+            )
+            return response, lookups() - before
+
+    response, lookups_spent = run_async(scenario())
+    assert not response["ok"]
+    assert response["error"]["code"] == "QW604"
+    assert repr(backend) in response["error"]["message"]
+    assert lookups_spent == 0
 
 
 def test_unknown_preset_reports_the_compilers_code():

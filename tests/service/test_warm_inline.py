@@ -168,7 +168,7 @@ def _source(secret: str) -> dict:
 
 
 @pytest.mark.parametrize(
-    "case", ["noise", "fault-plan", "interpreter", "memo-miss"]
+    "case", ["noise", "fault-plan", "density_matrix", "memo-miss"]
 )
 def test_requests_that_are_not_warm_take_the_executor(case):
     fields = dict(kernel="bv", n=5, shots=64, seed=4)
@@ -186,9 +186,9 @@ def test_requests_that_are_not_warm_take_the_executor(case):
                 # Fires on every attempt; the 1 ms hang then continues.
                 with inject_faults(worker_hang=1.0, hang_seconds=0.001):
                     response = await client.run(id=1, **fields)
-            elif case == "interpreter":
+            elif case == "density_matrix":
                 response = await client.run(
-                    id=1, backend="interpreter", **fields
+                    id=1, backend="density_matrix", **fields
                 )
             else:
                 clear_marginal_memo()

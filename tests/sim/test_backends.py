@@ -2,8 +2,8 @@
 
 Covers the registry, terminal-measurement detection, the fast path on
 fused and unfused circuits, the gate-matrix cache, and — most
-importantly — statistical equivalence between vectorized sampling and
-per-shot execution.
+importantly — statistical agreement between vectorized sampling and
+the exact density-matrix distribution.
 """
 
 import math
@@ -15,7 +15,7 @@ from repro.errors import SimulationError
 from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement, Reset
 from repro.qcircuit.fusion import fuse_adjacent_gates
 from repro.sim import (
-    InterpreterBackend,
+    DensityMatrixBackend,
     SimBackend,
     VectorizedStatevectorBackend,
     apply_gates_to_state,
@@ -32,7 +32,7 @@ from repro.sim.backend import _REGISTRY
 
 
 from tests.stats import (  # noqa: E402  (shared statistical helpers)
-    assert_histograms_close,
+    assert_matches_distribution,
     histogram,
 )
 
@@ -52,26 +52,24 @@ def g(name, targets, controls=(), params=(), ctrl_states=(), condition=None):
 # Registry.
 # ----------------------------------------------------------------------
 def test_both_backends_registered():
-    names = available_backends()
-    assert "interpreter" in names
-    assert "statevector" in names
+    assert available_backends() == ("density_matrix", "statevector")
 
 
 def test_get_backend_resolves_names_and_instances():
-    assert isinstance(get_backend("interpreter"), InterpreterBackend)
     assert isinstance(get_backend("statevector"), VectorizedStatevectorBackend)
-    instance = InterpreterBackend()
+    assert isinstance(get_backend("density_matrix"), DensityMatrixBackend)
+    instance = VectorizedStatevectorBackend()
     assert get_backend(instance) is instance
 
 
 def test_unknown_backend_lists_registered():
-    with pytest.raises(SimulationError, match="interpreter"):
+    with pytest.raises(SimulationError, match="statevector"):
         get_backend("tensor-network")
 
 
 def test_register_backend_rejects_duplicates():
     with pytest.raises(SimulationError, match="already registered"):
-        register_backend("interpreter", InterpreterBackend)
+        register_backend("statevector", VectorizedStatevectorBackend)
 
 
 def test_register_custom_backend():
@@ -229,16 +227,14 @@ def test_fusion_matches_unfused_on_random_circuits(seed):
 
 
 # ----------------------------------------------------------------------
-# Vectorized sampling vs per-shot execution.
+# Vectorized sampling vs the exact density-matrix distribution.
 # ----------------------------------------------------------------------
 def test_teleportation_histograms_match():
     from repro.qcircuit import teleport_circuit
 
     circuit = teleport_circuit(theta=0.7)
     shots = 2000
-    per_shot, interp_info = run_circuit_with_info(
-        circuit, shots=shots, seed=7, backend="interpreter"
-    )
+    exact = DensityMatrixBackend().output_distribution(circuit)
     sampled, vector_info = run_circuit_with_info(
         circuit, shots=shots, seed=7, backend="statevector"
     )
@@ -247,16 +243,13 @@ def test_teleportation_histograms_match():
     assert not vector_info.fast_path
     assert vector_info.batched
     assert vector_info.evolutions == 1
-    assert interp_info.evolutions == shots and not interp_info.batched
-    # RNG streams differ between engines, so compare distributions
-    # (within the shot-count-derived TVD threshold; tests/stats.py).
-    assert_histograms_close(per_shot, sampled, label="teleport")
-    # And the physics holds on both: P(1) = sin^2(0.35).
+    # Within the shot-count-derived TVD threshold (tests/stats.py).
+    assert_matches_distribution(sampled, exact, label="teleport")
+    # And the physics holds: P(1) = sin^2(0.35).
     expected = math.sin(0.35) ** 2
     sigma = math.sqrt(expected * (1 - expected) * shots)
-    for results in (per_shot, sampled):
-        ones = sum(outcome[0] for outcome in results)
-        assert abs(ones - expected * shots) < 5 * sigma
+    ones = sum(outcome[0] for outcome in sampled)
+    assert abs(ones - expected * shots) < 5 * sigma
 
 
 def test_grover_histograms_match():
@@ -264,9 +257,7 @@ def test_grover_histograms_match():
 
     circuit = grover(3).compile(cache=True).optimized_circuit
     shots = 2000
-    per_shot, _ = run_circuit_with_info(
-        circuit, shots=shots, seed=11, backend="interpreter"
-    )
+    exact = DensityMatrixBackend().output_distribution(circuit)
     # Other tests run this circuit too; drop its memoized marginal so
     # this run performs (and reports) the evolution.
     clear_marginal_memo()
@@ -274,10 +265,9 @@ def test_grover_histograms_match():
         circuit, shots=shots, seed=11, backend="statevector"
     )
     assert info.fast_path and info.evolutions == 1
-    assert_histograms_close(per_shot, sampled, label="grover")
-    # Both concentrate on the marked item.
+    assert_matches_distribution(sampled, exact, label="grover")
+    # The samples concentrate on the marked item.
     assert histogram(sampled)[(1, 1, 1)] > 0.9 * shots
-    assert histogram(per_shot)[(1, 1, 1)] > 0.9 * shots
 
 
 def test_mid_circuit_measurement_takes_batched_path_and_matches():
@@ -287,16 +277,14 @@ def test_mid_circuit_measurement_takes_batched_path_and_matches():
     circuit.add(g("h", [0]))
     circuit.add(Measurement(0, 1))
     shots = 1500
-    per_shot, _ = run_circuit_with_info(
-        circuit, shots=shots, seed=3, backend="interpreter"
-    )
+    exact = DensityMatrixBackend().output_distribution(circuit)
     sampled, info = run_circuit_with_info(
         circuit, shots=shots, seed=3, backend="statevector"
     )
     assert not info.fast_path
     assert info.batched and info.evolutions == 1
-    assert_histograms_close(
-        per_shot, sampled, outcomes=4, label="mid-circuit"
+    assert_matches_distribution(
+        sampled, exact, outcomes=4, label="mid-circuit"
     )
     # All four outcomes occur: the second measurement is a fresh coin.
     assert len(histogram(sampled)) == 4
@@ -507,7 +495,7 @@ def test_marginal_is_memoized_peeks_without_counting(fresh_memo):
 
 def test_engines_return_uint8_arrays_and_the_boundary_tuples():
     circuit = _memo_circuit(theta=0.7)
-    for name in ("statevector", "interpreter"):
+    for name in available_backends():
         bits, info = get_backend(name).run_array_with_info(circuit, 16, 3)
         assert bits.dtype == np.uint8 and bits.shape == (16, 4)
         assert bits.flags.c_contiguous
@@ -591,16 +579,16 @@ def test_simulate_kernel_backend_kwarg():
 
     kernel = bernstein_vazirani("1011")
     by_vector = simulate_kernel(kernel, shots=4, backend="statevector")
-    by_shot = simulate_kernel(kernel, shots=4, backend="interpreter")
+    by_density = simulate_kernel(kernel, shots=4, backend="density_matrix")
     assert [str(b) for b in by_vector] == ["1011"] * 4
-    assert [str(b) for b in by_shot] == ["1011"] * 4
+    assert [str(b) for b in by_density] == ["1011"] * 4
 
 
 def test_kernel_call_backend_kwarg():
     from repro.algorithms import bernstein_vazirani
 
     kernel = bernstein_vazirani("110")
-    assert str(kernel(backend="interpreter")) == "110"
+    assert str(kernel(backend="density_matrix")) == "110"
     assert str(kernel(backend="statevector")) == "110"
     hist = kernel.histogram(shots=16, backend="statevector")
     assert hist == {"110": 16}

@@ -24,6 +24,7 @@ from repro.qcircuit import (
 from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement, Reset
 from repro.sim import (
     BatchedStatevector,
+    DensityMatrixBackend,
     apply_matrix_inplace,
     batch_chunk_size,
     batched_run,
@@ -32,7 +33,7 @@ from repro.sim import (
 )
 from repro.sim.backend import bit_tuples
 from repro.sim.batched import control_sliced_view
-from tests.stats import assert_histograms_close, histogram
+from tests.stats import assert_matches_distribution, histogram
 
 
 # ----------------------------------------------------------------------
@@ -279,8 +280,8 @@ def test_batched_run_is_deterministic():
 
 
 # ----------------------------------------------------------------------
-# Histogram equivalence vs the interpreter backend (the bit-exact
-# per-shot reference), within the derived TVD threshold (tests/stats.py).
+# Histogram convergence to the exact density-matrix distribution, within
+# the derived TVD threshold (tests/stats.py).
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "label, circuit_factory",
@@ -291,23 +292,20 @@ def test_batched_run_is_deterministic():
         ("repeat-until-success", repeat_until_success_circuit),
     ],
 )
-def test_batched_histograms_match_interpreter(label, circuit_factory):
+def test_batched_histograms_match_density_matrix(label, circuit_factory):
     circuit = circuit_factory()
     shots = 4000
-    per_shot, interp_info = run_circuit_with_info(
-        circuit, shots=shots, seed=13, backend="interpreter"
-    )
+    exact = DensityMatrixBackend().output_distribution(circuit)
     batched, info = run_circuit_with_info(
         circuit, shots=shots, seed=13, backend="statevector"
     )
-    assert interp_info.evolutions == shots and not interp_info.batched
     assert info.batched and not info.fast_path
     assert info.evolutions == 1
     assert len(batched) == shots
-    # Both engines sample the same distribution: the exact outcome sets
-    # agree and the TVD sits inside the shot-count-derived threshold.
-    assert set(histogram(batched)) == set(histogram(per_shot)), label
-    assert_histograms_close(per_shot, batched, label=label)
+    # Every sampled outcome is possible, and the TVD sits inside the
+    # shot-count-derived threshold.
+    assert set(histogram(batched)) <= set(exact), label
+    assert_matches_distribution(batched, exact, label=label)
 
 
 def test_batched_mid_circuit_reset_reuse_histogram():

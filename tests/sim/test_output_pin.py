@@ -1,19 +1,21 @@
 """Sampled outputs of every statevector execution path, pinned by digest.
 
-One sha256 covers, for fixed circuits and seeds:
+One sha256 per group covers, for fixed circuits and seeds:
 
-- the ``interpreter`` backend's per-shot outputs and noise counters on
-  teleportation and seeded random trajectory circuits (mid-circuit
-  measurement, reset, classically conditioned gates), noiseless and
-  under two noise models;
-- the ``statevector`` backend on the same circuits (the batched
-  trajectory engine) and on terminal circuits, plain and fused (the
-  fast path), including the compiled benchmark algorithms;
-- ``interpret_module`` bits on compiled kernels.
+- ``trajectory``: the ``statevector`` backend's outputs and noise
+  counters on teleportation and seeded random trajectory circuits
+  (mid-circuit measurement, reset, classically conditioned gates),
+  noiseless and under two noise models — the batched trajectory engine;
+- ``fast_path``: the ``statevector`` backend on terminal circuits,
+  plain and fused, including the compiled benchmark algorithms;
+- ``module``: ``interpret_module`` bits on compiled kernels.
 
-The digests were recorded before the engines were refactored, so any
-change to sampling, projection, Kraus selection or readout flips shows
-up here as a digest mismatch.
+The ``module`` digest was recorded before the engines were refactored.
+The ``trajectory`` and ``fast_path`` digests were recomputed, from these
+builders, on the code that still had a per-shot backend beside the
+batched engine, so removing that backend left every pinned
+``statevector`` output in place.  Any change to sampling, projection,
+Kraus selection or readout flips shows up here as a digest mismatch.
 """
 
 import hashlib
@@ -125,13 +127,12 @@ def _trajectory_records():
     for index, circuit in enumerate(circuits):
         for model_index, model in enumerate(_noise_models()):
             for seed in (0, 5):
-                for backend in ("interpreter", "statevector"):
-                    records.append(
-                        [
-                            index, model_index, seed, backend,
-                            _run_record(backend, circuit, 24, seed, model),
-                        ]
-                    )
+                records.append(
+                    [
+                        index, model_index, seed,
+                        _run_record("statevector", circuit, 24, seed, model),
+                    ]
+                )
     return records
 
 
@@ -154,7 +155,6 @@ def _fast_path_records():
                     [
                         index, fused, seed,
                         _run_record("statevector", run, 64, seed),
-                        _run_record("interpreter", run, 8, seed),
                     ]
                 )
     return records
@@ -185,10 +185,10 @@ def _digest(records) -> str:
 
 _PINNED = {
     "trajectory": (
-        "8318c3cafd8cb8e52852d2d92afe3bd666bd567c13ff6b0be78b1d1a0f9ab672"
+        "6b8028533a3d21d18450c48e0f09aa9201285f7ec9e6fb7cedfd02ce34b333e7"
     ),
     "fast_path": (
-        "6671a212f2efc1827840fc6d6f0abe147063b51835daebba63a6bc051c55e440"
+        "de833433c3683d72e19cdce1a899ecdcd31d8eb9cba5d9a9b09db8840ce9dcb9"
     ),
     "module": (
         "db7f3a983120fd0c5894c2e463a72a32dfa89c06cffb010afc89154009de1f40"
