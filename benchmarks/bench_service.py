@@ -24,6 +24,11 @@ hit (``compile-cache-hit``) and a repeated ``source`` resolve plus hit
 A fourth times the largest warm request a server answers on its event
 loop (``warm-sample``): a marginal-memo hit at ``MAX_SHOTS`` shots,
 two in-process chunks as on a ``--serial`` server, plus ``counts_of``.
+``warm-sample-inline`` times the same request the way the service
+answers it, drawing both chunks from the held CDF
+(``parallel_draw_with_info``).  A fifth times the warm path as a whole
+(``warm-inline``): 2,000 warm 256-shot requests through an in-process
+client on a ``--serial``-configured service, answered on its loop.
 
 Chunks run in-process (``use_processes=False``): the benchmark
 measures the service machinery (admission, deadlines, retry waves),
@@ -39,12 +44,16 @@ from conftest import bench_record, write_bench_json, write_result
 
 from repro.evaluation import asdf_kernel
 from repro.exec.faults import FaultPlan
-from repro.exec.parallel import parallel_run_with_info
+from repro.exec.parallel import (
+    parallel_draw_with_info,
+    parallel_run_with_info,
+)
 from repro.exec.retry import RetryPolicy
 from repro.pipeline import compile_kernel
 from repro.service import ExecutionService, ServiceClient, ServiceConfig
 from repro.service import protocol
 from repro.service import service as service_module
+from repro.sim.backend import memoized_marginal
 
 REQUESTS = 48
 SHOTS = 128
@@ -60,6 +69,13 @@ RETRY = RetryPolicy(backoff_base=0.002, backoff_cap=0.02)
 HIT_CALLS = 1000
 HIT_SAMPLES = 5
 WARM_SAMPLES = 5
+
+#: The warm-inline record: requests per sample, their shots, and the
+#: suite kernels they cycle through (every one warmed beforehand).
+INLINE_REQUESTS = 2000
+INLINE_SHOTS = 256
+INLINE_KERNELS = ("bv", "dj", "grover", "simon", "period")
+INLINE_SAMPLES = 3
 
 #: A Bernstein-Vazirani ``source`` kernel with a captured oracle.
 BV_SOURCE = '''\
@@ -314,4 +330,93 @@ def test_warm_sample_at_max_shots():
         f"warm grover n=8 request, {shots} shots in 2 in-process "
         f"chunks, plus counts_of ({len(counts)} outcomes): "
         f"{best * 1e3:.1f} ms (best of {WARM_SAMPLES})\n",
+    )
+
+
+def test_warm_sample_inline_at_max_shots():
+    circuit = compile_kernel(
+        asdf_kernel("grover", 8), pipeline="default", cache=True
+    ).execution_circuit
+    shots = protocol.MAX_SHOTS
+    parallel_run_with_info(circuit, 1, workers=1)  # memoizes the marginal
+    plan, cdf = memoized_marginal(circuit)
+    expected, _ = parallel_run_with_info(
+        circuit, shots, seed=1, workers=2, use_processes=False
+    )
+    best = float("inf")
+    for _ in range(WARM_SAMPLES):
+        start = time.perf_counter()
+        bits, info = parallel_draw_with_info(
+            circuit, plan, cdf, shots, seed=1, workers=2
+        )
+        counts = protocol.counts_of(bits)
+        best = min(best, time.perf_counter() - start)
+        assert info.evolutions == 0 and info.chunks == 2
+        assert (bits == expected).all()
+    write_bench_json(
+        "service",
+        [
+            bench_record(
+                "warm-sample-inline", "2^20-shots", best * 1e3,
+                shots=shots, evolutions=0,
+            )
+        ],
+    )
+    write_result(
+        "service_warm_sample_inline.txt",
+        f"warm grover n=8 request drawn from the held CDF, {shots} shots "
+        f"in 2 chunks, plus counts_of ({len(counts)} outcomes): "
+        f"{best * 1e3:.1f} ms (best of {WARM_SAMPLES})\n",
+    )
+
+
+def test_warm_requests_inline():
+    config = ServiceConfig(use_processes=False)  # as `--serial`
+    kernels = [dict(kernel=name, n=N) for name in INLINE_KERNELS]
+
+    async def sample(client) -> float:
+        start = time.perf_counter()
+        for index in range(INLINE_REQUESTS):
+            response = await client.run(
+                id=index, shots=INLINE_SHOTS, seed=index,
+                **kernels[index % len(kernels)],
+            )
+            assert response["ok"], response
+        return time.perf_counter() - start
+
+    async def drive():
+        async with ExecutionService(config) as service:
+            client = ServiceClient(service)
+            for fields in kernels:  # compile and evolve outside the timing
+                assert (await client.run(id="warm", **fields))["ok"]
+            threads = []
+            real_submit = service._threads.submit
+
+            def counting_submit(fn, *args, **kwargs):
+                threads.append(fn)
+                return real_submit(fn, *args, **kwargs)
+
+            service._threads.submit = counting_submit
+            best = min([await sample(client) for _ in range(INLINE_SAMPLES)])
+            assert threads == [], "a warm request left the loop"
+            return best
+
+    best = asyncio.run(drive())
+    write_bench_json(
+        "service",
+        [
+            bench_record(
+                "warm-inline", f"{INLINE_REQUESTS}req-{INLINE_SHOTS}-shots",
+                best * 1e3, shots=INLINE_REQUESTS * INLINE_SHOTS,
+                evolutions=0,
+            )
+        ],
+    )
+    write_result(
+        "service_warm_inline.txt",
+        f"{INLINE_REQUESTS} warm {INLINE_SHOTS}-shot requests "
+        f"({', '.join(INLINE_KERNELS)} at n={N}) through an in-process "
+        f"client on a --serial-configured service: {best * 1e3:.1f} ms, "
+        f"{best / INLINE_REQUESTS * 1e6:.0f} us per request "
+        f"(best of {INLINE_SAMPLES})\n",
     )

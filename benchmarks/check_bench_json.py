@@ -23,8 +23,10 @@ jitter; env ``BENCH_MAX_RATIO`` overrides) times its baseline fails
 the build.  Keys whose baseline wall time is below ``--min-wall-ms``
 (default 5.0) are skipped — sub-5ms timings are jitter, not signal.
 A key present in the baseline but absent from the current run also
-fails (a renamed benchmark must refresh its baseline); new keys only
-warn.
+fails: usually the bench test that writes it failed or was skipped
+before ``write_bench_json`` (read that test's result), and only a
+genuinely renamed or removed benchmark calls for
+``--update-baselines``.  New keys only warn.
 
 **Refreshing baselines** (``--update-baselines``): copies the current
 ``BENCH_*.json`` files into ``benchmarks/baselines/``.  Do this when a
@@ -34,7 +36,9 @@ added — and say why in the commit message.  See docs/performance.md.
 **Self-test** (``--self-test``): proves the gate has teeth by
 synthesizing a baseline 3x *faster* than the current run (so the
 current run is a >2x regression against it) and asserting the
-comparison fails, then an identical baseline and asserting it passes.
+comparison fails, then an identical baseline and asserting it passes,
+then a current run missing one baseline key and asserting that key
+fails as possibly not written rather than only as renamed.
 """
 
 from __future__ import annotations
@@ -118,6 +122,16 @@ def wall_times(path: Path) -> dict[tuple[str, str], float]:
     return times
 
 
+def missing_key_problem(label: str) -> str:
+    """The problem a baseline key absent from the current run reports."""
+    return (
+        f"{label}: in baseline but not in current run; the bench test "
+        f"that writes it may have failed or been skipped before "
+        f"write_bench_json (check its result). Only if the benchmark "
+        f"was renamed or removed, refresh with --update-baselines"
+    )
+
+
 def compare_file(
     current_path: Path,
     baseline_path: Path,
@@ -134,10 +148,7 @@ def compare_file(
         label = f"{name}:{key[0]}/{key[1]}"
         wall = current.get(key)
         if wall is None:
-            problems.append(
-                f"{label}: in baseline but not in current run "
-                f"(renamed/removed benchmarks must refresh baselines)"
-            )
+            problems.append(missing_key_problem(label))
             continue
         if base_wall < min_wall_ms:
             continue  # jitter-dominated; no signal to gate on
@@ -279,6 +290,19 @@ def self_test(max_ratio: float, min_wall_ms: float) -> int:
             return 1
         print("self-test: identical baseline passes — gate is not "
               "trigger-happy")
+        # ... and a key the current run lacks (its test failed before
+        # writing it) must still fail, naming that cause.
+        dropped = _drop_one_record(lifted)
+        problems = _compare_dirs(lifted, same_dir, max_ratio, min_wall_ms)
+        if problems != [missing_key_problem(dropped)]:
+            print(
+                f"self-test FAILED: dropping {dropped} from the current "
+                f"run reported {problems}",
+                file=sys.stderr,
+            )
+            return 1
+        print(f"self-test: missing key {dropped} fails as possibly not "
+              f"written — a failed bench test cannot pass unseen")
         return 0
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
@@ -298,6 +322,28 @@ def _with_lifted_current(scratch: Path, floor: float) -> Path:
             record["wall_ms"] = max(float(record["wall_ms"]), floor * 10.0)
         (lifted / name).write_text(json.dumps(payload))
     return lifted
+
+
+def _drop_one_record(current_dir: Path) -> str:
+    """Remove every record of the first key of the first BENCH file in
+    ``current_dir``; returns the label :func:`compare_file` gives it."""
+    for name in EXPECTED_BENCH_JSON:
+        path = current_dir / name
+        if not path.exists():
+            continue
+        payload = json.loads(path.read_text())
+        records = payload.get("records", ())
+        if not records:
+            continue
+        key = (str(records[0]["benchmark"]), str(records[0]["config"]))
+        payload["records"] = [
+            record
+            for record in records
+            if (str(record["benchmark"]), str(record["config"])) != key
+        ]
+        path.write_text(json.dumps(payload))
+        return f"{name}:{key[0]}/{key[1]}"
+    raise RuntimeError("no current BENCH record to drop")
 
 
 def _compare_dirs(

@@ -23,6 +23,11 @@ so there is one seed convention and one dispatcher:
   :class:`~repro.sim.backend.RunInfo` telemetry merges via
   :meth:`RunInfo.merge`, with ``workers``/``chunks`` recorded.
 
+The one shortcut is :func:`parallel_draw_with_info`, for a caller that
+already holds a circuit's memoized marginal (the service's warm
+requests): it draws the same plan's chunks with the same derived seeds
+and dispatches nothing, so its answer is the dispatcher's.
+
 Determinism contract: the output depends only on the chunk plan and
 the derived seeds — **not** on which process (or whether a process at
 all) executed a chunk, nor on how many attempts it took.  A pool that
@@ -66,12 +71,16 @@ from repro.exec.faults import (
 from repro.exec.retry import RetryPolicy, execute_with_retry
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.qcircuit.circuit import Circuit
+from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement
+from repro.qcircuit.fusion import FusedUnitary, fused_gate_savings
 from repro.sim.backend import (
     DEFAULT_BACKEND,
     RunInfo,
     SimBackend,
+    VectorizedStatevectorBackend,
+    draw_outcomes,
     get_backend,
+    scatter_outcomes,
 )
 
 #: Environment override for the multiprocessing start method used by
@@ -87,11 +96,19 @@ LIBRARY_RETRY = RetryPolicy(timeout=None)
 
 _DISPATCHES = _metrics.counter(
     "repro_exec_dispatches_total",
-    "Parallel run dispatches (one per parallel_run_with_info call)",
+    "Parallel run dispatches (one per parallel_run_with_info or "
+    "parallel_draw_with_info call)",
 )
 _CHUNKS = _metrics.counter(
     "repro_exec_chunks_total",
     "Chunks planned for dispatch across all parallel runs",
+)
+# Get-or-create: the series repro.sim.backend counts its memo lookups
+# in; a warm draw is one hit.
+_MEMO_LOOKUPS = _metrics.counter(
+    "repro_sim_marginal_memo_total",
+    "Fast-path terminal-marginal memo lookups by outcome (hit, miss)",
+    labels=("outcome",),
 )
 
 
@@ -353,3 +370,67 @@ def parallel_run_with_info(
         degraded=telemetry.degraded,
     )
     return results, merged
+
+
+def parallel_draw_with_info(
+    circuit: Circuit,
+    plan: "list[Measurement]",
+    cdf: np.ndarray,
+    shots: int,
+    seed: int = 0,
+    workers: Optional[int] = None,
+) -> tuple[np.ndarray, RunInfo]:
+    """:func:`parallel_run_with_info` for a noiseless ``statevector``
+    run whose marginal the caller already holds: ``(plan, cdf)`` from
+    :func:`repro.sim.backend.memoized_marginal`.
+
+    Chunk *i* of the same chunk plan draws its outcomes from
+    ``default_rng(chunk_seed_i)``, exactly as that chunk's
+    ``run_array_with_info`` would on a memo hit; the outcomes
+    concatenate in plan order and scatter into output bits once.  So
+    the bits and the :class:`RunInfo` equal those of an in-process
+    :func:`parallel_run_with_info` of ``circuit`` with the same
+    ``(shots, seed, workers)``, with no chunk task, no dispatcher and
+    no further memo lookup.  It counts one dispatch, the plan's chunks
+    and one memo hit, and traces one ``exec.dispatch`` span around one
+    ``sim.sweep``.  Nothing here injects faults or can be cancelled:
+    callers (the service's warm path) check both beforehand.
+    """
+    workers = resolve_workers(workers)
+    sizes = chunk_plan(shots, workers)
+    seeds = derive_chunk_seeds(seed, len(sizes))
+    with _trace.span(
+        "exec.dispatch",
+        shots=shots, chunks=len(sizes), workers=workers,
+        retries=0, degraded=False,
+    ), _trace.span(
+        "sim.sweep",
+        engine="fast-path", shots=shots, qubits=circuit.num_qubits,
+        memo="hit",
+    ):
+        _DISPATCHES.inc()
+        _CHUNKS.inc(len(sizes))
+        outcomes = [
+            draw_outcomes(cdf, size, np.random.default_rng(chunk_seed))
+            for size, chunk_seed in zip(sizes, seeds)
+        ]
+        results = scatter_outcomes(
+            outcomes[0] if len(outcomes) == 1 else np.concatenate(outcomes),
+            circuit,
+            plan,
+        )
+    _MEMO_LOOKUPS.inc(outcome="hit")
+    steps = sum(
+        isinstance(inst, (CircuitGate, FusedUnitary))
+        for inst in circuit.instructions
+    )
+    return results, RunInfo(
+        VectorizedStatevectorBackend.name,
+        shots,
+        evolutions=0,
+        fast_path=True,
+        fused_ops=len(sizes) * steps,
+        gates_fused=len(sizes) * fused_gate_savings(circuit),
+        workers=workers,
+        chunks=len(sizes),
+    )

@@ -151,6 +151,8 @@ class _Work:
     same ``service.request`` span.  ``compiled`` is the ``(compile,
     provenance)`` pair the warm check found, if any: whichever path
     runs the request uses it instead of looking it up again.
+    ``marginal`` is the ``(execution circuit, plan, cdf)`` a warm
+    request draws its shots from.
     """
 
     request: protocol.RunRequest
@@ -161,6 +163,7 @@ class _Work:
     fault_plan: Optional[FaultPlan]
     trace: Optional[tracing.TraceContext] = None
     compiled: Optional[tuple] = None
+    marginal: Optional[tuple] = None
 
 
 class ExecutionService:
@@ -484,7 +487,8 @@ class ExecutionService:
         backend, its chunks run in-process, no fault of its plan (if
         any) fires on its first attempt, and its execution circuit's
         marginal is memoized.  Such a run costs less than the executor
-        hop, so the worker loop runs it itself.
+        hop, so the worker loop runs it itself, drawing from the
+        ``work.marginal`` this check found.
 
         Once the cheap checks pass, this makes the request's one
         counted compile lookup, which never compiles; a hit rides on
@@ -504,7 +508,7 @@ class ExecutionService:
         from repro.sim.backend import (
             DEFAULT_BACKEND,
             VectorizedStatevectorBackend,
-            marginal_is_memoized,
+            memoized_marginal,
         )
 
         request = work.request
@@ -534,7 +538,11 @@ class ExecutionService:
         if work.compiled is None:
             return False
         circuit = _run_circuit(work.compiled[0], None)
-        return circuit is not None and marginal_is_memoized(circuit)
+        memoized = None if circuit is None else memoized_marginal(circuit)
+        if memoized is None:
+            return False
+        work.marginal = (circuit, *memoized)
+        return True
 
     def _execute_sync(self, work: _Work) -> dict:
         """The blocking compile + sharded run, on a service executor
@@ -550,11 +558,44 @@ class ExecutionService:
             return self._run_request(work)
 
     def _run_request(self, work: _Work) -> dict:
+        from repro.exec import parallel
+
+        request = work.request
+        workers, use_processes = self._run_settings(request)
+        if work.marginal is not None:
+            # Warm: draw from the CDF the check holds, which an
+            # eviction since cannot take away, so this never evolves.
+            results, info = parallel.parallel_draw_with_info(
+                *work.marginal, request.shots, request.seed, workers
+            )
+            provenance = work.compiled[1]
+        else:
+            results, info, provenance = self._dispatch(
+                work, workers, use_processes
+            )
+        return {
+            "counts": protocol.counts_of(results),
+            "shots": info.shots,
+            "info": {
+                "backend": info.backend,
+                "workers": info.workers,
+                "chunks": info.chunks,
+                "retries": info.retries,
+                "faults_injected": info.faults_injected,
+                "degraded": info.degraded,
+                "compile_cache": provenance,
+            },
+        }
+
+    def _dispatch(
+        self, work: _Work, workers: int, use_processes: bool
+    ) -> tuple:
+        """Compile (unless the warm check found the compile), then run
+        the request's chunks through the shot executor's dispatcher."""
         from repro.exec.parallel import parallel_run_with_info
         from repro.pipeline import _compile_with_provenance, _run_circuit
 
         request = work.request
-        workers, use_processes = self._run_settings(request)
         plan_scope = (
             inject_faults(work.fault_plan)
             if work.fault_plan is not None
@@ -590,19 +631,7 @@ class ExecutionService:
         finally:
             if plan_scope is not None:
                 plan_scope.__exit__(None, None, None)
-        return {
-            "counts": protocol.counts_of(results),
-            "shots": info.shots,
-            "info": {
-                "backend": info.backend,
-                "workers": info.workers,
-                "chunks": info.chunks,
-                "retries": info.retries,
-                "faults_injected": info.faults_injected,
-                "degraded": info.degraded,
-                "compile_cache": provenance,
-            },
-        }
+        return results, info, provenance
 
     # ------------------------------------------------------------------
     # Observability.

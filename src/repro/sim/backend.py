@@ -68,7 +68,8 @@ from repro.sim.batched import BatchedStatevector, batched_run
 # batched sweeps; this module adds the fast-path ones.
 _SWEEPS = _metrics.counter(
     "repro_sim_sweeps_total",
-    "Simulator sweeps by engine (batched evolutions, fast-path samples)",
+    "Simulator sweeps by engine (batched evolutions, fast-path evolutions "
+    "on a marginal-memo miss)",
     labels=("engine",),
 )
 
@@ -137,20 +138,26 @@ def _memo_put(key: tuple, cdf: np.ndarray) -> None:
             held -= evicted
 
 
-def marginal_is_memoized(circuit: Circuit) -> bool:
-    """Whether a noiseless ``statevector`` run of ``circuit`` would only
-    draw shots: the circuit takes the terminal-measurement fast path
-    and its marginal is in the memo.
+def memoized_marginal(
+    circuit: Circuit,
+) -> Optional[tuple[list[Measurement], np.ndarray]]:
+    """The ``(plan, cdf)`` a noiseless ``statevector`` run of
+    ``circuit`` would only draw shots from: its
+    :func:`terminal_measurement_plan` and the memoized sampling CDF of
+    its marginal.  ``None`` when the circuit does not take the
+    terminal-measurement fast path or its marginal is not memoized.
 
     A peek, for callers deciding where to run a request: it counts no
-    lookup and leaves the LRU order alone.  The entry may still be
-    evicted before the run, which then evolves the circuit again.
+    lookup and leaves the LRU order alone.  The CDF is read-only, and
+    holding it keeps it valid even if its entry is evicted later.
     """
-    if terminal_measurement_plan(circuit) is None:
-        return False
+    plan = terminal_measurement_plan(circuit)
+    if plan is None:
+        return None
     key = _memo_key(circuit)
     with _MARGINAL_MEMO_LOCK:
-        return key in _MARGINAL_MEMO
+        entry = _MARGINAL_MEMO.get(key)
+    return None if entry is None else (plan, entry[0])
 
 
 def clear_marginal_memo() -> None:
@@ -460,8 +467,10 @@ class VectorizedStatevectorBackend(SimBackend):
                 _memo_put(key, cdf)
             outcome = "miss" if evolutions else "hit"
             span.set(memo=outcome)
-            results = sample_cdf(
-                cdf, circuit, plan, shots, np.random.default_rng(seed)
+            results = scatter_outcomes(
+                draw_outcomes(cdf, shots, np.random.default_rng(seed)),
+                circuit,
+                plan,
             )
         _MEMO_LOOKUPS.inc(outcome=outcome)
         if evolutions:
@@ -518,31 +527,43 @@ def sample_marginal(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw ``shots`` outputs from a :func:`terminal_marginal`; returns
-    the ``(shots, output bits)`` uint8 array (see :func:`sample_cdf`)."""
-    return sample_cdf(sampling_cdf(marginal), circuit, plan, shots, rng)
+    the ``(shots, output bits)`` uint8 array (see :func:`draw_outcomes`
+    and :func:`scatter_outcomes`)."""
+    return scatter_outcomes(
+        draw_outcomes(sampling_cdf(marginal), shots, rng), circuit, plan
+    )
 
 
-def sample_cdf(
-    cdf: np.ndarray,
+def draw_outcomes(
+    cdf: np.ndarray, shots: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw ``shots`` marginal outcomes from a :func:`sampling_cdf` in
+    one vectorized ``searchsorted``.
+
+    Every terminal-measurement sample is drawn here — both backends'
+    runs and the shot executor's warm draws
+    (:func:`repro.exec.parallel.parallel_draw_with_info`): one sampler,
+    one seed convention, so their zero-noise histograms match exactly.
+    """
+    return cdf.searchsorted(rng.random(shots), side="right")
+
+
+def scatter_outcomes(
+    outcomes: np.ndarray,
     circuit: Circuit,
     plan: Sequence[Measurement],
-    shots: int,
-    rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw ``shots`` outputs from a marginal's :func:`sampling_cdf`;
-    returns the ``(shots, output bits)`` uint8 array.
+    """Scatter :func:`draw_outcomes` outcomes into the plan's classical
+    bits; returns the ``(shots, output bits)`` uint8 array.
 
-    One vectorized draw, then the outcome bits scatter into the plan's
-    classical bits.  Both terminal-measurement backends sample here —
-    one sampling path, one seed convention, so their zero-noise
-    histograms match exactly.
+    Row ``i`` depends only on ``outcomes[i]``, so outcomes drawn in
+    chunks and concatenated scatter to the chunks' concatenated bits.
     """
+    shots = len(outcomes)
     output = list(circuit.output_bits or range(circuit.num_bits))
     if not plan:
         # Nothing measured: the classical register stays all-zero.
         return np.zeros((shots, len(output)), dtype=np.uint8)
-
-    outcomes = cdf.searchsorted(rng.random(shots), side="right")
 
     # Marginal axis order is sorted qubit order, so the outcome's bit
     # for qubit q sits at position pos[q] from the left (the same
@@ -550,11 +571,14 @@ def sample_cdf(
     measured = sorted({m.qubit for m in plan})
     pos = {qubit: i for i, qubit in enumerate(measured)}
     width = len(measured)
-    bits = np.zeros((shots, circuit.num_bits), dtype=np.uint8)
-    for meas in plan:
-        bits[:, meas.bit] = (outcomes >> (width - 1 - pos[meas.qubit])) & 1
-    # take(), unlike bits[:, output], keeps the rows C-contiguous.
-    return bits.take(output, axis=1)
+    # A bit measured twice keeps its last measurement; an unmeasured
+    # output bit is masked to 0.
+    shift_of = {m.bit: width - 1 - pos[m.qubit] for m in plan}
+    dtype = np.min_scalar_type((1 << width) - 1)
+    shifts = np.array([shift_of.get(bit, 0) for bit in output], dtype=dtype)
+    masks = np.array([bit in shift_of for bit in output], dtype=dtype)
+    bits = (outcomes.astype(dtype)[:, None] >> shifts) & masks
+    return bits.astype(np.uint8, copy=False)
 
 
 # ----------------------------------------------------------------------

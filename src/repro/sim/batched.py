@@ -74,7 +74,8 @@ _OUTCOMES = np.array([False, True])
 
 _SWEEPS = _metrics.counter(
     "repro_sim_sweeps_total",
-    "Simulator sweeps by engine (batched evolutions, fast-path samples)",
+    "Simulator sweeps by engine (batched evolutions, fast-path evolutions "
+    "on a marginal-memo miss)",
     labels=("engine",),
 )
 

@@ -184,3 +184,102 @@ def test_noop_path_records_nothing_when_disabled():
         )
         assert lookups.value(layer="memory", outcome="miss") == before
     assert trace.current_context() is None
+
+
+def test_warm_requests_count_one_story():
+    # A warm request makes one compile lookup and one marginal-memo
+    # lookup, dispatches once, plans its chunks and evolves nothing;
+    # stats and the exposition agree on the compile hits.
+    requests = 5
+    fields = dict(kernel="grover", n=N, shots=SHOTS)
+
+    def series():
+        text = metrics.render()
+        return {
+            "compile_hits": parse_exposition(
+                text, "repro_cache_lookups_total"
+            ).get(("memory", "hit"), 0),
+            "memo_hits": parse_exposition(
+                text, "repro_sim_marginal_memo_total"
+            ).get(("hit",), 0),
+            "memo_misses": parse_exposition(
+                text, "repro_sim_marginal_memo_total"
+            ).get(("miss",), 0),
+            "dispatches": parse_exposition(
+                text, "repro_exec_dispatches_total"
+            ).get((), 0),
+            "chunks": parse_exposition(
+                text, "repro_exec_chunks_total"
+            ).get((), 0),
+            "sweeps": sum(
+                parse_exposition(text, "repro_sim_sweeps_total").values()
+            ),
+        }
+
+    async def scenario():
+        async with ExecutionService(make_config()) as service:
+            client = ServiceClient(service)
+            cold = await client.run(id="cold", seed=0, **fields)
+            assert cold["ok"], cold
+            stats_before = (await client.stats())["result"]
+            before = series()
+            for index in range(requests):
+                response = await client.run(id=index, seed=index, **fields)
+                assert response["ok"], response
+            after = series()
+            stats = (await client.stats())["result"]
+            exposition = (await client.metrics())["result"]["exposition"]
+        return cold, before, after, stats_before, stats, exposition, (
+            service._label
+        )
+
+    cold, before, after, stats_before, stats, exposition, label = (
+        asyncio.run(scenario())
+    )
+    chunks = cold["result"]["info"]["chunks"]
+    assert chunks == 2
+    delta = {key: after[key] - before[key] for key in before}
+    assert delta == {
+        "compile_hits": requests,
+        "memo_hits": requests,
+        "memo_misses": 0,
+        "dispatches": requests,
+        "chunks": requests * chunks,
+        "sweeps": 0,
+    }
+    # stats reads the same series (compile hits since the last cache
+    # clear, completions of this service instance).
+    hits = stats["compile_cache"]["memory_hits"]
+    assert hits - stats_before["compile_cache"]["memory_hits"] == requests
+    completed = stats["counters"]["completed"]
+    assert completed - stats_before["counters"]["completed"] == requests
+    assert completed == parse_exposition(
+        exposition, "repro_service_events_total"
+    )[(label, "completed")]
+
+
+def test_traced_warm_request_has_a_sweep_under_its_dispatch():
+    fields = dict(kernel="simon", n=N, shots=SHOTS, seed=3)
+
+    async def scenario():
+        async with ExecutionService(make_config()) as service:
+            client = ServiceClient(service)
+            assert (await client.run(id="cold", **fields))["ok"]
+            tracer = trace.enable_tracing()
+            try:
+                response = await client.run(id="warm", **fields)
+            finally:
+                trace.disable_tracing()
+        return response, tracer
+
+    response, tracer = asyncio.run(scenario())
+    assert response["ok"], response
+    [dispatch] = tracer.by_name("exec.dispatch")
+    [sweep] = tracer.by_name("sim.sweep")
+    assert tracer.by_name("exec.chunk") == []
+    assert sweep["parent_id"] == dispatch["span_id"]
+    assert dispatch["attrs"]["chunks"] == 2
+    assert sweep["attrs"]["engine"] == "fast-path"
+    assert sweep["attrs"]["memo"] == "hit"
+    [execute] = tracer.by_name("service.execute")
+    assert dispatch["parent_id"] == execute["span_id"]

@@ -6,7 +6,9 @@ its chunks run in-process, no fault of its plan fires on its first
 attempt, and its execution circuit's marginal is memoized
 (docs/service.md).  These tests watch the service's thread pool: a
 warm request never reaches its ``submit``, every other request does
-exactly once.
+exactly once.  A warm request draws every chunk from the CDF its check
+holds (``parallel_draw_with_info``), and its answer equals the
+dispatcher's.
 """
 
 import asyncio
@@ -16,8 +18,10 @@ import time
 import types
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import pipeline
+from repro.evaluation import asdf_kernel
 from repro.exec import parallel
 from repro.exec.faults import (
     FaultPlan,
@@ -25,9 +29,11 @@ from repro.exec.faults import (
     fires_on_first_attempt,
     inject_faults,
 )
+from repro.obs import metrics
 from repro.obs import trace as tracing
 from repro.pipeline import clear_compile_cache, compile_cache_info
 from repro.service import ExecutionService, ServiceClient, ServiceConfig
+from repro.service import protocol
 from repro.service import service as service_module
 from repro.sim import clear_marginal_memo
 
@@ -67,14 +73,21 @@ def _count_submits(service: ExecutionService) -> list:
     return calls
 
 
-def test_warm_requests_never_reach_the_thread_pool():
+def test_warm_requests_never_reach_the_thread_pool(monkeypatch):
     fields = dict(kernel="grover", n=4, shots=64, seed=1)
+
+    def no_dispatch(*args, **kwargs):
+        raise AssertionError("a warm request dispatched chunks")
 
     async def scenario():
         async with ExecutionService(_config()) as service:
             client = ServiceClient(service)
             first = await client.run(id=0, **fields)
             calls = _count_submits(service)
+            # Warm requests draw from the held CDF: no chunk task, no
+            # dispatcher.
+            monkeypatch.setattr(parallel, "_ChunkTask", no_dispatch)
+            monkeypatch.setattr(parallel, "execute_with_retry", no_dispatch)
             responses, hits = [], []
             for index in range(1, 4):
                 before = compile_cache_info()["hits"]
@@ -361,11 +374,11 @@ def test_warm_request_finishing_past_its_deadline_gets_qw602(monkeypatch):
     clock = types.SimpleNamespace(
         monotonic=lambda: time.monotonic() + offset[0]
     )
-    real_run = parallel.parallel_run_with_info
+    real_draw = parallel.parallel_draw_with_info
 
-    def ten_second_run(*args, **kwargs):
+    def ten_second_draw(*args, **kwargs):
         offset[0] += 10.0  # as the service's clock sees it
-        return real_run(*args, **kwargs)
+        return real_draw(*args, **kwargs)
 
     async def scenario():
         async with ExecutionService(_config()) as service:
@@ -374,7 +387,7 @@ def test_warm_request_finishing_past_its_deadline_gets_qw602(monkeypatch):
             calls = _count_submits(service)
             monkeypatch.setattr(service_module, "time", clock)
             monkeypatch.setattr(
-                parallel, "parallel_run_with_info", ten_second_run
+                parallel, "parallel_draw_with_info", ten_second_draw
             )
             late = await client.run(id=1, deadline=5.0, **fields)
             monkeypatch.undo()
@@ -389,3 +402,121 @@ def test_warm_request_finishing_past_its_deadline_gets_qw602(monkeypatch):
     counters = stats["result"]["counters"]
     assert counters["deadline_exceeded"] == 1
     assert counters["completed"] == 1
+
+
+def test_eviction_after_the_check_cannot_force_an_evolution(monkeypatch):
+    # The check holds the memoized CDF, so a memo cleared between the
+    # check and the run still leaves the run nothing to evolve.
+    fields = dict(kernel="grover", n=5, shots=128, seed=7)
+    real_warm = ExecutionService._warm
+    real_draw = parallel.parallel_draw_with_info
+    infos = []
+
+    def warm_then_clear(self, work):
+        warm = real_warm(self, work)
+        clear_marginal_memo()
+        return warm
+
+    def recording_draw(*args, **kwargs):
+        bits, info = real_draw(*args, **kwargs)
+        infos.append(info)
+        return bits, info
+
+    sweeps = metrics.instruments()["repro_sim_sweeps_total"]
+
+    async def scenario():
+        async with ExecutionService(_config()) as service:
+            client = ServiceClient(service)
+            cold = await client.run(id=0, **fields)
+            calls = _count_submits(service)
+            monkeypatch.setattr(ExecutionService, "_warm", warm_then_clear)
+            monkeypatch.setattr(
+                parallel, "parallel_draw_with_info", recording_draw
+            )
+            before = sweeps.value(engine="fast-path")
+            warm = await client.run(id=1, **fields)
+            after = sweeps.value(engine="fast-path")
+            monkeypatch.undo()
+            return cold, warm, calls, after - before
+
+    cold, warm, calls, swept = asyncio.run(scenario())
+    assert cold["ok"] and warm["ok"], (cold, warm)
+    assert calls == []  # answered inline, from the held CDF
+    assert [info.evolutions for info in infos] == [0]
+    assert swept == 0
+    assert warm["result"]["counts"] == cold["result"]["counts"]
+
+
+#: Suite and ``source`` kernels whose warm answers the property below
+#: compares with the dispatcher's.
+_PROPERTY_KERNELS = (
+    dict(kernel="grover", n=4),
+    dict(kernel="simon", n=4),
+    dict(kernel="period", n=4),
+    _source("0110101"),
+)
+
+
+def test_warm_inline_answers_equal_the_dispatcher():
+    # A warm request draws every chunk of its plan from the held CDF;
+    # its counts and info must equal an in-process
+    # parallel_run_with_info of the same execution circuit.
+    loop = asyncio.new_event_loop()
+    service = ExecutionService(_config())
+    client = ServiceClient(service)
+    loop.run_until_complete(service.start())
+    try:
+        circuits = []
+        for fields in _PROPERTY_KERNELS:
+            cold = loop.run_until_complete(client.run(id=0, **fields))
+            assert cold["ok"], cold
+            request = protocol.RunRequest.from_payload(fields)
+            kernel = service_module._resolved_kernel(request)
+            compiled = pipeline.compile_kernel(
+                kernel, pipeline=request.preset, cache=True
+            )
+            circuits.append(pipeline._run_circuit(compiled, None))
+        calls = _count_submits(service)
+
+        @settings(max_examples=40, deadline=None)
+        @given(
+            index=st.integers(0, len(_PROPERTY_KERNELS) - 1),
+            seed=st.integers(0, 2**63 - 1),
+            shots=st.one_of(
+                st.sampled_from([1, 2, 3, 255, 256, protocol.MAX_SHOTS]),
+                st.integers(1, 5000),
+            ),
+            workers=st.sampled_from([1, 2, 3]),
+        )
+        @example(index=3, seed=2**63 - 1, shots=protocol.MAX_SHOTS, workers=3)
+        @example(index=0, seed=0, shots=1, workers=3)
+        def check(index, seed, shots, workers):
+            response = loop.run_until_complete(
+                client.run(
+                    id=1, shots=shots, seed=seed, workers=workers,
+                    **_PROPERTY_KERNELS[index],
+                )
+            )
+            assert response["ok"], response
+            bits, info = parallel.parallel_run_with_info(
+                circuits[index], shots, seed, workers=workers,
+                use_processes=False,
+            )
+            assert info.evolutions == 0
+            assert response["result"]["counts"] == protocol.counts_of(bits)
+            assert response["result"]["shots"] == info.shots == shots
+            assert response["result"]["info"] == {
+                "backend": info.backend,
+                "workers": info.workers,
+                "chunks": info.chunks,
+                "retries": info.retries,
+                "faults_injected": info.faults_injected,
+                "degraded": info.degraded,
+                "compile_cache": "memory",
+            }
+
+        check()
+        assert calls == []  # every request ran inline
+    finally:
+        loop.run_until_complete(service.drain())
+        loop.close()

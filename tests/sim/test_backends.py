@@ -476,21 +476,81 @@ def test_sampling_cdf_draws_exactly_what_choice_draws():
         assert np.array_equal(drawn, expected), index
 
 
-def test_marginal_is_memoized_peeks_without_counting(fresh_memo):
+def _scatter_by_loop(outcomes, circuit, plan):
+    """The per-measurement loop ``scatter_outcomes`` replaced: the
+    reference its vectorized scatter must equal."""
+    output = list(circuit.output_bits or range(circuit.num_bits))
+    measured = sorted({m.qubit for m in plan})
+    pos = {qubit: i for i, qubit in enumerate(measured)}
+    bits = np.zeros((len(outcomes), circuit.num_bits), dtype=np.uint8)
+    for meas in plan:
+        shift = len(measured) - 1 - pos[meas.qubit]
+        bits[:, meas.bit] = (outcomes >> shift) & 1
+    return bits.take(output, axis=1)
+
+
+def test_scatter_outcomes_equals_the_loop_reference():
+    # Random plans: repeated qubits and bits (the last write wins),
+    # unmeasured and reordered output bits, widths past one byte.
+    from repro.sim.backend import scatter_outcomes
+
+    rng = np.random.default_rng(7)
+    for index in range(300):
+        num_qubits = int(rng.integers(1, 20))
+        num_bits = int(rng.integers(1, 22))
+        circuit = Circuit(num_qubits=num_qubits, num_bits=num_bits)
+        plan = [
+            Measurement(
+                int(rng.integers(num_qubits)), int(rng.integers(num_bits))
+            )
+            for _ in range(int(rng.integers(1, 2 * num_bits + 1)))
+        ]
+        if index % 3 == 0:
+            kept = rng.permutation(num_bits)[: num_bits // 2 + 1]
+            circuit.output_bits = [int(bit) for bit in kept]
+        width = len({m.qubit for m in plan})
+        outcomes = rng.integers(0, 2**width, size=int(rng.integers(0, 300)))
+        bits = scatter_outcomes(outcomes, circuit, plan)
+        assert bits.dtype == np.uint8 and bits.flags.c_contiguous
+        assert np.array_equal(
+            bits, _scatter_by_loop(outcomes, circuit, plan)
+        ), index
+
+
+def test_memoized_marginal_peeks_without_counting(fresh_memo):
     from repro.obs import metrics
-    from repro.sim.backend import marginal_is_memoized
+    from repro.sim import backend
 
     lookups = metrics.instruments()["repro_sim_marginal_memo_total"]
     circuit = _memo_circuit(theta=1.1)
+    other = _memo_circuit(theta=1.2)
     before = (lookups.value(outcome="hit"), lookups.value(outcome="miss"))
-    assert not marginal_is_memoized(circuit)
+    assert backend.memoized_marginal(circuit) is None
     assert _evolutions(circuit) == 1
-    assert marginal_is_memoized(circuit)
+    assert _evolutions(other) == 1
+    order = list(backend._MARGINAL_MEMO)
+    plan, cdf = backend.memoized_marginal(circuit)
     after = (lookups.value(outcome="hit"), lookups.value(outcome="miss"))
-    assert after == (before[0], before[1] + 1)  # only the run counted
+    assert after == (before[0], before[1] + 2)  # only the runs counted
+    assert list(backend._MARGINAL_MEMO) == order  # LRU order untouched
+    assert plan == backend.terminal_measurement_plan(circuit)
+    assert cdf is backend._MARGINAL_MEMO[backend._memo_key(circuit)][0]
+    assert not cdf.flags.writeable
+    # The held CDF survives its entry's eviction.
+    clear_marginal_memo()
+    assert backend.memoized_marginal(circuit) is None
+    bits = backend.scatter_outcomes(
+        backend.draw_outcomes(cdf, 64, np.random.default_rng(0)),
+        circuit,
+        plan,
+    )
+    evolved, info = get_backend("statevector").run_array_with_info(
+        circuit, 64, 0
+    )
+    assert info.evolutions == 1 and np.array_equal(bits, evolved)
     # Mid-circuit measurement never takes the fast path.
     circuit.add(g("x", [0]))
-    assert not marginal_is_memoized(circuit)
+    assert backend.memoized_marginal(circuit) is None
 
 
 def test_engines_return_uint8_arrays_and_the_boundary_tuples():

@@ -106,6 +106,10 @@ def test_compare_fails_on_missing_key(tmp_path):
     )
     assert len(problems) == 1
     assert "in baseline but not in current run" in problems[0]
+    # A bench test that failed before writing its record reads as
+    # such, not only as a rename.
+    assert "may have failed or been skipped" in problems[0]
+    assert "renamed or removed" in problems[0]
 
 
 def test_compare_warns_on_new_key(tmp_path):
