@@ -25,7 +25,7 @@ A fourth times the largest warm request a server answers on its event
 loop (``warm-sample``): a marginal-memo hit at ``MAX_SHOTS`` shots,
 two in-process chunks as on a ``--serial`` server, plus ``counts_of``.
 ``warm-sample-inline`` times the same request the way the service
-answers it, drawing both chunks from the held CDF
+answers it, counting both chunks' draws from the held CDF
 (``parallel_draw_with_info``).  A fifth times the warm path as a whole
 (``warm-inline``): 2,000 warm 256-shot requests through an in-process
 client on a ``--serial``-configured service, answered on its loop.
@@ -53,7 +53,7 @@ from repro.pipeline import compile_kernel
 from repro.service import ExecutionService, ServiceClient, ServiceConfig
 from repro.service import protocol
 from repro.service import service as service_module
-from repro.sim.backend import memoized_marginal
+from repro.sim.backend import memoized_marginal, run_facts
 
 REQUESTS = 48
 SHOTS = 128
@@ -339,20 +339,21 @@ def test_warm_sample_inline_at_max_shots():
     ).execution_circuit
     shots = protocol.MAX_SHOTS
     parallel_run_with_info(circuit, 1, workers=1)  # memoizes the marginal
-    plan, cdf = memoized_marginal(circuit)
+    facts = run_facts(circuit)
+    cdf = memoized_marginal(facts)
     expected, _ = parallel_run_with_info(
         circuit, shots, seed=1, workers=2, use_processes=False
     )
+    expected = list(protocol.counts_of(expected).items())
     best = float("inf")
     for _ in range(WARM_SAMPLES):
         start = time.perf_counter()
-        bits, info = parallel_draw_with_info(
-            circuit, plan, cdf, shots, seed=1, workers=2
+        counts, info = parallel_draw_with_info(
+            facts, cdf, shots, seed=1, workers=2
         )
-        counts = protocol.counts_of(bits)
         best = min(best, time.perf_counter() - start)
         assert info.evolutions == 0 and info.chunks == 2
-        assert (bits == expected).all()
+        assert list(counts.items()) == expected
     write_bench_json(
         "service",
         [
@@ -364,8 +365,8 @@ def test_warm_sample_inline_at_max_shots():
     )
     write_result(
         "service_warm_sample_inline.txt",
-        f"warm grover n=8 request drawn from the held CDF, {shots} shots "
-        f"in 2 chunks, plus counts_of ({len(counts)} outcomes): "
+        f"warm grover n=8 request counted from the held CDF, {shots} "
+        f"shots in 2 chunks ({len(counts)} outcomes): "
         f"{best * 1e3:.1f} ms (best of {WARM_SAMPLES})\n",
     )
 

@@ -28,7 +28,7 @@ import os
 import tempfile
 
 from repro.exec.faults import FaultPlan, chunk_fault_key
-from repro.exec.parallel import chunk_plan, derive_chunk_seeds
+from repro.exec.parallel import chunk_plan
 from repro.exec.retry import RetryPolicy
 from repro.obs import trace
 from repro.service.service import (
@@ -68,21 +68,21 @@ def find_fault_plan() -> FaultPlan:
     """A ``worker_crash`` plan that deterministically crashes at least
     one chunk's first attempt and lets every retry succeed.
 
-    Fault decisions are pure functions of ``(seed, kind, chunk seed @
-    attempt)``, so the right plan seed can be *searched for* without
-    running anything — the demo is deterministic end to end.
+    Fault decisions are pure functions of ``(seed, kind, run seed /
+    chunk index @ attempt)``, so the right plan seed can be *searched
+    for* without running anything — the demo is deterministic end to
+    end.
     """
-    sizes = chunk_plan(SHOTS, WORKERS)
-    seeds = derive_chunk_seeds(SEED, len(sizes))
+    chunks = range(len(chunk_plan(SHOTS, WORKERS)))
     for fault_seed in range(10_000):
         plan = FaultPlan(rates={"worker_crash": 0.3}, seed=fault_seed)
         first = [
-            plan.should("worker_crash", chunk_fault_key(s, 0))
-            for s in seeds
+            plan.should("worker_crash", chunk_fault_key(SEED, i, 0))
+            for i in chunks
         ]
         second = [
-            plan.should("worker_crash", chunk_fault_key(s, 1))
-            for s in seeds
+            plan.should("worker_crash", chunk_fault_key(SEED, i, 1))
+            for i in chunks
         ]
         if any(first) and not any(second):
             return plan

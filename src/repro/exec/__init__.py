@@ -5,8 +5,9 @@ multi-tenant service can sit on (ROADMAP: async execution service):
 
 - :mod:`repro.exec.parallel` — the one way shots are run: every entry
   point (``run_circuit``, ``simulate_kernel``, ``kernel()``, the
-  service) splits its shots into a chunk plan with per-chunk derived
-  seeds, runs the chunks in-process or across a reusable
+  service) splits its shots into a chunk plan with one counter-based
+  random stream per chunk (``chunk_stream(seed, i)``), runs the chunks
+  in-process or across a reusable
   :class:`~concurrent.futures.ProcessPoolExecutor`, and merges their
   :class:`~repro.sim.backend.RunInfo` telemetry.  ``parallel_workers=``
   picks the worker count (``None`` means 1, ``0`` one per core).
@@ -29,9 +30,10 @@ and docs/service.md (fault injection, retry, and the service on top).
 
 #: Names re-exported from repro.exec.parallel.
 _PARALLEL_EXPORTS = (
+    "SEED_LIMIT",
     "START_METHOD_ENV",
     "chunk_plan",
-    "derive_chunk_seeds",
+    "chunk_stream",
     "parallel_run_with_info",
     "recycle_pool",
     "resolve_workers",

@@ -20,9 +20,9 @@ one switchboard those paths consult:
 Determinism contract: whether a site fires is a pure function of the
 plan's ``(seed, kind, site key)`` — **no RNG state, no wall clock** —
 so a red chaos run reproduces bit-identically.  Chunk sites key on
-``(chunk seed, attempt)``: a chunk that crashed on attempt 0 draws a
-fresh decision on attempt 1, which is exactly how a real transient
-fault behaves and what lets retry tests converge.
+``(run seed, chunk index, attempt)``: a chunk that crashed on attempt 0
+draws a fresh decision on attempt 1, which is exactly how a real
+transient fault behaves and what lets retry tests converge.
 
 Activation is layered: :func:`inject_faults` sets a contextvar for the
 enclosing block (tests, benchmarks); the ``REPRO_FAULTS`` environment
@@ -141,7 +141,8 @@ _ACTIVE: ContextVar[Optional[FaultPlan]] = ContextVar(
 
 #: Per-process, per-kind invocation counters for sites without a
 #: natural cross-process key (compile calls, disk-cache reads).  Chunk
-#: sites use (chunk seed, attempt) instead and never touch these.
+#: sites use (run seed, chunk index, attempt) instead and never touch
+#: these.
 _COUNTERS: dict[str, int] = {}
 
 
@@ -232,26 +233,27 @@ def draw(kind: str, salt: object = "") -> bool:
     return plan.should(kind, f"{salt}\x00{index}")
 
 
-def chunk_fault_key(seed: int, attempt: int) -> str:
+def chunk_fault_key(seed: int, index: int, attempt: int) -> str:
     """The site key for one chunk-execution attempt.
 
-    Keyed on the chunk's *data* seed plus the attempt number: the data
-    seed identifies the work unit across processes and re-runs, and
-    folding in the attempt lets a retried chunk draw a fresh decision
-    (a transient fault, not a curse).
+    Keyed on the chunk's stream, ``(run seed, chunk index)``, plus the
+    attempt number: the stream identifies the work unit across
+    processes and re-runs, and folding in the attempt lets a retried
+    chunk draw a fresh decision (a transient fault, not a curse).
     """
-    return f"{seed}@{attempt}"
+    return f"{seed}/{index}@{attempt}"
 
 
-def fires_on_first_attempt(plan: FaultPlan, chunk_seeds) -> bool:
+def fires_on_first_attempt(plan: FaultPlan, seed: int, chunks: int) -> bool:
     """Whether ``plan`` can inject anything into a compile-cache hit
-    followed by first attempts of chunks with these data seeds.
+    followed by first attempts of a run's ``chunks`` chunks, seeded
+    ``seed``.
 
-    Chunk sites are pure functions of ``(chunk seed, attempt)``, so
-    the answer is exact for crashes and hangs.  A memory hit reads no
-    disk, so ``diskcache_corrupt`` cannot fire.  Any other kind with a
-    rate counts as firing: ``compile_error`` sites draw from a
-    per-process counter.  When this is false, running under the plan
+    Chunk sites are pure functions of ``(seed, chunk index,
+    attempt)``, so the answer is exact for crashes and hangs.  A memory
+    hit reads no disk, so ``diskcache_corrupt`` cannot fire.  Any other
+    kind with a rate counts as firing: ``compile_error`` sites draw from
+    a per-process counter.  When this is false, running under the plan
     is the same as running without it.
     """
     chunk_kinds = ("worker_hang", "worker_crash")
@@ -263,14 +265,14 @@ def fires_on_first_attempt(plan: FaultPlan, chunk_seeds) -> bool:
     ):
         return True
     return any(
-        plan.should(kind, chunk_fault_key(seed, 0))
-        for seed in chunk_seeds
+        plan.should(kind, chunk_fault_key(seed, index, 0))
+        for index in range(chunks)
         for kind in chunk_kinds
     )
 
 
 def maybe_inject_chunk_fault(
-    plan: Optional[FaultPlan], seed: int, attempt: int
+    plan: Optional[FaultPlan], seed: int, index: int, attempt: int
 ) -> None:
     """The chunk runner's injection site (crash and hang).
 
@@ -287,18 +289,18 @@ def maybe_inject_chunk_fault(
     """
     if plan is None:
         return
-    key = chunk_fault_key(seed, attempt)
+    key = chunk_fault_key(seed, index, attempt)
     if plan.should("worker_hang", key):
         import time
 
         _note_injection(
-            "worker_hang", seed=seed, attempt=attempt,
+            "worker_hang", seed=seed, chunk=index, attempt=attempt,
             hang_seconds=plan.hang_seconds,
         )
         time.sleep(plan.hang_seconds)
     if plan.should("worker_crash", key):
         _note_injection(
-            "worker_crash", seed=seed, attempt=attempt,
+            "worker_crash", seed=seed, chunk=index, attempt=attempt,
             crash_mode=plan.crash_mode,
         )
         if plan.crash_mode == "exit":
@@ -307,7 +309,8 @@ def maybe_inject_chunk_fault(
             if multiprocessing.parent_process() is not None:
                 os._exit(17)
         raise FaultInjectedError(
-            f"injected worker_crash (chunk seed {seed}, attempt {attempt})"
+            f"injected worker_crash (seed {seed}, chunk {index}, "
+            f"attempt {attempt})"
         )
 
 

@@ -9,11 +9,13 @@ so there is one seed convention and one dispatcher:
   chunks (``parallel_workers=None`` means one worker, so one chunk).
   Memory is not its concern: the batched engine already caps every
   sweep at :data:`~repro.sim.batched.MAX_BATCH_BYTES`;
-- each chunk gets a **derived seed** from
-  ``numpy.random.SeedSequence(seed).spawn(...)`` — statistically
-  independent streams, so the sharded histogram is statistically
-  equivalent to a single-process run and *fully deterministic* for a
-  fixed ``(seed, workers)`` pair;
+- chunk *i* draws from its own **counter-based stream**,
+  :func:`chunk_stream` ``(seed, i)`` = ``Generator(Philox(key=(seed,
+  i)))``: keys that differ give independent Philox streams, so the
+  sharded histogram is statistically equivalent to a single-process run
+  and *fully deterministic* for a fixed ``(seed, workers)`` pair.  The
+  engines receive that generator as their ``seed`` (their
+  ``np.random.default_rng(seed)`` passes it through);
 - every chunk is dispatched by
   :func:`repro.exec.retry.execute_with_retry`, in-process for one
   worker and on a cached :class:`~concurrent.futures.ProcessPoolExecutor`
@@ -25,11 +27,11 @@ so there is one seed convention and one dispatcher:
 
 The one shortcut is :func:`parallel_draw_with_info`, for a caller that
 already holds a circuit's memoized marginal (the service's warm
-requests): it draws the same plan's chunks with the same derived seeds
-and dispatches nothing, so its answer is the dispatcher's.
+requests): it draws the same plan's chunks from the same streams and
+dispatches nothing, so its counts are those of the dispatcher's bits.
 
 Determinism contract: the output depends only on the chunk plan and
-the derived seeds — **not** on which process (or whether a process at
+the chunk streams — **not** on which process (or whether a process at
 all) executed a chunk, nor on how many attempts it took.  A pool that
 cannot start (sandboxed environments, missing semaphores) degrades to
 in-process execution of the identical plan and produces bit-identical
@@ -53,7 +55,6 @@ from __future__ import annotations
 
 import atexit
 import dataclasses
-import functools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -71,16 +72,16 @@ from repro.exec.faults import (
 from repro.exec.retry import RetryPolicy, execute_with_retry
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement
-from repro.qcircuit.fusion import FusedUnitary, fused_gate_savings
+from repro.qcircuit.circuit import Circuit
 from repro.sim.backend import (
     DEFAULT_BACKEND,
+    RunFacts,
     RunInfo,
     SimBackend,
     VectorizedStatevectorBackend,
     draw_outcomes,
     get_backend,
-    scatter_outcomes,
+    outcome_counts,
 )
 
 #: Environment override for the multiprocessing start method used by
@@ -94,22 +95,28 @@ START_METHOD_ENV = "REPRO_PARALLEL_START_METHOD"
 #: per-wave timeout, so a long library run is never killed as hung.
 LIBRARY_RETRY = RetryPolicy(timeout=None)
 
+#: Request seeds are unsigned 64-bit integers, ``0 <= seed <
+#: SEED_LIMIT``: chunk *i* is keyed ``(seed, i)`` and a Philox key is
+#: two 64-bit words.  The service refuses a larger seed with ``QW604``
+#: and the library entry points with :class:`SimulationError`.
+SEED_LIMIT = 1 << 64
+
 _DISPATCHES = _metrics.counter(
     "repro_exec_dispatches_total",
     "Parallel run dispatches (one per parallel_run_with_info or "
     "parallel_draw_with_info call)",
-)
+).labels()
 _CHUNKS = _metrics.counter(
     "repro_exec_chunks_total",
     "Chunks planned for dispatch across all parallel runs",
-)
+).labels()
 # Get-or-create: the series repro.sim.backend counts its memo lookups
 # in; a warm draw is one hit.
-_MEMO_LOOKUPS = _metrics.counter(
+_MEMO_HITS = _metrics.counter(
     "repro_sim_marginal_memo_total",
     "Fast-path terminal-marginal memo lookups by outcome (hit, miss)",
     labels=("outcome",),
-)
+).labels(outcome="hit")
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -143,47 +150,52 @@ def chunk_plan(shots: int, workers: int) -> list[int]:
     return [size] * full + ([remainder] if remainder else [])
 
 
-def derive_chunk_seeds(seed: int, chunks: int) -> list[int]:
-    """One independent integer seed per chunk.
+def check_seed(seed) -> None:
+    """Refuse a run seed that is not an integer in ``[0,
+    SEED_LIMIT)`` (see :data:`SEED_LIMIT`)."""
+    if (
+        isinstance(seed, bool)
+        or not isinstance(seed, (int, np.integer))
+        or not 0 <= seed < SEED_LIMIT
+    ):
+        raise SimulationError(
+            f"a run seed must be an integer in [0, 2**64), got {seed!r}"
+        )
 
-    ``SeedSequence(seed).spawn(chunks)`` gives statistically
-    independent child streams; each child collapses to one uint63 the
-    backends' integer ``seed`` parameter accepts.  Derivation is pure,
-    so chunk *i* of a fixed plan always receives the same seed — in a
-    worker process, in the serial fallback, or in a re-run — and is
-    memoized per ``(seed, chunks)``: it costs more than sampling a
-    warm run.
+
+def chunk_stream(seed: int, index: int) -> np.random.Generator:
+    """The random stream of chunk ``index`` of a run seeded ``seed``:
+    ``Generator(Philox(key=(seed, index)))``.
+
+    Counter-based: a stream is a pure function of its key, so chunk
+    *i* draws the same numbers in a worker process, in the serial
+    fallback and in a retry, and the streams of distinct chunks are
+    independent (Salmon et al., SC'11).  ``seed`` must pass
+    :func:`check_seed`.
     """
-    if seed is None:  # fresh entropy per call, as SeedSequence(None)
-        return list(_chunk_seeds.__wrapped__(seed, chunks))
-    return list(_chunk_seeds(seed, chunks))
-
-
-@functools.lru_cache(maxsize=1024)
-def _chunk_seeds(seed: int, chunks: int) -> tuple[int, ...]:
-    children = np.random.SeedSequence(seed).spawn(chunks)
-    return tuple(
-        int(child.generate_state(1, dtype=np.uint64)[0] >> np.uint64(1))
-        for child in children
-    )
+    key = np.array((seed, index), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
 class _ChunkTask:
     """Everything a worker needs, explicit and picklable.
 
-    ``faults`` ships the parent's active :class:`FaultPlan` (ambient
-    contextvar/env state never crosses into ``spawn`` workers);
-    ``attempt`` is the retry ordinal, folded into fault decisions only
-    — the *data* seed never changes across attempts, which is what
-    makes retried runs bit-identical to fault-free ones.  ``trace``
-    ships the dispatcher's span context the same way, so worker-side
-    ``exec.chunk`` spans stitch into the parent trace.
+    ``seed`` and ``index`` (the run seed and the chunk's place in the
+    plan) name the chunk's :func:`chunk_stream`, its fault sites and
+    its retry jitter.  ``faults`` ships the parent's active
+    :class:`FaultPlan` (ambient contextvar/env state never crosses into
+    ``spawn`` workers); ``attempt`` is the retry ordinal, folded into
+    fault decisions only — the stream never changes across attempts,
+    which is what makes retried runs bit-identical to fault-free ones.
+    ``trace`` ships the dispatcher's span context the same way, so
+    worker-side ``exec.chunk`` spans stitch into the parent trace.
     """
 
     circuit: Circuit
     shots: int
     seed: int
+    index: int
     backend: "str | SimBackend"
     noise_model: Optional[object]
     faults: Optional[FaultPlan] = None
@@ -194,11 +206,17 @@ class _ChunkTask:
 def _run_chunk_body(task: _ChunkTask) -> tuple[np.ndarray, RunInfo]:
     with _trace.span(
         "exec.chunk",
-        shots=task.shots, seed=task.seed, attempt=task.attempt,
+        shots=task.shots, seed=task.seed, chunk=task.index,
+        attempt=task.attempt,
     ):
-        maybe_inject_chunk_fault(task.faults, task.seed, task.attempt)
+        maybe_inject_chunk_fault(
+            task.faults, task.seed, task.index, task.attempt
+        )
         return get_backend(task.backend).run_array_with_info(
-            task.circuit, task.shots, task.seed, task.noise_model
+            task.circuit,
+            task.shots,
+            chunk_stream(task.seed, task.index),
+            task.noise_model,
         )
 
 
@@ -266,8 +284,8 @@ def recycle_pool(workers: int) -> None:
     broken pool never recovers, and a hung worker would otherwise hold
     its slot (and block interpreter exit) indefinitely.  Surviving
     worker processes are terminated outright — their chunks are
-    re-dispatched by the caller, and per-chunk seeding makes the
-    re-run bit-identical, so killing them loses nothing.
+    re-dispatched by the caller, and per-chunk streams make the re-run
+    bit-identical, so killing them loses nothing.
     """
     for key in [k for k in _POOLS if k[0] == workers]:
         pool = _POOLS.pop(key)
@@ -302,8 +320,10 @@ def parallel_run_with_info(
     the per-chunk records with ``workers`` and ``chunks`` filled in.
     Deterministic for fixed ``(seed, workers)`` (and the workload);
     different worker counts give statistically equivalent histograms
-    drawn from independent derived streams.  ``workers=None`` means
-    one worker (one chunk, run in-process); ``0`` means one per core.
+    drawn from independent chunk streams (:func:`chunk_stream`).
+    ``seed`` must be an integer in ``[0, 2**64)``.  ``workers=None``
+    means one worker (one chunk, run in-process); ``0`` means one per
+    core.
 
     ``backend`` may be a registry name or a (picklable) instance;
     ``None`` resolves to the registry default *here in the parent*, so
@@ -324,6 +344,7 @@ def parallel_run_with_info(
     shipped on every chunk task, so injected faults reach pool workers
     under any start method.
     """
+    check_seed(seed)
     workers = resolve_workers(workers)
     if isinstance(backend, SimBackend):
         resolved_backend: "str | SimBackend" = backend
@@ -331,7 +352,6 @@ def parallel_run_with_info(
         resolved_backend = backend or DEFAULT_BACKEND
         get_backend(resolved_backend)  # fail fast on unknown names
     plan = chunk_plan(shots, workers)
-    seeds = derive_chunk_seeds(seed, len(plan))
     fault_plan = active_fault_plan()
     with _trace.span(
         "exec.dispatch",
@@ -340,11 +360,11 @@ def parallel_run_with_info(
         trace_ctx = _trace.current_context()
         tasks = [
             _ChunkTask(
-                circuit, chunk_shots, chunk_seed,
+                circuit, chunk_shots, seed, index,
                 resolved_backend, noise_model, fault_plan,
                 trace=trace_ctx,
             )
-            for chunk_shots, chunk_seed in zip(plan, seeds)
+            for index, chunk_shots in enumerate(plan)
         ]
         _DISPATCHES.inc()
         _CHUNKS.inc(len(tasks))
@@ -373,64 +393,63 @@ def parallel_run_with_info(
 
 
 def parallel_draw_with_info(
-    circuit: Circuit,
-    plan: "list[Measurement]",
+    facts: RunFacts,
     cdf: np.ndarray,
     shots: int,
     seed: int = 0,
     workers: Optional[int] = None,
-) -> tuple[np.ndarray, RunInfo]:
+) -> tuple[dict[str, int], RunInfo]:
     """:func:`parallel_run_with_info` for a noiseless ``statevector``
-    run whose marginal the caller already holds: ``(plan, cdf)`` from
-    :func:`repro.sim.backend.memoized_marginal`.
+    run whose marginal the caller already holds: the circuit's
+    :class:`~repro.sim.backend.RunFacts` and the CDF
+    :func:`repro.sim.backend.memoized_marginal` returned for them.
 
     Chunk *i* of the same chunk plan draws its outcomes from
-    ``default_rng(chunk_seed_i)``, exactly as that chunk's
-    ``run_array_with_info`` would on a memo hit; the outcomes
-    concatenate in plan order and scatter into output bits once.  So
-    the bits and the :class:`RunInfo` equal those of an in-process
-    :func:`parallel_run_with_info` of ``circuit`` with the same
-    ``(shots, seed, workers)``, with no chunk task, no dispatcher and
-    no further memo lookup.  It counts one dispatch, the plan's chunks
-    and one memo hit, and traces one ``exec.dispatch`` span around one
-    ``sim.sweep``.  Nothing here injects faults or can be cancelled:
-    callers (the service's warm path) check both beforehand.
+    :func:`chunk_stream` ``(seed, i)``, exactly as that chunk's
+    ``run_array_with_info`` would on a memo hit, and the outcomes of
+    all chunks are counted in plan order
+    (:func:`~repro.sim.backend.outcome_counts`).  Returns ``(counts,
+    info)``: the counts are ``protocol.counts_of`` of the bits an
+    in-process :func:`parallel_run_with_info` of the circuit returns
+    for the same ``(shots, seed, workers)``, key order included, and
+    the :class:`RunInfo` is its info.  There is no chunk task, no
+    dispatcher and no further memo lookup.  It counts one dispatch, the
+    plan's chunks and one memo hit, and traces one ``exec.dispatch``
+    span around one ``sim.sweep``.  Nothing here injects faults or can
+    be cancelled: callers (the service's warm path) check both
+    beforehand.
     """
+    check_seed(seed)
     workers = resolve_workers(workers)
     sizes = chunk_plan(shots, workers)
-    seeds = derive_chunk_seeds(seed, len(sizes))
     with _trace.span(
         "exec.dispatch",
         shots=shots, chunks=len(sizes), workers=workers,
         retries=0, degraded=False,
     ), _trace.span(
         "sim.sweep",
-        engine="fast-path", shots=shots, qubits=circuit.num_qubits,
+        engine="fast-path", shots=shots, qubits=facts.circuit.num_qubits,
         memo="hit",
     ):
         _DISPATCHES.inc()
         _CHUNKS.inc(len(sizes))
         outcomes = [
-            draw_outcomes(cdf, size, np.random.default_rng(chunk_seed))
-            for size, chunk_seed in zip(sizes, seeds)
+            draw_outcomes(cdf, size, chunk_stream(seed, index))
+            for index, size in enumerate(sizes)
         ]
-        results = scatter_outcomes(
+        counts = outcome_counts(
             outcomes[0] if len(outcomes) == 1 else np.concatenate(outcomes),
-            circuit,
-            plan,
+            facts.circuit,
+            facts.plan,
         )
-    _MEMO_LOOKUPS.inc(outcome="hit")
-    steps = sum(
-        isinstance(inst, (CircuitGate, FusedUnitary))
-        for inst in circuit.instructions
-    )
-    return results, RunInfo(
+    _MEMO_HITS.inc()
+    return counts, RunInfo(
         VectorizedStatevectorBackend.name,
         shots,
         evolutions=0,
         fast_path=True,
-        fused_ops=len(sizes) * steps,
-        gates_fused=len(sizes) * fused_gate_savings(circuit),
+        fused_ops=len(sizes) * facts.steps,
+        gates_fused=len(sizes) * facts.gates_fused,
         workers=workers,
         chunks=len(sizes),
     )

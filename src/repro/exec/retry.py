@@ -10,9 +10,10 @@ go to a cached process pool, with **chunk-granular recovery**:
   ``RetryPolicy.timeout`` — a hung worker (injected ``worker_hang``,
   a wedged BLAS call) turns into a timed-out wave, not a forever-block;
 - a failed or hung chunk is retried with **decorrelated-jitter
-  exponential backoff** (seeded by the chunk's data seed, so even the
-  sleep schedule is deterministic), bounded twice: ``max_attempts``
-  per chunk and a per-request ``budget`` across all chunks.
+  exponential backoff** (seeded by the chunk's run seed and index, so
+  even the sleep schedule is deterministic), bounded twice:
+  ``max_attempts`` per chunk and a per-request ``budget`` across all
+  chunks.
   Exhaustion raises :class:`~repro.errors.RetryBudgetExhaustedError`
   — a coded, rendered diagnostic, not a hang;
 - a ``BrokenProcessPool`` or a timed-out wave recycles the pool
@@ -115,15 +116,19 @@ class RetryTelemetry:
     degraded: bool = False
 
 
-def backoff_delay(policy: RetryPolicy, seed: int, attempt: int) -> float:
-    """The decorrelated-jitter sleep before retry number ``attempt``.
+def backoff_delay(
+    policy: RetryPolicy, seed: int, index: int, attempt: int
+) -> float:
+    """The decorrelated-jitter sleep before retry number ``attempt``
+    of chunk ``index`` of a run seeded ``seed``.
 
     ``sleep_n = min(cap, uniform(base, 3 * sleep_{n-1}))`` (the AWS
     architecture-blog variant), with the jitter stream seeded by the
-    chunk's data seed — deterministic per chunk, decorrelated across
-    chunks, so a fault storm's retries do not stampede in lockstep.
+    chunk's ``(seed, index)`` — deterministic per chunk, decorrelated
+    across chunks, so a fault storm's retries do not stampede in
+    lockstep.
     """
-    rng = random.Random((seed << 8) ^ 0x5EED)
+    rng = random.Random(f"{seed}/{index}")
     delay = policy.backoff_base
     for _ in range(attempt):
         delay = min(
@@ -141,8 +146,8 @@ def _budget_error(
     task, attempts: int, telemetry: RetryTelemetry, policy: RetryPolicy
 ) -> RetryBudgetExhaustedError:
     error = RetryBudgetExhaustedError(
-        f"chunk (seed {task.seed}, {task.shots} shots) still failing "
-        f"after {attempts} attempt(s)"
+        f"chunk {task.index} (seed {task.seed}, {task.shots} shots) "
+        f"still failing after {attempts} attempt(s)"
     )
     error.with_note(
         f"retry policy: max_attempts={policy.max_attempts}, "
@@ -208,7 +213,8 @@ def execute_with_retry(
         _RETRIES.inc()
         _trace.event(
             "retry.attempt",
-            chunk_seed=tasks[index].seed,
+            seed=tasks[index].seed,
+            chunk=index,
             attempt=attempt + 1,
             injected=injected,
         )
@@ -281,7 +287,7 @@ def execute_with_retry(
             _check_cancel(cancel_event)
             index = min(pending)
             delay = backoff_delay(
-                policy, tasks[index].seed, pending[index]
+                policy, tasks[index].seed, index, pending[index]
             )
             if delay > 0:
                 time.sleep(delay)
@@ -310,7 +316,9 @@ def _serial_wave(
                 break
             except FaultInjectedError:
                 note_retry(index, injected=True)
-                delay = backoff_delay(policy, task.seed, pending[index])
+                delay = backoff_delay(
+                    policy, task.seed, task.index, pending[index]
+                )
                 if delay > 0:
                     time.sleep(delay)
 

@@ -16,7 +16,10 @@ for one name is a bug, not a merge.
 All updates are O(1) dict operations under a per-instrument lock;
 :func:`disabled` turns every update into an early return (used by the
 ``BENCH_obs.json`` overhead benchmark to price the instrumentation
-itself, and available to latency-critical embedders).
+itself, and available to latency-critical embedders).  A hot path binds
+its label values once with ``instrument.labels(**labels)``: the bound
+child's ``inc`` / ``set`` / ``observe`` update the same series without
+validating or rebuilding the label key on every call.
 """
 
 from __future__ import annotations
@@ -72,6 +75,12 @@ class _Instrument:
             )
         return tuple(str(labels[name]) for name in self.labelnames)
 
+    def labels(self, **labels) -> "Bound":
+        """The series for these label values, validated once: its
+        updates skip the per-call label check and key build, and still
+        honour :func:`disabled` and :meth:`clear`."""
+        return Bound(self, self._key(labels))
+
     def series(self) -> dict:
         """Label-tuple -> value snapshot (scalar, or histogram cell)."""
         with self._lock:
@@ -91,13 +100,14 @@ class Counter(_Instrument):
     kind = "counter"
 
     def inc(self, amount: float = 1.0, **labels) -> None:
-        if not _ENABLED:
-            return
+        if _ENABLED:
+            self._inc(self._key(labels), amount)
+
+    def _inc(self, key: tuple, amount: float) -> None:
         if amount < 0:
             raise ValueError(
                 f"counter {self.name!r} cannot decrease (got {amount})"
             )
-        key = self._key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
 
@@ -111,16 +121,18 @@ class Gauge(_Instrument):
     kind = "gauge"
 
     def set(self, value: float, **labels) -> None:
-        if not _ENABLED:
-            return
-        key = self._key(labels)
+        if _ENABLED:
+            self._set(self._key(labels), value)
+
+    def _set(self, key: tuple, value: float) -> None:
         with self._lock:
             self._series[key] = float(value)
 
     def inc(self, amount: float = 1.0, **labels) -> None:
-        if not _ENABLED:
-            return
-        key = self._key(labels)
+        if _ENABLED:
+            self._inc(self._key(labels), amount)
+
+    def _inc(self, key: tuple, amount: float) -> None:
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
 
@@ -172,9 +184,10 @@ class Histogram(_Instrument):
         return cell
 
     def observe(self, value: float, **labels) -> None:
-        if not _ENABLED:
-            return
-        key = self._key(labels)
+        if _ENABLED:
+            self._observe(self._key(labels), value)
+
+    def _observe(self, key: tuple, value: float) -> None:
         index = bisect_left(self.buckets, value)
         with self._lock:
             cell = self._cell(key)
@@ -215,6 +228,31 @@ class Histogram(_Instrument):
                 return lower + (bound - lower) * fraction
             lower = bound
         return self.buckets[-1]
+
+
+class Bound:
+    """One labelled series of an instrument, from
+    :meth:`~_Instrument.labels`.  It offers the updates its
+    instrument's kind has (``inc`` on a counter, ``set`` / ``inc`` on a
+    gauge, ``observe`` on a histogram) without label arguments."""
+
+    __slots__ = ("instrument", "key")
+
+    def __init__(self, instrument: _Instrument, key: tuple) -> None:
+        self.instrument = instrument
+        self.key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        if _ENABLED:
+            self.instrument._inc(self.key, amount)
+
+    def set(self, value: float) -> None:
+        if _ENABLED:
+            self.instrument._set(self.key, value)
+
+    def observe(self, value: float) -> None:
+        if _ENABLED:
+            self.instrument._observe(self.key, value)
 
 
 # ----------------------------------------------------------------------
@@ -410,6 +448,7 @@ def snapshot() -> dict:
 
 __all__ = [
     "DEFAULT_BUCKETS",
+    "Bound",
     "Counter",
     "Gauge",
     "Histogram",

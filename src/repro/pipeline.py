@@ -48,6 +48,7 @@ from repro.qwerty_ir import (
     QWERTY_OPT_SPEC,
     make_qwerty_pass_manager,
 )
+from repro.sim.backend import RunFacts, run_facts
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,23 @@ class CompileResult:
     #: call may rewrite it; ``simulate_kernel_with_info`` and the
     #: service report the provenance their own call returned.
     provenance: str = "compiled"
+    #: The :attr:`run_facts`, once computed.
+    _run_facts: Optional[RunFacts] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def run_facts(self) -> Optional[RunFacts]:
+        """The :class:`~repro.sim.backend.RunFacts` of the circuit a
+        noiseless run executes (``execution_circuit``), computed on
+        first use and kept: every warm run of this compile shares them.
+        ``None`` when the compile has no circuit."""
+        if self._run_facts is None:
+            circuit = _run_circuit(self, None)
+            if circuit is None:
+                return None
+            self._run_facts = run_facts(circuit)
+        return self._run_facts
 
     def qasm3(self, source_comments: bool = False) -> str:
         """OpenQASM 3 text; ``source_comments=True`` adds ``// line N``
@@ -351,6 +369,16 @@ _COMPILES = _metrics.counter(
     "compile_kernel calls by artifact provenance",
     labels=("provenance",),
 )
+#: The memory-layer lookup series by outcome and the compile series by
+#: provenance, bound once: a warm request updates one of each.
+_MEMORY_LOOKUPS = {
+    outcome: _CACHE_LOOKUPS.labels(layer="memory", outcome=outcome)
+    for outcome in ("hit", "miss")
+}
+_PROVENANCES = {
+    provenance: _COMPILES.labels(provenance=provenance)
+    for provenance in ("compiled", "memory", "disk")
+}
 
 #: Upper bound on cached CompileResults; each entry holds the full IR
 #: module and three circuits, so the cache must not grow with the
@@ -485,8 +513,10 @@ def _through_cache(key: tuple, build) -> Optional[tuple[CompileResult, str]]:
     then ``build()``, the others wait and get the same object ("memory"
     provenance).  If that compile raises, every waiter gets the same
     error and nothing is cached, so the next call compiles again.  The
-    owner's disk load and build run with the cyclic collector paused
-    (:func:`_collector_paused`); hits and waiters never pause it.
+    owner's disk load, build and disk store run with the cyclic
+    collector paused (:func:`_collector_paused`): pickling a fresh
+    artifact allocates enough to trigger full collections too.  Waiters
+    are released before the store, and hits and waiters never pause.
 
     ``build=None`` only looks in memory: a hit is counted and traced
     like any other, and a miss returns ``None`` with nothing counted,
@@ -508,7 +538,7 @@ def _through_cache(key: tuple, build) -> Optional[tuple[CompileResult, str]]:
             return None
         outcome = "miss" if result is None else "hit"
         span.set(outcome=outcome)
-    _CACHE_LOOKUPS.inc(layer="memory", outcome=outcome)
+    _MEMORY_LOOKUPS[outcome].inc()
     if result is not None:
         return result, "memory"
     if not owner:
@@ -518,22 +548,22 @@ def _through_cache(key: tuple, build) -> Optional[tuple[CompileResult, str]]:
     # compilation entirely and warms the in-memory LRU; a corrupt or
     # stale-salt entry reads as a miss and is recompiled.
     digest = _diskcache.key_digest(key)
-    try:
-        with _collector_paused():
+    with _collector_paused():
+        try:
             result, provenance = _diskcache.load(digest), "disk"
             if not isinstance(result, CompileResult):
                 result, provenance = build(), "compiled"
-    except BaseException as error:
+        except BaseException as error:
+            with _CACHE_LOCK:
+                del _IN_FLIGHT[key]
+            flight.set_exception(error)
+            raise
         with _CACHE_LOCK:
             del _IN_FLIGHT[key]
-        flight.set_exception(error)
-        raise
-    with _CACHE_LOCK:
-        del _IN_FLIGHT[key]
-        _cache_put(key, result)
-    flight.set_result(result)
-    if provenance == "compiled":
-        _diskcache.store(digest, result)
+            _cache_put(key, result)
+        flight.set_result(result)
+        if provenance == "compiled":
+            _diskcache.store(digest, result)
     return result, provenance
 
 
@@ -666,7 +696,7 @@ def _compile_with_provenance(
         result, provenance = found
         result.provenance = provenance
         span.set(provenance=provenance)
-    _COMPILES.inc(provenance=provenance)
+    _PROVENANCES[provenance].inc()
     return result, provenance
 
 
@@ -839,7 +869,7 @@ def simulate_kernel(
     Every run goes through the parallel shot executor
     (:mod:`repro.exec`), the same path the service takes:
     ``parallel_workers`` shards the shot chunks across a process pool
-    with per-chunk derived seeds (``None`` means one worker; ``0``
+    with one random stream per chunk (``None`` means one worker; ``0``
     means one worker per core).  Results are deterministic per
     ``(seed, workers)``; sharding is best for trajectory workloads::
 

@@ -14,7 +14,7 @@ Request fields (``op: "run"``, the default)::
      "preset": "default",       # compile pipeline preset
      "backend": "statevector",  # simulation backend name (optional)
      "noise": {"depolarizing": 0.01},   # channel name -> parameter
-     "shots": 256, "seed": 0,
+     "shots": 256, "seed": 0,   # 0 <= seed < 2**64
      "priority": 5,             # lower runs sooner
      "deadline": 10.0,          # seconds, capped by the server
      "workers": 2}              # shot-sharding workers, <= MAX_WORKERS
@@ -46,7 +46,8 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from repro.errors import BadRequestError, QwertyError
-from repro.sim.backend import available_backends
+from repro.exec.parallel import SEED_LIMIT
+from repro.sim.backend import available_backends, bit_strings
 from repro.sim.batched import MAX_STATEVECTOR_QUBITS
 
 #: Operations the service understands.  ``metrics`` returns the
@@ -138,6 +139,11 @@ class RunRequest:
             raise BadRequestError(
                 f"n={request.n} exceeds the {MAX_STATEVECTOR_QUBITS}-qubit "
                 f"statevector limit"
+            )
+        if request.seed >= SEED_LIMIT:
+            raise BadRequestError(
+                f"seed={request.seed} is not below 2**64 (seeds are "
+                f"unsigned 64-bit integers)"
             )
         if request.shots > MAX_SHOTS:
             raise BadRequestError(
@@ -286,6 +292,5 @@ def counts_of(results) -> dict[str, int]:
     )
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     order = np.argsort(first)
-    digits = np.ascontiguousarray(padded[first[order], :width])
-    text = (digits + ord("0")).view(f"S{width}").ravel().astype(str)
-    return dict(zip(text.tolist(), counts[order].tolist()))
+    text = bit_strings(padded[first[order], :width])
+    return dict(zip(text, counts[order].tolist()))

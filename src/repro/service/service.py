@@ -151,8 +151,8 @@ class _Work:
     same ``service.request`` span.  ``compiled`` is the ``(compile,
     provenance)`` pair the warm check found, if any: whichever path
     runs the request uses it instead of looking it up again.
-    ``marginal`` is the ``(execution circuit, plan, cdf)`` a warm
-    request draws its shots from.
+    ``marginal`` is the ``(run facts, cdf)`` pair of the compile's
+    execution circuit that a warm request draws its shots from.
     """
 
     request: protocol.RunRequest
@@ -185,15 +185,23 @@ class ExecutionService:
         self._consecutive_degraded = 0
         self._serial_mode = False
         self._label = str(next(_INSTANCE_SEQ))
+        # This instance's series, bound once (a warm request makes
+        # about ten updates).
+        self._events = {
+            event: _EVENTS.labels(service=self._label, event=event)
+            for event in _COUNTER_EVENTS
+        }
+        self._queue_depth = _QUEUE_DEPTH.labels(service=self._label)
+        self._latency = _LATENCY.labels(service=self._label)
 
     # ------------------------------------------------------------------
     # Counting (one substrate: the repro.obs.metrics registry).
     # ------------------------------------------------------------------
     def _count(self, event: str, amount: int = 1) -> None:
-        _EVENTS.inc(amount, service=self._label, event=event)
+        self._events[event].inc(amount)
 
     def _note_queue_depth(self) -> None:
-        _QUEUE_DEPTH.set(self._queue.qsize(), service=self._label)
+        self._queue_depth.set(self._queue.qsize())
 
     @property
     def counters(self) -> dict[str, int]:
@@ -459,9 +467,7 @@ class ExecutionService:
         self._count("completed")
         self._count("retries", result["info"]["retries"])
         self._count("faults_injected", result["info"]["faults_injected"])
-        _LATENCY.observe(
-            time.monotonic() - work.admitted_at, service=self._label
-        )
+        self._latency.observe(time.monotonic() - work.admitted_at)
         if result["info"]["degraded"]:
             self._count("degraded_runs")
             self._consecutive_degraded += 1
@@ -499,12 +505,8 @@ class ExecutionService:
         executor path, which reports the error.
         """
         from repro.exec.faults import fires_on_first_attempt
-        from repro.exec.parallel import (
-            chunk_plan,
-            derive_chunk_seeds,
-            resolve_workers,
-        )
-        from repro.pipeline import _compile_with_provenance, _run_circuit
+        from repro.exec.parallel import chunk_plan, resolve_workers
+        from repro.pipeline import _compile_with_provenance
         from repro.sim.backend import (
             DEFAULT_BACKEND,
             VectorizedStatevectorBackend,
@@ -523,7 +525,7 @@ class ExecutionService:
         if not runs_in_process(workers, chunks, use_processes):
             return False
         if work.fault_plan is not None and fires_on_first_attempt(
-            work.fault_plan, derive_chunk_seeds(request.seed, chunks)
+            work.fault_plan, request.seed, chunks
         ):
             return False
         try:
@@ -537,11 +539,11 @@ class ExecutionService:
             return False
         if work.compiled is None:
             return False
-        circuit = _run_circuit(work.compiled[0], None)
-        memoized = None if circuit is None else memoized_marginal(circuit)
-        if memoized is None:
+        facts = work.compiled[0].run_facts
+        cdf = None if facts is None else memoized_marginal(facts)
+        if cdf is None:
             return False
-        work.marginal = (circuit, *memoized)
+        work.marginal = (facts, cdf)
         return True
 
     def _execute_sync(self, work: _Work) -> dict:
@@ -563,9 +565,9 @@ class ExecutionService:
         request = work.request
         workers, use_processes = self._run_settings(request)
         if work.marginal is not None:
-            # Warm: draw from the CDF the check holds, which an
+            # Warm: count draws from the CDF the check holds, which an
             # eviction since cannot take away, so this never evolves.
-            results, info = parallel.parallel_draw_with_info(
+            counts, info = parallel.parallel_draw_with_info(
                 *work.marginal, request.shots, request.seed, workers
             )
             provenance = work.compiled[1]
@@ -573,8 +575,9 @@ class ExecutionService:
             results, info, provenance = self._dispatch(
                 work, workers, use_processes
             )
+            counts = protocol.counts_of(results)
         return {
-            "counts": protocol.counts_of(results),
+            "counts": counts,
             "shots": info.shots,
             "info": {
                 "backend": info.backend,

@@ -78,6 +78,11 @@ _MEMO_LOOKUPS = _metrics.counter(
     "Fast-path terminal-marginal memo lookups by outcome (hit, miss)",
     labels=("outcome",),
 )
+_MEMO_OUTCOMES = {
+    outcome: _MEMO_LOOKUPS.labels(outcome=outcome)
+    for outcome in ("hit", "miss")
+}
+_FAST_PATH_SWEEPS = _SWEEPS.labels(engine="fast-path")
 
 #: Bounds of the per-process memo of terminal-measurement marginals
 #: (see :meth:`VectorizedStatevectorBackend.run_array_with_info`): the
@@ -90,7 +95,9 @@ MARGINAL_MEMO_MAX_ENTRIES = 128
 #: Each entry holds a marginal's sampling CDF (see :func:`sampling_cdf`;
 #: a hit only draws shots, so the marginal itself is not kept) and the
 #: bytes the entry keeps alive.
-_MARGINAL_MEMO: "OrderedDict[tuple, tuple[np.ndarray, int]]" = OrderedDict()
+_MARGINAL_MEMO: "OrderedDict[_MemoKey, tuple[np.ndarray, int]]" = (
+    OrderedDict()
+)
 _MARGINAL_MEMO_LOCK = threading.Lock()
 
 
@@ -104,11 +111,67 @@ def _reset_marginal_memo_lock() -> None:
 os.register_at_fork(after_in_child=_reset_marginal_memo_lock)
 
 
-def _memo_key(circuit: Circuit) -> tuple:
-    return (circuit.num_qubits, tuple(circuit.instructions))
+class _MemoKey:
+    """A marginal-memo key: a circuit's ``(num_qubits, instructions)``,
+    hashed once.  A caller holding one (in a :class:`RunFacts`) looks
+    the memo up with one dict probe instead of a walk over every
+    instruction."""
+
+    __slots__ = ("parts", "_hash")
+
+    def __init__(self, parts: tuple) -> None:
+        self.parts = parts
+        self._hash = hash(parts)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _MemoKey) and self.parts == other.parts
+
+    def __reduce__(self):
+        # String hashes differ between processes: hash again on load.
+        return _MemoKey, (self.parts,)
 
 
-def _memo_get(key: tuple) -> Optional[np.ndarray]:
+@dataclass(frozen=True)
+class RunFacts:
+    """What every noiseless run of one circuit shares: its
+    :func:`terminal_measurement_plan` (``None`` off the fast path), its
+    marginal-memo key (``None`` with the plan), its evolution step
+    count (gates and fused blocks) and its
+    :func:`~repro.qcircuit.fusion.fused_gate_savings`.
+
+    :func:`run_facts` computes them; a compile computes them once for
+    its execution circuit (:attr:`repro.pipeline.CompileResult.run_facts`),
+    so a warm request does not walk the circuit again.
+    """
+
+    circuit: Circuit
+    plan: Optional[list[Measurement]]
+    memo_key: Optional[_MemoKey]
+    steps: int
+    gates_fused: int
+
+
+def run_facts(circuit: Circuit) -> RunFacts:
+    """The :class:`RunFacts` of ``circuit`` as it is now."""
+    plan = terminal_measurement_plan(circuit)
+    return RunFacts(
+        circuit,
+        plan,
+        None
+        if plan is None
+        else _MemoKey((circuit.num_qubits, tuple(circuit.instructions))),
+        sum(
+            isinstance(inst, (CircuitGate, FusedUnitary))
+            for inst in circuit.instructions
+        ),
+        fused_gate_savings(circuit),
+    )
+
+
+def _memo_get(key: _MemoKey) -> Optional[np.ndarray]:
     with _MARGINAL_MEMO_LOCK:
         entry = _MARGINAL_MEMO.get(key)
         if entry is None:
@@ -117,10 +180,10 @@ def _memo_get(key: tuple) -> Optional[np.ndarray]:
         return entry[0]
 
 
-def _memo_put(key: tuple, cdf: np.ndarray) -> None:
+def _memo_put(key: _MemoKey, cdf: np.ndarray) -> None:
     size = cdf.nbytes + sum(
         inst.matrix.nbytes
-        for inst in key[1]
+        for inst in key.parts[1]
         if isinstance(inst, FusedUnitary)
     )
     if size > MARGINAL_MEMO_MAX_BYTES:
@@ -138,26 +201,21 @@ def _memo_put(key: tuple, cdf: np.ndarray) -> None:
             held -= evicted
 
 
-def memoized_marginal(
-    circuit: Circuit,
-) -> Optional[tuple[list[Measurement], np.ndarray]]:
-    """The ``(plan, cdf)`` a noiseless ``statevector`` run of
-    ``circuit`` would only draw shots from: its
-    :func:`terminal_measurement_plan` and the memoized sampling CDF of
-    its marginal.  ``None`` when the circuit does not take the
-    terminal-measurement fast path or its marginal is not memoized.
+def memoized_marginal(facts: RunFacts) -> Optional[np.ndarray]:
+    """The memoized sampling CDF a noiseless ``statevector`` run of
+    ``facts.circuit`` would only draw shots from, or ``None`` when the
+    circuit does not take the terminal-measurement fast path or its
+    marginal is not memoized.
 
     A peek, for callers deciding where to run a request: it counts no
     lookup and leaves the LRU order alone.  The CDF is read-only, and
     holding it keeps it valid even if its entry is evicted later.
     """
-    plan = terminal_measurement_plan(circuit)
-    if plan is None:
+    if facts.memo_key is None:
         return None
-    key = _memo_key(circuit)
     with _MARGINAL_MEMO_LOCK:
-        entry = _MARGINAL_MEMO.get(key)
-    return None if entry is None else (plan, entry[0])
+        entry = _MARGINAL_MEMO.get(facts.memo_key)
+    return None if entry is None else entry[0]
 
 
 def clear_marginal_memo() -> None:
@@ -319,6 +377,12 @@ class SimBackend:
         array: what the shot executor runs, merges and ships between
         processes.
 
+        ``seed`` is an integer or a :class:`numpy.random.Generator`
+        (the shot executor passes each chunk's
+        :func:`repro.exec.parallel.chunk_stream`); engines draw from
+        ``np.random.default_rng(seed)``, which passes a generator
+        through.
+
         ``noise_model`` is an optional :class:`repro.noise.NoiseModel`;
         backends that cannot execute under noise must raise
         :class:`~repro.errors.SimulationError` rather than silently
@@ -412,12 +476,8 @@ class VectorizedStatevectorBackend(SimBackend):
         from repro.noise.model import NoiseStats, effective_noise_model
 
         noise_model = effective_noise_model(noise_model)
-        plan = (
-            terminal_measurement_plan(circuit)
-            if noise_model is None
-            else None
-        )
-        if plan is None:
+        facts = run_facts(circuit)
+        if facts.plan is None or noise_model is not None:
             # Non-terminal circuit (or a noisy run, where each shot's
             # Kraus draws differ): evolve all shots simultaneously on
             # the batched trajectory engine (repro.sim.batched) rather
@@ -434,54 +494,50 @@ class VectorizedStatevectorBackend(SimBackend):
                 batched=True,
                 channel_applications=stats.channel_applications,
                 readout_applications=stats.readout_applications,
-                gates_fused=fused_gate_savings(circuit),
+                gates_fused=facts.gates_fused,
             )
 
         # The normalized marginal over the measured qubits depends only
         # on the circuit's content — never on the seed or shot count —
         # so it is evolved once per process and its sampling CDF is
         # memoized; every later run of the circuit only draws shots.
-        key = _memo_key(circuit)
-        # The unitary prefix mixes plain gates with FusedUnitary blocks
-        # from the compile-time fusion pass; each is one evolution step.
-        prefix = [
-            inst
-            for inst in circuit.instructions
-            if isinstance(inst, (CircuitGate, FusedUnitary))
-        ]
         with _trace.span(
             "sim.sweep",
             engine="fast-path", shots=shots, qubits=circuit.num_qubits,
         ) as span:
-            cdf = _memo_get(key)
+            cdf = _memo_get(facts.memo_key)
             evolutions = int(cdf is None)
             if cdf is None:
+                # The unitary prefix mixes plain gates with
+                # FusedUnitary blocks from the compile-time fusion
+                # pass; each is one evolution step.
                 engine = BatchedStatevector(1, circuit.num_qubits)
-                for inst in prefix:
-                    engine.apply(inst)
+                for inst in circuit.instructions:
+                    if isinstance(inst, (CircuitGate, FusedUnitary)):
+                        engine.apply(inst)
                 cdf = sampling_cdf(
                     terminal_marginal(
-                        np.abs(engine.state[0]) ** 2, circuit, plan
+                        np.abs(engine.state[0]) ** 2, circuit, facts.plan
                     )
                 )
-                _memo_put(key, cdf)
+                _memo_put(facts.memo_key, cdf)
             outcome = "miss" if evolutions else "hit"
             span.set(memo=outcome)
             results = scatter_outcomes(
                 draw_outcomes(cdf, shots, np.random.default_rng(seed)),
                 circuit,
-                plan,
+                facts.plan,
             )
-        _MEMO_LOOKUPS.inc(outcome=outcome)
+        _MEMO_OUTCOMES[outcome].inc()
         if evolutions:
-            _SWEEPS.inc(engine="fast-path")
+            _FAST_PATH_SWEEPS.inc()
         return results, RunInfo(
             self.name,
             shots,
             evolutions=evolutions,
             fast_path=True,
-            fused_ops=len(prefix),
-            gates_fused=fused_gate_savings(circuit),
+            fused_ops=facts.steps,
+            gates_fused=facts.gates_fused,
         )
 
 
@@ -579,6 +635,47 @@ def scatter_outcomes(
     masks = np.array([bit in shift_of for bit in output], dtype=dtype)
     bits = (outcomes.astype(dtype)[:, None] >> shifts) & masks
     return bits.astype(np.uint8, copy=False)
+
+
+def bit_strings(bits: np.ndarray) -> list[str]:
+    """The rows of a ``(rows, width)`` 0/1 uint8 array as ``"0101"``
+    strings (the service's counts keys)."""
+    rows, width = bits.shape
+    if width == 0:
+        return [""] * rows
+    digits = np.ascontiguousarray(bits) + np.uint8(ord("0"))
+    return digits.view(f"S{width}").ravel().astype(str).tolist()
+
+
+def outcome_counts(
+    outcomes: np.ndarray,
+    circuit: Circuit,
+    plan: Sequence[Measurement],
+) -> dict[str, int]:
+    """The ``{"0101": count}`` histogram of :func:`draw_outcomes`
+    outcomes, keyed in first-drawn order: what
+    :func:`repro.service.protocol.counts_of` makes of their
+    :func:`scatter_outcomes` bits, but only each distinct outcome is
+    scattered and formatted.  Outcomes that differ only on qubits no
+    output bit keeps share one key.
+    """
+    # The stable sort np.unique needs for first indices is a radix sort
+    # on small integer types: 7x faster than on intp at 2^20 shots.
+    width = len({m.qubit for m in plan})
+    values, first, counts = np.unique(
+        outcomes.astype(np.min_scalar_type((1 << width) - 1), copy=False),
+        return_index=True,
+        return_counts=True,
+    )
+    order = np.argsort(first)
+    keys = bit_strings(scatter_outcomes(values[order], circuit, plan))
+    counts = counts[order].tolist()
+    if len(set(keys)) == len(keys):
+        return dict(zip(keys, counts))
+    merged: dict[str, int] = {}
+    for key, count in zip(keys, counts):
+        merged[key] = merged.get(key, 0) + count
+    return merged
 
 
 # ----------------------------------------------------------------------

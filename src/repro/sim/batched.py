@@ -38,8 +38,9 @@ only for very wide circuits at very high shot counts).
 
 :func:`batched_run` drives every shot of a run from one
 ``Generator(seed)``: the one seed convention of every seeded
-statevector run.  See docs/simulators.md ("Batched trajectory
-engine").
+statevector run.  The shot executor passes each chunk's own
+generator (:func:`repro.exec.parallel.chunk_stream`) as ``seed``.  See
+docs/simulators.md ("Batched trajectory engine").
 """
 
 from __future__ import annotations

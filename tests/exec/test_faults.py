@@ -8,17 +8,19 @@ The load-bearing assertions are the determinism contracts:
 - a run that absorbed injected crashes, hangs, or a genuinely broken
   process pool returns results **bit-identical** to the same-seed
   fault-free run, because retries change only the fault-decision key
-  (``seed@attempt``), never the chunk's data seed;
+  (``seed/chunk@attempt``), never the chunk's random stream;
 - exhausting the retry budget is a coded ``QW603`` diagnostic, and
   genuine (non-injected) chunk errors propagate immediately instead of
   burning the budget.
 """
 
+import dataclasses
 import threading
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import alternating_secret, bernstein_vazirani
 from repro.errors import FaultInjectedError, RetryBudgetExhaustedError
@@ -34,17 +36,14 @@ from repro.exec.faults import (
     maybe_inject_chunk_fault,
     plan_from_env,
 )
-from repro.exec.parallel import (
-    chunk_plan,
-    derive_chunk_seeds,
-    parallel_run_with_info,
-)
+from repro.exec.parallel import chunk_plan, parallel_run_with_info
 from repro.exec.retry import (
     RetryPolicy,
     backoff_delay,
     execute_with_retry,
 )
 from repro.pipeline import compile_kernel
+from repro.qcircuit.examples import teleport_circuit
 from repro.sim.backend import run_circuit_with_info
 from repro.sim.statevector import run_circuit
 
@@ -63,6 +62,11 @@ def _circuit(n=5):
     ).execution_circuit
 
 
+#: A mid-circuit-measurement circuit: every chunk evolves its shots on
+#: the batched engine, drawing from its chunk stream.
+_TELEPORT = teleport_circuit()
+
+
 def _crash_seed(circuit, shots, seed, workers, rate=0.5):
     """A plan seed whose crashes all clear on the first retry.
 
@@ -70,17 +74,16 @@ def _crash_seed(circuit, shots, seed, workers, rate=0.5):
     hash function's exact output while still guaranteeing that at
     least one fault fires and that no chunk needs a third attempt.
     """
-    sizes = chunk_plan(shots, workers)
-    seeds = derive_chunk_seeds(seed, len(sizes))
+    chunks = len(chunk_plan(shots, workers))
     for plan_seed in range(2000):
         plan = FaultPlan({"worker_crash": rate}, seed=plan_seed)
         first = [
-            plan.should("worker_crash", chunk_fault_key(s, 0))
-            for s in seeds
+            plan.should("worker_crash", chunk_fault_key(seed, i, 0))
+            for i in range(chunks)
         ]
         second = [
-            plan.should("worker_crash", chunk_fault_key(s, 1))
-            for s in seeds
+            plan.should("worker_crash", chunk_fault_key(seed, i, 1))
+            for i in range(chunks)
         ]
         if any(first) and not any(second):
             return plan_seed
@@ -93,7 +96,7 @@ def _crash_seed(circuit, shots, seed, workers, rate=0.5):
 def test_plan_decisions_are_pure_and_seed_sensitive():
     plan = FaultPlan({"worker_crash": 0.5}, seed=1)
     twin = FaultPlan({"worker_crash": 0.5}, seed=1)
-    keys = [chunk_fault_key(s, 0) for s in range(200)]
+    keys = [chunk_fault_key(s, s % 3, 0) for s in range(200)]
     decisions = [plan.should("worker_crash", k) for k in keys]
     assert decisions == [twin.should("worker_crash", k) for k in keys]
     assert any(decisions) and not all(decisions)
@@ -120,7 +123,7 @@ def test_plan_rejects_unknown_kind_bad_rate_bad_mode():
 def test_plan_rate_roughly_matches_empirical_frequency():
     plan = FaultPlan({"worker_crash": 0.25}, seed=3)
     hits = sum(
-        plan.should("worker_crash", chunk_fault_key(s, 0))
+        plan.should("worker_crash", chunk_fault_key(s, 0, 0))
         for s in range(2000)
     )
     assert 0.20 < hits / 2000 < 0.30
@@ -181,7 +184,8 @@ def test_counted_draw_advances_per_kind(monkeypatch):
 # The chunk site.
 # ----------------------------------------------------------------------
 def test_first_attempt_prediction_matches_the_injection_sites():
-    seeds = derive_chunk_seeds(11, 2)
+    seed, chunks = 11, 2
+    outcomes = set()
     for plan_seed in range(40):
         plan = FaultPlan(
             {"worker_crash": 0.3, "worker_hang": 0.1},
@@ -189,28 +193,33 @@ def test_first_attempt_prediction_matches_the_injection_sites():
             hang_seconds=0.0,
         )
         fired = []
-        for seed in seeds:
+        for index in range(chunks):
             try:
-                maybe_inject_chunk_fault(plan, seed, 0)
+                maybe_inject_chunk_fault(plan, seed, index, 0)
             except FaultInjectedError:
-                fired.append(seed)
+                fired.append(index)
             else:
-                fired += [seed] if plan.should(
-                    "worker_hang", chunk_fault_key(seed, 0)
+                fired += [index] if plan.should(
+                    "worker_hang", chunk_fault_key(seed, index, 0)
                 ) else []
-        assert fires_on_first_attempt(plan, seeds) == bool(fired)
+        predicted = fires_on_first_attempt(plan, seed, chunks)
+        assert predicted == bool(fired)
+        outcomes.add(predicted)
+    assert outcomes == {False, True}
     # Compile sites draw from a per-process counter: any rate fires;
     # disk reads never happen on a memory hit.
-    assert fires_on_first_attempt(FaultPlan({"compile_error": 1e-9}), seeds)
+    assert fires_on_first_attempt(
+        FaultPlan({"compile_error": 1e-9}), seed, chunks
+    )
     assert not fires_on_first_attempt(
-        FaultPlan({"diskcache_corrupt": 1.0}), seeds
+        FaultPlan({"diskcache_corrupt": 1.0}), seed, chunks
     )
 
 
 def test_chunk_crash_raises_coded_fault():
     plan = FaultPlan({"worker_crash": 1.0})
     with pytest.raises(FaultInjectedError) as excinfo:
-        maybe_inject_chunk_fault(plan, seed=7, attempt=0)
+        maybe_inject_chunk_fault(plan, seed=7, index=0, attempt=0)
     assert excinfo.value.code == "QW510"
 
 
@@ -219,7 +228,7 @@ def test_chunk_exit_mode_raises_outside_pool_workers():
     # back to the exception so a misconfigured test cannot kill pytest.
     plan = FaultPlan({"worker_crash": 1.0}, crash_mode="exit")
     with pytest.raises(FaultInjectedError):
-        maybe_inject_chunk_fault(plan, seed=7, attempt=0)
+        maybe_inject_chunk_fault(plan, seed=7, index=0, attempt=0)
 
 
 def test_chunk_hang_sleeps_then_continues():
@@ -227,12 +236,13 @@ def test_chunk_hang_sleeps_then_continues():
 
     plan = FaultPlan({"worker_hang": 1.0}, hang_seconds=0.05)
     start = time.monotonic()
-    maybe_inject_chunk_fault(plan, seed=7, attempt=0)  # returns normally
+    # Returns normally.
+    maybe_inject_chunk_fault(plan, seed=7, index=0, attempt=0)
     assert time.monotonic() - start >= 0.05
 
 
 def test_no_plan_is_a_no_op():
-    maybe_inject_chunk_fault(None, seed=7, attempt=0)
+    maybe_inject_chunk_fault(None, seed=7, index=0, attempt=0)
 
 
 # ----------------------------------------------------------------------
@@ -255,6 +265,33 @@ def test_inprocess_crash_recovery_is_bit_identical():
     assert info.faults_injected >= 1
     assert (clean_info.retries, clean_info.faults_injected) == (0, 0)
     assert not info.degraded
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**64 - 1), st.just(2**64 - 1)),
+    workers=st.sampled_from([2, 3]),
+    shots=st.integers(3, 300),
+)
+def test_recovered_chaos_runs_equal_clean_runs(seed, workers, shots):
+    # Whatever the seed and plan, a chunk's retry draws from the same
+    # (seed, chunk index) stream, so recovering changes no bit.
+    circuit = _TELEPORT
+    clean, clean_info = parallel_run_with_info(
+        circuit, shots, seed, workers=workers, use_processes=False,
+        retry=RetryPolicy(),
+    )
+    plan_seed = _crash_seed(circuit, shots, seed, workers)
+    with inject_faults(worker_crash=0.5, seed=plan_seed):
+        chaos, info = parallel_run_with_info(
+            circuit, shots, seed, workers=workers, use_processes=False,
+            retry=RetryPolicy(),
+        )
+    assert np.array_equal(chaos, clean)
+    assert info.retries >= 1 and info.faults_injected >= 1
+    assert dataclasses.replace(
+        info, retries=0, faults_injected=0
+    ) == clean_info
 
 
 def test_hang_recovery_is_bit_identical_and_bounded():
@@ -319,11 +356,9 @@ def test_genuine_chunk_errors_propagate_unretried(monkeypatch):
         raise ValueError("a deterministic backend bug")
 
     monkeypatch.setattr(parallel_mod, "_run_chunk", explode)
-    sizes = chunk_plan(64, 2)
-    seeds = derive_chunk_seeds(5, len(sizes))
     tasks = [
-        parallel_mod._ChunkTask(circuit, size, chunk_seed, None, None)
-        for size, chunk_seed in zip(sizes, seeds)
+        parallel_mod._ChunkTask(circuit, size, 5, index, None, None)
+        for index, size in enumerate(chunk_plan(64, 2))
     ]
     with pytest.raises(ValueError, match="deterministic backend bug"):
         execute_with_retry(
@@ -347,14 +382,13 @@ def test_cancel_event_stops_between_waves():
 
 def test_backoff_is_deterministic_bounded_and_decorrelated():
     policy = RetryPolicy(backoff_base=0.01, backoff_cap=0.5)
-    delays = [backoff_delay(policy, seed=123, attempt=a) for a in range(6)]
-    assert delays == [
-        backoff_delay(policy, seed=123, attempt=a) for a in range(6)
-    ]
-    assert all(0.0 <= d <= 0.5 for d in delays)
-    assert delays != [
-        backoff_delay(policy, seed=124, attempt=a) for a in range(6)
-    ]
+    def delays(seed, index):
+        return [backoff_delay(policy, seed, index, a) for a in range(6)]
+
+    assert delays(123, 0) == delays(123, 0)
+    assert all(0.0 <= d <= 0.5 for d in delays(123, 0))
+    assert delays(123, 0) != delays(124, 0)
+    assert delays(123, 0) != delays(123, 1)
 
 
 def test_retry_policy_validation():

@@ -2,8 +2,9 @@
 
 Three layers of coverage:
 
-- the pure planning functions (``chunk_plan``, ``derive_chunk_seeds``,
-  ``resolve_workers``) and the exact ``RunInfo.merge`` arithmetic;
+- the pure planning functions (``chunk_plan``, ``chunk_stream``,
+  ``check_seed``, ``resolve_workers``) and the exact ``RunInfo.merge``
+  arithmetic;
 - the determinism contract — fixed ``(seed, workers)`` is bit-stable,
   the in-process fallback (``use_processes=False``) is bit-identical
   to the pooled run, and different worker counts give statistically
@@ -15,18 +16,22 @@ Three layers of coverage:
 """
 
 import asyncio
+import dataclasses
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.exec import (
+    SEED_LIMIT,
     chunk_plan,
-    derive_chunk_seeds,
+    chunk_stream,
     parallel_run_with_info,
     resolve_workers,
 )
+from repro.exec.parallel import check_seed, parallel_draw_with_info
 from repro.algorithms import alternating_secret, bernstein_vazirani
 from repro.evaluation import asdf_kernel
 from repro.noise import NoiseModel, depolarizing
@@ -37,19 +42,21 @@ from repro.qcircuit.examples import (
     teleport_circuit,
 )
 from repro.service import ExecutionService, ServiceClient, ServiceConfig
-from repro.service.protocol import counts_of
+from repro.service.protocol import MAX_SHOTS, counts_of
 from repro.sim.backend import (
     RunInfo,
     bit_tuples,
     clear_marginal_memo,
+    memoized_marginal,
     run_circuit_with_info,
+    run_facts,
 )
 from repro.sim.statevector import run_circuit
 from tests.stats import assert_histograms_close
 
 
 # ----------------------------------------------------------------------
-# Planning: chunk_plan / derive_chunk_seeds / resolve_workers.
+# Planning: chunk_plan / chunk_stream / check_seed / resolve_workers.
 # ----------------------------------------------------------------------
 def test_chunk_plan_splits_under_envelope_run_across_workers():
     # The plan hands every worker a piece, however few qubits.
@@ -79,26 +86,55 @@ def test_chunk_plan_rejects_zero_shots():
         chunk_plan(0, 2)
 
 
-def test_derive_chunk_seeds_deterministic_distinct_uint63():
-    seeds = derive_chunk_seeds(7, 16)
-    assert seeds == derive_chunk_seeds(7, 16)
-    assert len(set(seeds)) == 16
-    assert all(0 <= s < 2**63 for s in seeds)
-    # A prefix of a longer spawn is the same seeds: chunk i's seed
-    # depends only on (seed, i), never on the total chunk count's tail.
-    assert derive_chunk_seeds(7, 4) == derive_chunk_seeds(7, 16)[:4]
+def test_chunk_stream_is_keyed_philox_and_pure():
+    for seed, index in ((7, 0), (7, 3), (SEED_LIMIT - 1, 31)):
+        expected = np.random.Generator(
+            np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
+        ).random(8)
+        assert np.array_equal(chunk_stream(seed, index).random(8), expected)
+        assert np.array_equal(chunk_stream(seed, index).random(8), expected)
+    # NumPy integers name the same stream as Python ints.
+    assert np.array_equal(
+        chunk_stream(np.uint64(7), 3).random(8), chunk_stream(7, 3).random(8)
+    )
 
 
-def test_derive_chunk_seeds_is_memoized_but_none_stays_random():
-    expected = [
-        int(child.generate_state(1, dtype=np.uint64)[0] >> np.uint64(1))
-        for child in np.random.SeedSequence(11).spawn(3)
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, SEED_LIMIT - 1),
+    chunks=st.integers(2, 32),
+)
+def test_chunk_streams_of_one_seed_do_not_repeat(seed, chunks):
+    # Each stream's first 64 words; two streams that repeated one
+    # another (or overlapped, shifted) would share words.
+    words = [
+        chunk_stream(seed, index).bit_generator.random_raw(64)
+        for index in range(chunks)
     ]
-    seeds = derive_chunk_seeds(11, 3)
-    assert seeds == derive_chunk_seeds(11, 3) == expected
-    seeds.append(0)  # callers get their own list
-    assert derive_chunk_seeds(11, 3) == expected
-    assert derive_chunk_seeds(None, 2) != derive_chunk_seeds(None, 2)
+    drawn = np.concatenate(words)
+    assert len(np.unique(drawn)) == drawn.size
+
+
+def test_check_seed_accepts_exactly_the_uint64_range():
+    for seed in (0, 1, SEED_LIMIT - 1, np.uint64(SEED_LIMIT - 1)):
+        check_seed(seed)
+    assert SEED_LIMIT == 2**64
+    for seed in (-1, SEED_LIMIT, 2**100, None, 1.0, "3", True):
+        with pytest.raises(SimulationError, match="2\\*\\*64"):
+            check_seed(seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_library_runs_refuse_seeds_outside_uint64(seed):
+    circuit = teleport_circuit()
+    with pytest.raises(SimulationError, match="2\\*\\*64"):
+        parallel_run_with_info(circuit, 4, seed=seed)
+    with pytest.raises(SimulationError, match="2\\*\\*64"):
+        run_circuit(circuit, 4, seed=seed)
+    with pytest.raises(SimulationError, match="2\\*\\*64"):
+        simulate_kernel(_bv_kernel(), shots=4, seed=seed)
+    bits, _ = parallel_run_with_info(circuit, 4, seed=2**64 - 1)
+    assert len(bits) == 4
 
 
 def test_resolve_workers():
@@ -207,7 +243,7 @@ def test_serial_fallback_is_bit_identical_to_pooled_run():
 
 
 def test_worker_counts_give_statistically_equivalent_histograms():
-    # Different worker counts draw from different derived streams, so
+    # Different worker counts draw from different chunk streams, so
     # the outputs differ bit-for-bit but must agree as distributions.
     circuit = teleport_circuit()
     one, _ = parallel_run_with_info(
@@ -357,3 +393,79 @@ def test_simulate_kernel_matches_the_service_for_seed_and_workers():
     assert response["ok"], response
     assert response["result"]["info"]["chunks"] == 2
     assert response["result"]["counts"] == counts_of(library)
+
+
+# ----------------------------------------------------------------------
+# The warm draw: counts straight from outcome indices.
+# ----------------------------------------------------------------------
+def _hand_built_plan(circuit_seed: int) -> Circuit:
+    """A terminal circuit with a random measurement plan: qubits
+    measured twice or never, bits written twice (the last write wins)
+    or never, and a random output-bit selection."""
+    rng = np.random.default_rng(circuit_seed)
+    num_qubits = int(rng.integers(1, 5))
+    num_bits = int(rng.integers(1, 6))
+    circuit = Circuit(num_qubits=num_qubits, num_bits=num_bits)
+    for qubit in range(num_qubits):
+        circuit.add(
+            CircuitGate("ry", (qubit,), (), (float(rng.uniform(0, 3)),))
+        )
+    if num_qubits > 1:
+        circuit.add(CircuitGate("x", (1,), (0,)))
+    for _ in range(int(rng.integers(1, 2 * num_bits + 1))):
+        circuit.add(
+            Measurement(
+                int(rng.integers(num_qubits)), int(rng.integers(num_bits))
+            )
+        )
+    if rng.random() < 0.5:
+        kept = rng.permutation(num_bits)[: int(rng.integers(1, num_bits + 1))]
+        circuit.output_bits = [int(bit) for bit in kept]
+    return circuit
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    circuit_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, SEED_LIMIT - 1),
+    shots=st.one_of(
+        st.sampled_from([1, 2, 7, 256, MAX_SHOTS]), st.integers(1, 3000)
+    ),
+    workers=st.sampled_from([1, 2, 3]),
+)
+def test_warm_draw_counts_equal_the_dispatchers_bits(
+    circuit_seed, seed, shots, workers
+):
+    circuit = _hand_built_plan(circuit_seed)
+    bits, info = parallel_run_with_info(
+        circuit, shots, seed, workers=workers, use_processes=False
+    )
+    facts = run_facts(circuit)
+    cdf = memoized_marginal(facts)
+    assert cdf is not None
+    counts, drawn_info = parallel_draw_with_info(
+        facts, cdf, shots, seed, workers
+    )
+    # Same keys, same counts, same first-drawn order.
+    assert list(counts.items()) == list(counts_of(bits).items())
+    assert drawn_info == dataclasses.replace(info, evolutions=0)
+
+
+def test_warm_draw_merges_outcomes_an_output_bit_drops():
+    # Two measured qubits in superposition, one kept output bit: the
+    # four marginal outcomes collapse onto two keys, first drawn first.
+    circuit = Circuit(num_qubits=2, num_bits=2)
+    circuit.add(CircuitGate("h", (0,)))
+    circuit.add(CircuitGate("h", (1,)))
+    circuit.add(Measurement(0, 0))
+    circuit.add(Measurement(1, 1))
+    circuit.output_bits = [1]
+    bits, _ = parallel_run_with_info(
+        circuit, 500, 3, workers=2, use_processes=False
+    )
+    facts = run_facts(circuit)
+    counts, _ = parallel_draw_with_info(
+        facts, memoized_marginal(facts), 500, 3, 2
+    )
+    assert list(counts.items()) == list(counts_of(bits).items())
+    assert set(counts) == {"0", "1"} and sum(counts.values()) == 500

@@ -1,10 +1,12 @@
 """The compile-cache miss path runs with the cyclic collector paused.
 
-The owner of a miss runs its disk load and its build with ``gc``
-disabled, so the collections a compile's allocations would trigger do
-not walk every object the memory cache retains.  These tests pin that
-the collector's state always comes back — after a hit, a miss, a disk
-load and a failed build — that a caller's own ``gc.disable()``
+The owner of a miss runs its disk load, its build and its disk store
+with ``gc`` disabled, so the collections a compile's allocations (and
+the pickling of its artifact) would trigger do not walk every object
+the memory cache retains.  These tests pin that the collector's state
+always comes back — after a hit, a miss, a disk load and a failed
+build — that waiters are released before the store, that a caller's
+own ``gc.disable()``
 survives, that hits and waiters never pause, and that overlapping
 compiles on two threads keep it off until both have returned.
 """
@@ -65,6 +67,39 @@ def test_cold_miss_builds_paused_and_restores(cold_cache, monkeypatch):
     assert result.provenance == "compiled"
     assert seen == [False]
     assert gc.isenabled()
+
+
+def test_cold_miss_stores_paused_after_releasing_waiters(
+    cold_cache, monkeypatch
+):
+    kernel = _kernel()
+    options = pipeline.CompileOptions.preset("default")
+    key = pipeline._cache_key(kernel, options)
+    seen = []
+    real_store = diskcache.store
+
+    def store(digest, result):
+        with pipeline._CACHE_LOCK:
+            # The artifact is already served from memory and no miss
+            # waits on its compile any more.
+            seen.append(
+                (
+                    gc.isenabled(),
+                    key in pipeline._IN_FLIGHT,
+                    pipeline._COMPILE_CACHE.get(key) is result,
+                )
+            )
+        return real_store(digest, result)
+
+    monkeypatch.setattr(diskcache, "store", store)
+    result = compile_kernel(kernel, cache=True)
+    assert result.provenance == "compiled"
+    assert seen == [(False, False, True)]
+    assert gc.isenabled()
+    assert pipeline._GC_PAUSES == 0
+    # The store really wrote: a memory-cleared lookup is a disk hit.
+    clear_compile_cache()
+    assert compile_kernel(kernel, cache=True).provenance == "disk"
 
 
 def test_memory_hit_never_pauses(cold_cache, pauses):

@@ -253,9 +253,19 @@ def test_warm_requests_count_one_story():
     assert hits - stats_before["compile_cache"]["memory_hits"] == requests
     completed = stats["counters"]["completed"]
     assert completed - stats_before["counters"]["completed"] == requests
-    assert completed == parse_exposition(
-        exposition, "repro_service_events_total"
-    )[(label, "completed")]
+    # The service updates bound series; stats still reads exactly what
+    # the exposition shows.
+    events = parse_exposition(exposition, "repro_service_events_total")
+    for event, value in stats["counters"].items():
+        # The metrics request arrived after stats was captured.
+        skew = 1 if event == "received" else 0
+        assert events.get((label, event), 0) == value + skew, event
+    latency = parse_exposition(
+        exposition, "repro_service_request_seconds_count"
+    )
+    assert latency[(label,)] == completed
+    depth = parse_exposition(exposition, "repro_service_queue_depth")
+    assert depth[(label,)] == stats["queue_depth"] == 0
 
 
 def test_traced_warm_request_has_a_sweep_under_its_dispatch():

@@ -122,6 +122,91 @@ def test_disabled_suppresses_every_update(fresh):
     assert counter.value(kind="a") == 1
 
 
+def test_bound_children_render_what_keyword_updates_render(fresh):
+    def record(bind: bool) -> str:
+        metrics.reset_metrics()
+        counter = metrics.counter(
+            "test_bound_total", "bound", labels=("layer", "outcome")
+        )
+        gauge = metrics.gauge("test_bound_depth", labels=("service",))
+        histogram = metrics.histogram(
+            "test_bound_seconds", labels=("service",), buckets=(0.5, 1.0)
+        )
+        if bind:
+            hit = counter.labels(layer="memory", outcome="hit")
+            hit.inc()
+            hit.inc(2)
+            counter.labels(outcome="miss", layer="memory").inc()
+            depth = gauge.labels(service="1")
+            depth.set(4)
+            depth.inc()
+            latency = histogram.labels(service="1")
+            for value in (0.25, 0.75, 2.0):
+                latency.observe(value)
+        else:
+            counter.inc(layer="memory", outcome="hit")
+            counter.inc(2, layer="memory", outcome="hit")
+            counter.inc(layer="memory", outcome="miss")
+            gauge.set(4, service="1")
+            gauge.inc(service="1")
+            for value in (0.25, 0.75, 2.0):
+                histogram.observe(value, service="1")
+        return "\n".join(
+            line
+            for line in metrics.render().splitlines()
+            if "test_bound_" in line
+        )
+
+    assert record(bind=True) == record(bind=False)
+    counter = metrics.instruments()["test_bound_total"]
+    assert counter.value(layer="memory", outcome="hit") == 3
+
+
+def test_bound_children_validate_once_and_keep_the_counter_rules(fresh):
+    counter = metrics.counter("test_bind_total", labels=("kind",))
+    with pytest.raises(ValueError, match="takes labels"):
+        counter.labels(wrong="a")
+    with pytest.raises(ValueError, match="takes labels"):
+        counter.labels()
+    with pytest.raises(ValueError, match="cannot decrease"):
+        counter.labels(kind="a").inc(-1)
+    plain = metrics.counter("test_bind_plain_total")
+    plain.labels().inc(5)
+    assert plain.value() == 5
+
+
+def test_bound_children_honour_disabled_and_clear(fresh):
+    counter = metrics.counter("test_bchild_total", labels=("kind",))
+    gauge = metrics.gauge("test_bchild_depth")
+    histogram = metrics.histogram("test_bchild_seconds", buckets=(1.0,))
+    hit, depth, latency = (
+        counter.labels(kind="a"), gauge.labels(), histogram.labels()
+    )
+    with metrics.disabled():
+        hit.inc()
+        depth.set(9)
+        latency.observe(0.5)
+    assert counter.value(kind="a") == 0
+    assert gauge.value() == 0
+    assert histogram.count() == 0
+    hit.inc()
+    depth.set(3)
+    latency.observe(0.5)
+    metrics.reset_metrics()
+    assert counter.value(kind="a") == 0
+    assert gauge.value() == 0
+    assert histogram.count() == 0
+    # A child bound before the clear still updates the live series.
+    hit.inc(2)
+    depth.set(7)
+    latency.observe(2.0)
+    counter.clear()
+    hit.inc()
+    assert counter.value(kind="a") == 1
+    assert gauge.value() == 7
+    assert histogram.count() == 1 and histogram.sum() == 2.0
+
+
 def test_exposition_golden_format(fresh):
     counter = metrics.counter(
         "golden_cache_lookups_total",

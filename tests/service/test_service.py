@@ -21,11 +21,7 @@ import pytest
 
 from repro.algorithms import alternating_secret, bernstein_vazirani
 from repro.exec.faults import FaultPlan, chunk_fault_key
-from repro.exec.parallel import (
-    chunk_plan,
-    derive_chunk_seeds,
-    parallel_run_with_info,
-)
+from repro.exec.parallel import chunk_plan, parallel_run_with_info
 from repro.exec.retry import RetryPolicy
 from repro.pipeline import (
     clear_compile_cache,
@@ -69,16 +65,15 @@ def crash_plan(rate=0.5, n=N, shots=SHOTS, seed=SEED, workers=2):
     circuit = compile_kernel(
         bernstein_vazirani(alternating_secret(n))
     ).execution_circuit
-    sizes = chunk_plan(shots, workers)
-    seeds = derive_chunk_seeds(seed, len(sizes))
+    chunks = range(len(chunk_plan(shots, workers)))
     for plan_seed in range(2000):
         plan = FaultPlan({"worker_crash": rate}, seed=plan_seed)
         if any(
-            plan.should("worker_crash", chunk_fault_key(s, 0))
-            for s in seeds
+            plan.should("worker_crash", chunk_fault_key(seed, i, 0))
+            for i in chunks
         ) and not any(
-            plan.should("worker_crash", chunk_fault_key(s, 1))
-            for s in seeds
+            plan.should("worker_crash", chunk_fault_key(seed, i, 1))
+            for i in chunks
         ):
             return plan
     raise AssertionError("no suitable fault seed in range")
@@ -527,6 +522,35 @@ def test_bad_requests_never_reach_the_queue():
     # protocol) is discovered at execution time.
     assert stats["result"]["counters"]["accepted"] == 1
     assert stats["result"]["error_codes"]["QW604"] == 4
+
+
+@pytest.mark.parametrize("seed", [2**64 - 1, 2**64])
+def test_seeds_are_bounded_before_any_compile_lookup(seed):
+    # Seeds are unsigned 64-bit: 2**64 - 1 runs, 2**64 is refused at
+    # parse time, before the warm check's compile lookup.
+    def lookups():
+        info = compile_cache_info()
+        return info["hits"] + info["misses"]
+
+    async def scenario():
+        async with ExecutionService(make_config()) as service:
+            client = ServiceClient(service)
+            await client.run(id=0, kernel="bv", n=N, shots=8)
+            before = lookups()
+            response = await client.run(
+                id=1, kernel="bv", n=N, shots=8, seed=seed
+            )
+            return response, lookups() - before
+
+    response, lookups_spent = run_async(scenario())
+    if seed < 2**64:
+        assert response["ok"], response
+        assert lookups_spent == 1
+    else:
+        assert not response["ok"]
+        assert response["error"]["code"] == "QW604"
+        assert "2**64" in response["error"]["message"]
+        assert lookups_spent == 0
 
 
 @pytest.mark.parametrize("backend", ["interpreter", "nope"])

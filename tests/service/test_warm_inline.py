@@ -220,22 +220,23 @@ def _plans(fields, *, quiet: bool):
     """Worker-crash plans by seed whose first attempt at the request's
     two chunks fires nowhere (``quiet``) or somewhere; the loud ones
     spare every second attempt, so their retries always succeed."""
-    seeds = parallel.derive_chunk_seeds(fields["seed"], 2)
+    seed = fields["seed"]
     for plan_seed in range(1000):
         plan = FaultPlan({"worker_crash": 0.3}, seed=plan_seed)
-        if quiet != fires_on_first_attempt(plan, seeds) and (
+        if quiet != fires_on_first_attempt(plan, seed, 2) and (
             quiet
             or not any(
-                plan.should("worker_crash", chunk_fault_key(seed, 1))
-                for seed in seeds
+                plan.should("worker_crash", chunk_fault_key(seed, i, 1))
+                for i in range(2)
             )
         ):
             yield plan
 
 
 def test_a_plan_that_fires_nowhere_on_the_request_runs_inline():
-    # The plan's chunk decisions are pure functions of the data seeds,
-    # so a request none of whose sites fire runs exactly as without it.
+    # The plan's chunk decisions are pure functions of the seed and the
+    # chunk index, so a request none of whose sites fire runs exactly
+    # as without it.
     fields = dict(kernel="bv", n=5, shots=64, seed=4)
     quiet = next(_plans(fields, quiet=True))
     loud = next(_plans(fields, quiet=False))
@@ -418,9 +419,9 @@ def test_eviction_after_the_check_cannot_force_an_evolution(monkeypatch):
         return warm
 
     def recording_draw(*args, **kwargs):
-        bits, info = real_draw(*args, **kwargs)
+        counts, info = real_draw(*args, **kwargs)
         infos.append(info)
-        return bits, info
+        return counts, info
 
     sweeps = metrics.instruments()["repro_sim_sweeps_total"]
 
@@ -458,9 +459,10 @@ _PROPERTY_KERNELS = (
 
 
 def test_warm_inline_answers_equal_the_dispatcher():
-    # A warm request draws every chunk of its plan from the held CDF;
-    # its counts and info must equal an in-process
-    # parallel_run_with_info of the same execution circuit.
+    # A warm request draws every chunk of its plan from the held CDF
+    # and counts the outcome indices; its counts (in key order) and
+    # info must equal an in-process parallel_run_with_info of the same
+    # execution circuit.
     loop = asyncio.new_event_loop()
     service = ExecutionService(_config())
     client = ServiceClient(service)
@@ -503,7 +505,10 @@ def test_warm_inline_answers_equal_the_dispatcher():
                 use_processes=False,
             )
             assert info.evolutions == 0
-            assert response["result"]["counts"] == protocol.counts_of(bits)
+            # Equal counts, keys in the same first-drawn order.
+            assert list(response["result"]["counts"].items()) == list(
+                protocol.counts_of(bits).items()
+            )
             assert response["result"]["shots"] == info.shots == shots
             assert response["result"]["info"] == {
                 "backend": info.backend,

@@ -525,24 +525,30 @@ def test_memoized_marginal_peeks_without_counting(fresh_memo):
     circuit = _memo_circuit(theta=1.1)
     other = _memo_circuit(theta=1.2)
     before = (lookups.value(outcome="hit"), lookups.value(outcome="miss"))
-    assert backend.memoized_marginal(circuit) is None
+    facts = backend.run_facts(circuit)
+    assert backend.memoized_marginal(facts) is None
     assert _evolutions(circuit) == 1
     assert _evolutions(other) == 1
     order = list(backend._MARGINAL_MEMO)
-    plan, cdf = backend.memoized_marginal(circuit)
+    cdf = backend.memoized_marginal(facts)
     after = (lookups.value(outcome="hit"), lookups.value(outcome="miss"))
     assert after == (before[0], before[1] + 2)  # only the runs counted
     assert list(backend._MARGINAL_MEMO) == order  # LRU order untouched
-    assert plan == backend.terminal_measurement_plan(circuit)
-    assert cdf is backend._MARGINAL_MEMO[backend._memo_key(circuit)][0]
+    assert facts.plan == backend.terminal_measurement_plan(circuit)
+    # A key made afresh from the circuit finds the same entry.
+    fresh_key = backend.run_facts(circuit).memo_key
+    assert fresh_key == facts.memo_key and hash(fresh_key) == hash(
+        facts.memo_key
+    )
+    assert cdf is backend._MARGINAL_MEMO[fresh_key][0]
     assert not cdf.flags.writeable
     # The held CDF survives its entry's eviction.
     clear_marginal_memo()
-    assert backend.memoized_marginal(circuit) is None
+    assert backend.memoized_marginal(facts) is None
     bits = backend.scatter_outcomes(
         backend.draw_outcomes(cdf, 64, np.random.default_rng(0)),
         circuit,
-        plan,
+        facts.plan,
     )
     evolved, info = get_backend("statevector").run_array_with_info(
         circuit, 64, 0
@@ -550,7 +556,48 @@ def test_memoized_marginal_peeks_without_counting(fresh_memo):
     assert info.evolutions == 1 and np.array_equal(bits, evolved)
     # Mid-circuit measurement never takes the fast path.
     circuit.add(g("x", [0]))
-    assert backend.memoized_marginal(circuit) is None
+    mid_circuit = backend.run_facts(circuit)
+    assert mid_circuit.plan is None and mid_circuit.memo_key is None
+    assert backend.memoized_marginal(mid_circuit) is None
+
+
+def test_memo_key_hashes_once_and_rehashes_when_unpickled(fresh_memo):
+    import pickle
+
+    from repro.sim import backend
+
+    facts = backend.run_facts(_memo_circuit(theta=0.9))
+    key = facts.memo_key
+    assert key.parts == (
+        facts.circuit.num_qubits, tuple(facts.circuit.instructions)
+    )
+    assert hash(key) == hash(key.parts)
+    # String hashes are salted per process, so a pickled key must not
+    # carry its hash along.
+    state = key.__reduce__()
+    assert state == (backend._MemoKey, (key.parts,))
+    loaded = pickle.loads(pickle.dumps(facts))
+    assert loaded.memo_key == key and hash(loaded.memo_key) == hash(key)
+
+
+def test_run_facts_count_steps_and_fusion_savings():
+    from repro.qcircuit.fusion import fused_gate_savings
+    from repro.sim import backend
+
+    circuit = _memo_circuit(theta=0.4, num_qubits=5)
+    for run in (circuit, fuse_adjacent_gates(circuit)):
+        facts = backend.run_facts(run)
+        steps = [
+            inst for inst in run.instructions
+            if not isinstance(inst, Measurement)
+        ]
+        assert facts.circuit is run
+        assert facts.steps == len(steps)
+        assert facts.gates_fused == fused_gate_savings(run)
+        _, info = get_backend("statevector").run_array_with_info(run, 8, 0)
+        assert (info.fused_ops, info.gates_fused) == (
+            facts.steps, facts.gates_fused
+        )
 
 
 def test_engines_return_uint8_arrays_and_the_boundary_tuples():
@@ -592,10 +639,12 @@ _WARM_CATALOG = [
     for secret in ("110100", "1011001", "11100101", "01101110")
 ]
 
-#: sha256 of the catalog's counts at seeds 11 and 12, recorded before
-#: the memo existed (every request evolved its circuit per chunk).
+#: sha256 of the catalog's counts at seeds 11 and 12, recorded when
+#: chunk i of a run started drawing from Philox keyed (seed, i); the
+#: first sweep below evolves every circuit, the second only draws from
+#: the memo, and both must read it.
 _WARM_COUNTS_SHA256 = (
-    "7a9d906b43df3a64c306a87979368f51942ffc98f13a45cd44b017772c920475"
+    "164ccf60d17bf93e20c0e4089558c3470293c5a4e12247efab815804357ad89c"
 )
 
 

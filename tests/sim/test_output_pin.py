@@ -8,16 +8,24 @@ One sha256 per group covers, for fixed circuits and seeds:
   noiseless and under two noise models — the batched trajectory engine;
 - ``fast_path``: the ``statevector`` backend on terminal circuits,
   plain and fused, including the compiled benchmark algorithms;
-- ``module``: ``interpret_module`` bits on compiled kernels.
+- ``module``: ``interpret_module`` bits on compiled kernels;
+- ``chunked``: in-process ``parallel_run_with_info`` at 1, 2 and 3
+  workers on some of the circuits above, noiseless and noisy, where
+  chunk *i* draws from ``chunk_stream(seed, i)``, plus the counts (in
+  key order) and chunk count of one warm service request.
 
 The ``module`` digest was recorded before the engines were refactored.
 The ``trajectory`` and ``fast_path`` digests were recomputed, from these
 builders, on the code that still had a per-shot backend beside the
 batched engine, so removing that backend left every pinned
-``statevector`` output in place.  Any change to sampling, projection,
-Kraus selection or readout flips shows up here as a digest mismatch.
+``statevector`` output in place.  The ``chunked`` digest was recorded
+when the chunk streams replaced ``SeedSequence``-derived chunk seeds;
+the other three did not move with that change.  Any change to
+sampling, projection, Kraus selection, readout flips or the chunk
+streams shows up here as a digest mismatch.
 """
 
+import asyncio
 import hashlib
 import json
 
@@ -25,6 +33,7 @@ import numpy as np
 import pytest
 
 from repro.evaluation import asdf_kernel
+from repro.exec.parallel import parallel_run_with_info
 from repro.noise import (
     NoiseModel,
     ReadoutError,
@@ -36,6 +45,7 @@ from repro.noise import (
 from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement, Reset
 from repro.qcircuit.examples import teleport_circuit
 from repro.qcircuit.fusion import fuse_adjacent_gates
+from repro.service import ExecutionService, ServiceClient, ServiceConfig
 from repro.sim import clear_marginal_memo, get_backend, interpret_module
 
 _ROTATIONS = ("p", "rx", "ry", "rz")
@@ -179,6 +189,56 @@ def _module_records():
     return records
 
 
+def _warm_service_record():
+    fields = dict(kernel="grover", n=5, shots=512, seed=2**64 - 1)
+
+    async def scenario():
+        config = ServiceConfig(
+            use_processes=False, parallel_workers=2, executors=1
+        )
+        async with ExecutionService(config) as service:
+            client = ServiceClient(service)
+            cold = await client.run(id=0, **fields)
+            warm = await client.run(id=1, **fields)
+        return cold, warm
+
+    clear_marginal_memo()
+    cold, warm = asyncio.run(scenario())
+    assert cold["ok"] and warm["ok"], (cold, warm)
+    counts = list(warm["result"]["counts"].items())
+    assert counts == list(cold["result"]["counts"].items())
+    return [counts, warm["result"]["info"]["chunks"]]
+
+
+def _chunked_records():
+    rng = np.random.default_rng(2024)
+    circuits = [teleport_circuit()] + [
+        _trajectory_circuit(rng) for _ in range(6)
+    ]
+    rng = np.random.default_rng(7)
+    circuits += [_terminal_circuit(rng) for _ in range(6)]
+    records = []
+    for index, circuit in enumerate(circuits):
+        for model_index, model in enumerate(_noise_models()):
+            for workers in (1, 2, 3):
+                for seed in (5, 2**64 - 1):
+                    clear_marginal_memo()
+                    bits, info = parallel_run_with_info(
+                        circuit, 24, seed, workers=workers,
+                        noise_model=model, use_processes=False,
+                    )
+                    records.append(
+                        [
+                            index, model_index, workers, seed,
+                            bits.tolist(), info.evolutions,
+                            info.channel_applications,
+                            info.readout_applications,
+                        ]
+                    )
+    records.append(_warm_service_record())
+    return records
+
+
 def _digest(records) -> str:
     return hashlib.sha256(json.dumps(records).encode()).hexdigest()
 
@@ -193,6 +253,9 @@ _PINNED = {
     "module": (
         "db7f3a983120fd0c5894c2e463a72a32dfa89c06cffb010afc89154009de1f40"
     ),
+    "chunked": (
+        "f00a97764b5f0362e4a1e508953951bfa206f55a5ec8421576b0ab3523a694b1"
+    ),
 }
 
 
@@ -202,6 +265,7 @@ _PINNED = {
         ("trajectory", _trajectory_records),
         ("fast_path", _fast_path_records),
         ("module", _module_records),
+        ("chunked", _chunked_records),
     ],
 )
 def test_sampled_outputs_match_recorded_digest(name, build):
@@ -213,5 +277,6 @@ if __name__ == "__main__":
         ("trajectory", _trajectory_records),
         ("fast_path", _fast_path_records),
         ("module", _module_records),
+        ("chunked", _chunked_records),
     ):
         print(key, _digest(builder()))
