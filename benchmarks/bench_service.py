@@ -28,7 +28,11 @@ two in-process chunks as on a ``--serial`` server, plus ``counts_of``.
 answers it, counting both chunks' draws from the held CDF
 (``parallel_draw_with_info``).  A fifth times the warm path as a whole
 (``warm-inline``): 2,000 warm 256-shot requests through an in-process
-client on a ``--serial``-configured service, answered on its loop.
+client on a ``--serial``-configured service, answered on its loop.  A
+sixth (``warm-request``) adds the wire format around the same path, as
+a ``--serial`` server runs it: 2,000 request lines, each parsed,
+submitted and its response encoded, over the suite at n = 6-8 and a
+``source`` kernel.
 
 Chunks run in-process (``use_processes=False``): the benchmark
 measures the service machinery (admission, deadlines, retry waves),
@@ -76,6 +80,8 @@ INLINE_REQUESTS = 2000
 INLINE_SHOTS = 256
 INLINE_KERNELS = ("bv", "dj", "grover", "simon", "period")
 INLINE_SAMPLES = 3
+#: The warm-request record's sizes.
+WIRE_SIZES = (6, 7, 8)
 
 #: A Bernstein-Vazirani ``source`` kernel with a captured oracle.
 BV_SOURCE = '''\
@@ -418,6 +424,66 @@ def test_warm_requests_inline():
         f"{INLINE_REQUESTS} warm {INLINE_SHOTS}-shot requests "
         f"({', '.join(INLINE_KERNELS)} at n={N}) through an in-process "
         f"client on a --serial-configured service: {best * 1e3:.1f} ms, "
+        f"{best / INLINE_REQUESTS * 1e6:.0f} us per request "
+        f"(best of {INLINE_SAMPLES})\n",
+    )
+
+
+def test_warm_requests_through_the_wire_format():
+    config = ServiceConfig(use_processes=False)  # as `--serial`
+    catalog = [
+        dict(kernel=name, n=n) for name in INLINE_KERNELS for n in WIRE_SIZES
+    ] + [dict(source=BV_SOURCE)]
+    lines = [
+        protocol.encode_response({
+            "id": index, "op": "run", "shots": INLINE_SHOTS, "seed": index,
+            "deadline": 120.0, **catalog[index % len(catalog)],
+        })
+        for index in range(INLINE_REQUESTS)
+    ]
+
+    async def sample(service) -> float:
+        start = time.perf_counter()
+        for line in lines:
+            response = await service.submit(protocol.parse_request(line))
+            protocol.encode_response(response)
+        elapsed = time.perf_counter() - start
+        assert response["ok"], response
+        return elapsed
+
+    async def drive():
+        async with ExecutionService(config) as service:
+            for fields in catalog:  # compile and evolve outside the timing
+                warm = await service.submit(
+                    {"id": "warm", "shots": INLINE_SHOTS, **fields}
+                )
+                assert warm["ok"], warm
+            before = service.counters
+            best = min([await sample(service) for _ in range(INLINE_SAMPLES)])
+            after = service.counters
+            assert after["completed"] - before["completed"] == (
+                INLINE_SAMPLES * INLINE_REQUESTS
+            )
+            return best
+
+    best = asyncio.run(drive())
+    write_bench_json(
+        "service",
+        [
+            bench_record(
+                "warm-request",
+                f"{INLINE_REQUESTS}req-{INLINE_SHOTS}-shots-wire",
+                best * 1e3, shots=INLINE_REQUESTS * INLINE_SHOTS,
+                evolutions=0,
+            )
+        ],
+    )
+    write_result(
+        "service_warm_request.txt",
+        f"{INLINE_REQUESTS} warm {INLINE_SHOTS}-shot request lines "
+        f"({', '.join(INLINE_KERNELS)} at n={WIRE_SIZES}, a source "
+        f"kernel) parsed, submitted and encoded on a --serial-configured "
+        f"service: {best * 1e3:.1f} ms, "
         f"{best / INLINE_REQUESTS * 1e6:.0f} us per request "
         f"(best of {INLINE_SAMPLES})\n",
     )

@@ -57,6 +57,7 @@ import atexit
 import dataclasses
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -175,6 +176,37 @@ def chunk_stream(seed: int, index: int) -> np.random.Generator:
     """
     key = np.array((seed, index), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+#: Each thread's generator for :func:`_rekeyed_stream`.
+_THREAD_STREAM = threading.local()
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+
+
+def _rekeyed_stream(seed: int, index: int) -> np.random.Generator:
+    """:func:`chunk_stream` ``(seed, index)`` without building one: this
+    thread's Philox generator, set through its ``state`` to key ``(seed,
+    index)`` and counter 0, with an empty buffer.  A new ``Philox``
+    first seeds itself from OS entropy and then discards that seeding,
+    which costs several times the re-key.
+
+    The generator is this thread's, and the next call on the thread
+    re-keys it: draw everything needed from it first.
+    """
+    generator = getattr(_THREAD_STREAM, "generator", None)
+    if generator is None:
+        generator = _THREAD_STREAM.generator = np.random.Generator(
+            np.random.Philox()
+        )
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": (seed, index)},
+        "buffer": _ZERO_WORDS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return generator
 
 
 @dataclass(frozen=True)
@@ -405,11 +437,12 @@ def parallel_draw_with_info(
     :func:`repro.sim.backend.memoized_marginal` returned for them.
 
     Chunk *i* of the same chunk plan draws its outcomes from
-    :func:`chunk_stream` ``(seed, i)``, exactly as that chunk's
+    :func:`chunk_stream` ``(seed, i)`` (re-keyed, see
+    :func:`_rekeyed_stream`), exactly as that chunk's
     ``run_array_with_info`` would on a memo hit, and the outcomes of
-    all chunks are counted in plan order
-    (:func:`~repro.sim.backend.outcome_counts`).  Returns ``(counts,
-    info)``: the counts are ``protocol.counts_of`` of the bits an
+    all chunks are counted in plan order with the keys of the facts'
+    output layout (:func:`~repro.sim.backend.outcome_counts`).
+    Returns ``(counts, info)``: the counts are ``protocol.counts_of`` of the bits an
     in-process :func:`parallel_run_with_info` of the circuit returns
     for the same ``(shots, seed, workers)``, key order included, and
     the :class:`RunInfo` is its info.  There is no chunk task, no
@@ -433,14 +466,15 @@ def parallel_draw_with_info(
     ):
         _DISPATCHES.inc()
         _CHUNKS.inc(len(sizes))
+        # Each chunk's searchsorted consumes its uniforms before the
+        # next re-key.
         outcomes = [
-            draw_outcomes(cdf, size, chunk_stream(seed, index))
+            draw_outcomes(cdf, size, _rekeyed_stream(seed, index))
             for index, size in enumerate(sizes)
         ]
         counts = outcome_counts(
             outcomes[0] if len(outcomes) == 1 else np.concatenate(outcomes),
-            facts.circuit,
-            facts.plan,
+            facts.layout,
         )
     _MEMO_HITS.inc()
     return counts, RunInfo(

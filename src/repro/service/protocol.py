@@ -256,8 +256,11 @@ def error_response(request_id: Any, error: Exception) -> dict:
 
 
 def encode_response(response: Mapping[str, Any]) -> bytes:
-    """One response dict -> one wire line (newline-terminated JSON)."""
-    return (json.dumps(response, sort_keys=True) + "\n").encode()
+    """One response dict -> one wire line (newline-terminated JSON).
+
+    Keys keep their insertion order: a run's ``counts`` stay in
+    first-drawn order, as the service returns them in process."""
+    return (json.dumps(response) + "\n").encode()
 
 
 def counts_of(results) -> dict[str, int]:

@@ -22,9 +22,12 @@ Robustness model
   actually stops the work instead of abandoning a zombie computation.
 - **Warm requests skip the hand-off.**  A request that only draws
   shots from memory (see :meth:`ExecutionService._warm`) runs on the
-  worker loop itself rather than an executor thread; nothing can
-  cancel it there, so if it completes past its deadline its result is
-  discarded and the reply is still ``QW602``.
+  event loop rather than an executor thread: on the submitting task
+  when the admission queue is empty and an executor is idle (the
+  request an idle worker would dequeue next), else on the worker loop
+  that dequeues it.  Nothing can cancel it there, so if it completes
+  past its deadline its result is discarded and the reply is still
+  ``QW602``.
 - **Retries with a budget.**  Chunk execution goes through
   :mod:`repro.exec.retry`; transient faults (crashes, hangs, pool
   breakage) are absorbed and reported in ``RunInfo.retries`` /
@@ -148,20 +151,24 @@ class _Work:
     worker loop and the executor thread both run outside the
     submitter's contextvar context, so they re-attach it explicitly
     (:func:`repro.obs.trace.attached`) and their spans land under the
-    same ``service.request`` span.  ``compiled`` is the ``(compile,
-    provenance)`` pair the warm check found, if any: whichever path
-    runs the request uses it instead of looking it up again.
-    ``marginal`` is the ``(run facts, cdf)`` pair of the compile's
-    execution circuit that a warm request draws its shots from.
+    same ``service.request`` span.  ``future`` is made when the request
+    is queued, ``cancel_event`` when it goes to an executor thread.
+    ``warm`` is the verdict of the warm check, once it ran.
+    ``compiled`` is the ``(compile, provenance)`` pair the warm check
+    found, if any: whichever path runs the request uses it instead of
+    looking it up again.  ``marginal`` is the ``(run facts, cdf)`` pair
+    of the compile's execution circuit that a warm request draws its
+    shots from.
     """
 
     request: protocol.RunRequest
-    future: "asyncio.Future[dict]"
     admitted_at: float
     deadline: float
-    cancel_event: threading.Event
     fault_plan: Optional[FaultPlan]
     trace: Optional[tracing.TraceContext] = None
+    future: "Optional[asyncio.Future[dict]]" = None
+    cancel_event: Optional[threading.Event] = None
+    warm: Optional[bool] = None
     compiled: Optional[tuple] = None
     marginal: Optional[tuple] = None
 
@@ -325,30 +332,25 @@ class ExecutionService:
                 )
                 work = _Work(
                     request=request,
-                    future=asyncio.get_running_loop().create_future(),
                     admitted_at=time.monotonic(),
                     deadline=deadline,
-                    cancel_event=threading.Event(),
                     fault_plan=(
                         self.config.fault_plan or active_fault_plan()
                     ),
                     trace=tracing.current_context(),
                 )
-                self._seq += 1
-                try:
-                    self._queue.put_nowait(
-                        (request.priority, self._seq, work)
-                    )
-                except asyncio.QueueFull:
-                    self._count("shed")
-                    raise QueueFullError(
-                        f"admission queue full "
-                        f"({self.config.queue_limit} requests); retry "
-                        f"with backoff"
-                    ) from None
-                self._note_queue_depth()
-                self._count("accepted")
-                response = await work.future
+                if (
+                    self._queue.empty()
+                    and self._in_flight < self.config.executors
+                ):
+                    # An idle worker would dequeue this request next: a
+                    # warm one is answered here, without the queue hop.
+                    work.warm = self._warm(work)
+                if work.warm:
+                    self._count("accepted")
+                    response = self._run_warm(work)
+                else:
+                    response = await self._queued(work)
             except Exception as error:  # noqa: BLE001
                 response = self._error(request_id, error)
             span.set(
@@ -357,6 +359,23 @@ class ExecutionService:
                 else "done"
             )
             return response
+
+    async def _queued(self, work: _Work) -> dict:
+        """Admit ``work`` to the queue (or shed it) and await its
+        answer from a worker loop."""
+        work.future = asyncio.get_running_loop().create_future()
+        self._seq += 1
+        try:
+            self._queue.put_nowait((work.request.priority, self._seq, work))
+        except asyncio.QueueFull:
+            self._count("shed")
+            raise QueueFullError(
+                f"admission queue full ({self.config.queue_limit} "
+                f"requests); retry with backoff"
+            ) from None
+        self._note_queue_depth()
+        self._count("accepted")
+        return await work.future
 
     # ------------------------------------------------------------------
     # Execution.
@@ -407,24 +426,25 @@ class ExecutionService:
                     f"queued"
                 ),
             )
-        warm = self._warm(work)
+        if work.warm is None:
+            work.warm = self._warm(work)
+        if work.warm:
+            # Only draws shots: cheaper than the executor hop, and too
+            # short to hold up the other connections.
+            return self._run_warm(work)
+        work.cancel_event = threading.Event()
         loop = asyncio.get_running_loop()
         self._in_flight += 1
         try:
-            if warm:
-                # Only draws shots: cheaper than the executor hop, and
-                # too short to hold up the other connections.
-                result = self._execute_sync(work)
-            else:
-                # asyncio.wait_for rather than asyncio.timeout:
-                # identical semantics here, and it exists on Python
-                # 3.10 (the oldest version CI supports).
-                result = await asyncio.wait_for(
-                    loop.run_in_executor(
-                        self._threads, self._execute_sync, work
-                    ),
-                    timeout=remaining,
-                )
+            # asyncio.wait_for rather than asyncio.timeout: identical
+            # semantics here, and it exists on Python 3.10 (the oldest
+            # version CI supports).
+            result = await asyncio.wait_for(
+                loop.run_in_executor(
+                    self._threads, self._execute_sync, work
+                ),
+                timeout=remaining,
+            )
         except asyncio.TimeoutError:
             # Cooperative cancellation: the retry layer checks the
             # event between chunk waves and cancels pool futures.
@@ -452,18 +472,31 @@ class ExecutionService:
             raise  # genuine shutdown cancellation
         finally:
             self._in_flight -= 1
-        late = time.monotonic() - work.admitted_at > work.deadline
-        if warm and late:
+        return self._completed(work, result)
+
+    def _run_warm(self, work: _Work) -> dict:
+        """Answer a warm request on the event loop, on the submitting
+        task or a worker loop."""
+        self._in_flight += 1
+        try:
+            result = self._execute_sync(work)
+        finally:
+            self._in_flight -= 1
+        if time.monotonic() - work.admitted_at > work.deadline:
             # Nothing could cancel a run on the loop; a late answer is
             # still a missed deadline.
             self._count("deadline_exceeded")
             return self._error(
-                request.id,
+                work.request.id,
                 DeadlineExceededError(
                     f"deadline of {work.deadline:.3f}s exceeded; the "
                     f"result was discarded"
                 ),
             )
+        return self._completed(work, result)
+
+    def _completed(self, work: _Work, result: dict) -> dict:
+        """Count a run's completion and wrap its result."""
         self._count("completed")
         self._count("retries", result["info"]["retries"])
         self._count("faults_injected", result["info"]["faults_injected"])
@@ -475,7 +508,7 @@ class ExecutionService:
                 self._serial_mode = True
         else:
             self._consecutive_degraded = 0
-        return protocol.ok_response(request.id, result)
+        return protocol.ok_response(work.request.id, result)
 
     def _run_settings(self, request: protocol.RunRequest) -> tuple:
         """The run's requested worker count and whether its chunks may
@@ -493,8 +526,10 @@ class ExecutionService:
         backend, its chunks run in-process, no fault of its plan (if
         any) fires on its first attempt, and its execution circuit's
         marginal is memoized.  Such a run costs less than the executor
-        hop, so the worker loop runs it itself, drawing from the
-        ``work.marginal`` this check found.
+        hop, so the event loop runs it itself (:meth:`_run_warm`),
+        drawing from the ``work.marginal`` this check found.  It runs
+        once per request, in ``submit`` when an executor is idle and
+        nothing is queued, else when a worker dequeues the request.
 
         Once the cheap checks pass, this makes the request's one
         counted compile lookup, which never compiles; a hit rides on

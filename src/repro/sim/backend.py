@@ -49,10 +49,12 @@ bit ``(x >> (n - 1 - q)) & 1``.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -91,6 +93,11 @@ _FAST_PATH_SWEEPS = _SWEEPS.labels(engine="fast-path")
 #: over the byte budget is not memoized.
 MARGINAL_MEMO_MAX_BYTES = 32 * 1024 * 1024
 MARGINAL_MEMO_MAX_ENTRIES = 128
+
+#: Bound of each :class:`OutputLayout`'s ``outcome -> key`` cache.  A
+#: compile keeps the keys of the first distinct outcomes it draws, up
+#: to this many; a later outcome's key is formatted on every draw.
+OUTPUT_KEY_CACHE_ENTRIES = 4096
 
 #: Each entry holds a marginal's sampling CDF (see :func:`sampling_cdf`;
 #: a hit only draws shots, so the marginal itself is not kept) and the
@@ -140,7 +147,8 @@ class RunFacts:
     :func:`terminal_measurement_plan` (``None`` off the fast path), its
     marginal-memo key (``None`` with the plan), its evolution step
     count (gates and fused blocks) and its
-    :func:`~repro.qcircuit.fusion.fused_gate_savings`.
+    :func:`~repro.qcircuit.fusion.fused_gate_savings`; on the fast path
+    also its :attr:`layout`, made on first use.
 
     :func:`run_facts` computes them; a compile computes them once for
     its execution circuit (:attr:`repro.pipeline.CompileResult.run_facts`),
@@ -152,6 +160,11 @@ class RunFacts:
     memo_key: Optional[_MemoKey]
     steps: int
     gates_fused: int
+
+    @cached_property
+    def layout(self) -> "OutputLayout":
+        """The :class:`OutputLayout` of the fast-path plan."""
+        return OutputLayout(self.circuit, self.plan)
 
 
 def run_facts(circuit: Circuit) -> RunFacts:
@@ -169,6 +182,80 @@ def run_facts(circuit: Circuit) -> RunFacts:
         ),
         fused_gate_savings(circuit),
     )
+
+
+class OutputLayout:
+    """How a terminal-measurement plan's marginal outcomes become output
+    bits: output bit ``j`` of outcome ``x`` is ``(x >> shifts[j]) &
+    masks[j]``, computed in ``dtype``, the smallest unsigned type that
+    holds an outcome.
+
+    The marginal's axes are the measured qubits in sorted order, so the
+    outcome's bit for the ``k``-th smallest measured qubit sits at
+    position ``k`` from the left (the most-significant-first convention
+    of full basis-state indices).  A bit measured twice keeps its last
+    measurement; an unmeasured output bit is masked to 0.  ``merges`` says whether two
+    outcomes can share one output key, which happens when no output
+    bit keeps some measured qubit.
+
+    :meth:`keys` formats outcomes as ``"0101"`` keys through a cache of
+    at most :data:`OUTPUT_KEY_CACHE_ENTRIES` entries.  The cache is
+    replaced, never mutated, so readers on other threads need no lock,
+    and it is not pickled.
+    """
+
+    __slots__ = ("shifts", "masks", "dtype", "merges", "_keys")
+
+    def __init__(
+        self, circuit: Circuit, plan: Sequence[Measurement]
+    ) -> None:
+        output = list(circuit.output_bits or range(circuit.num_bits))
+        measured = sorted({m.qubit for m in plan})
+        pos = {qubit: i for i, qubit in enumerate(measured)}
+        width = len(measured)
+        shift_of = {m.bit: width - 1 - pos[m.qubit] for m in plan}
+        kept = {shift_of[bit] for bit in output if bit in shift_of}
+        self.dtype = np.min_scalar_type((1 << width) - 1)
+        self.shifts = np.array(
+            [shift_of.get(bit, 0) for bit in output], dtype=self.dtype
+        )
+        self.masks = np.array(
+            [bit in shift_of for bit in output], dtype=self.dtype
+        )
+        self.merges = len(kept) < width
+        self._keys: dict[int, str] = {}
+
+    def __getstate__(self):
+        return self.shifts, self.masks, self.merges
+
+    def __setstate__(self, state) -> None:
+        self.shifts, self.masks, self.merges = state
+        self.dtype = self.shifts.dtype
+        self._keys = {}
+
+    def scatter(self, outcomes: np.ndarray) -> np.ndarray:
+        """The ``(len(outcomes), output bits)`` uint8 array of
+        ``outcomes``' output bits."""
+        bits = outcomes.astype(self.dtype)[:, None] >> self.shifts
+        return (bits & self.masks).astype(np.uint8, copy=False)
+
+    def keys(self, outcomes: np.ndarray) -> list[str]:
+        """The ``"0101"`` output keys of ``outcomes``, in order."""
+        values = outcomes.tolist()
+        cache = self._keys
+        keys = list(map(cache.get, values))
+        if None in keys:
+            missing = [v for v, key in zip(values, keys) if key is None]
+            bits = self.scatter(np.array(missing, dtype=self.dtype))
+            made = dict(zip(missing, bit_strings(bits)))
+            room = OUTPUT_KEY_CACHE_ENTRIES - len(cache)
+            if room > 0:
+                kept = itertools.islice(made.items(), room)
+                self._keys = {**cache, **dict(kept)}
+            keys = [
+                made[v] if key is None else key for v, key in zip(values, keys)
+            ]
+        return keys
 
 
 def _memo_get(key: _MemoKey) -> Optional[np.ndarray]:
@@ -523,10 +610,8 @@ class VectorizedStatevectorBackend(SimBackend):
                 _memo_put(facts.memo_key, cdf)
             outcome = "miss" if evolutions else "hit"
             span.set(memo=outcome)
-            results = scatter_outcomes(
-                draw_outcomes(cdf, shots, np.random.default_rng(seed)),
-                circuit,
-                facts.plan,
+            results = facts.layout.scatter(
+                draw_outcomes(cdf, shots, np.random.default_rng(seed))
             )
         _MEMO_OUTCOMES[outcome].inc()
         if evolutions:
@@ -610,31 +695,13 @@ def scatter_outcomes(
     plan: Sequence[Measurement],
 ) -> np.ndarray:
     """Scatter :func:`draw_outcomes` outcomes into the plan's classical
-    bits; returns the ``(shots, output bits)`` uint8 array.
+    bits (see :class:`OutputLayout`); returns the ``(shots, output
+    bits)`` uint8 array.
 
     Row ``i`` depends only on ``outcomes[i]``, so outcomes drawn in
     chunks and concatenated scatter to the chunks' concatenated bits.
     """
-    shots = len(outcomes)
-    output = list(circuit.output_bits or range(circuit.num_bits))
-    if not plan:
-        # Nothing measured: the classical register stays all-zero.
-        return np.zeros((shots, len(output)), dtype=np.uint8)
-
-    # Marginal axis order is sorted qubit order, so the outcome's bit
-    # for qubit q sits at position pos[q] from the left (the same
-    # most-significant-first convention as full basis-state indices).
-    measured = sorted({m.qubit for m in plan})
-    pos = {qubit: i for i, qubit in enumerate(measured)}
-    width = len(measured)
-    # A bit measured twice keeps its last measurement; an unmeasured
-    # output bit is masked to 0.
-    shift_of = {m.bit: width - 1 - pos[m.qubit] for m in plan}
-    dtype = np.min_scalar_type((1 << width) - 1)
-    shifts = np.array([shift_of.get(bit, 0) for bit in output], dtype=dtype)
-    masks = np.array([bit in shift_of for bit in output], dtype=dtype)
-    bits = (outcomes.astype(dtype)[:, None] >> shifts) & masks
-    return bits.astype(np.uint8, copy=False)
+    return OutputLayout(circuit, plan).scatter(outcomes)
 
 
 def bit_strings(bits: np.ndarray) -> list[str]:
@@ -648,29 +715,27 @@ def bit_strings(bits: np.ndarray) -> list[str]:
 
 
 def outcome_counts(
-    outcomes: np.ndarray,
-    circuit: Circuit,
-    plan: Sequence[Measurement],
+    outcomes: np.ndarray, layout: OutputLayout
 ) -> dict[str, int]:
     """The ``{"0101": count}`` histogram of :func:`draw_outcomes`
     outcomes, keyed in first-drawn order: what
     :func:`repro.service.protocol.counts_of` makes of their
-    :func:`scatter_outcomes` bits, but only each distinct outcome is
-    scattered and formatted.  Outcomes that differ only on qubits no
-    output bit keeps share one key.
+    :func:`scatter_outcomes` bits, but only each distinct outcome gets
+    a key, from ``layout``'s cache (:meth:`OutputLayout.keys`).
+    Outcomes that differ only on qubits no output bit keeps share one
+    key.
     """
     # The stable sort np.unique needs for first indices is a radix sort
     # on small integer types: 7x faster than on intp at 2^20 shots.
-    width = len({m.qubit for m in plan})
     values, first, counts = np.unique(
-        outcomes.astype(np.min_scalar_type((1 << width) - 1), copy=False),
+        outcomes.astype(layout.dtype, copy=False),
         return_index=True,
         return_counts=True,
     )
     order = np.argsort(first)
-    keys = bit_strings(scatter_outcomes(values[order], circuit, plan))
+    keys = layout.keys(values[order])
     counts = counts[order].tolist()
-    if len(set(keys)) == len(keys):
+    if not layout.merges:
         return dict(zip(keys, counts))
     merged: dict[str, int] = {}
     for key, count in zip(keys, counts):

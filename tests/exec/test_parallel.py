@@ -18,6 +18,7 @@ Three layers of coverage:
 import asyncio
 import dataclasses
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -31,7 +32,11 @@ from repro.exec import (
     parallel_run_with_info,
     resolve_workers,
 )
-from repro.exec.parallel import check_seed, parallel_draw_with_info
+from repro.exec.parallel import (
+    _rekeyed_stream,
+    check_seed,
+    parallel_draw_with_info,
+)
 from repro.algorithms import alternating_secret, bernstein_vazirani
 from repro.evaluation import asdf_kernel
 from repro.noise import NoiseModel, depolarizing
@@ -113,6 +118,44 @@ def test_chunk_streams_of_one_seed_do_not_repeat(seed, chunks):
     ]
     drawn = np.concatenate(words)
     assert len(np.unique(drawn)) == drawn.size
+
+
+def _rekey_elsewhere(seed: int, index: int) -> np.ndarray:
+    """Re-key and draw from another thread's stream."""
+    drawn = []
+    thread = threading.Thread(
+        target=lambda: drawn.append(_rekeyed_stream(seed, index).random(4))
+    )
+    thread.start()
+    thread.join()
+    return drawn[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, SEED_LIMIT - 1),
+    index=st.integers(0, 32),
+    other=st.integers(0, SEED_LIMIT - 1),
+)
+def test_rekeyed_stream_is_the_chunk_stream(seed, index, other):
+    # Leave this thread's generator mid-word (an odd count of 32-bit
+    # draws buffers the other half), then re-key it.
+    _rekeyed_stream(other, 32 - index).integers(0, 7, 3, dtype=np.uint32)
+    stream = _rekeyed_stream(seed, index)
+    # Another thread re-keys its own generator meanwhile.
+    elsewhere = _rekey_elsewhere(other, index)
+    expected = chunk_stream(seed, index)
+    assert np.array_equal(stream.random(16), expected.random(16))
+    assert np.array_equal(
+        stream.integers(0, 2**32, 5, dtype=np.uint32),
+        expected.integers(0, 2**32, 5, dtype=np.uint32),
+    )
+    assert np.array_equal(elsewhere, chunk_stream(other, index).random(4))
+    # Re-keying the same thread again starts the stream over.
+    assert np.array_equal(
+        _rekeyed_stream(seed, index).random(16),
+        chunk_stream(seed, index).random(16),
+    )
 
 
 def test_check_seed_accepts_exactly_the_uint64_range():

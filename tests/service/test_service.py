@@ -20,7 +20,7 @@ import time
 import pytest
 
 from repro.algorithms import alternating_secret, bernstein_vazirani
-from repro.exec.faults import FaultPlan, chunk_fault_key
+from repro.exec.faults import FaultPlan, chunk_fault_key, inject_faults
 from repro.exec.parallel import chunk_plan, parallel_run_with_info
 from repro.exec.retry import RetryPolicy
 from repro.pipeline import (
@@ -465,8 +465,11 @@ def test_unstarted_service_is_unavailable_not_hung():
 
 def test_priority_orders_queued_work():
     async def scenario():
-        # Single executor, blocked: everything queued behind it drains
-        # in priority order, not submission order.
+        # Single executor, held by a run that hangs for 0.3 s: the
+        # requests submitted behind it queue and drain in priority
+        # order, not submission order.  The hang plan is scoped to the
+        # blocker (its task copies the context), so the blocker is
+        # never warm and never answered on the submitting task.
         config = make_config(executors=1, parallel_workers=1)
         order = []
         async with ExecutionService(config) as service:
@@ -480,20 +483,29 @@ def test_priority_orders_queued_work():
                 assert response["ok"], response
                 order.append(request_id)
 
-            blocker = asyncio.create_task(
-                client.run(id=0, kernel="grover", n=7, shots=1024)
-            )
-            await asyncio.sleep(0.05)
+            with inject_faults(worker_hang=1.0, hang_seconds=0.3):
+                blocker = asyncio.create_task(
+                    client.run(id=0, kernel="grover", n=7, shots=1024)
+                )
+
+            async def blocker_executing():
+                while (await client.health())["result"]["in_flight"] == 0:
+                    await asyncio.sleep(0.001)
+
+            await asyncio.wait_for(blocker_executing(), timeout=30)
             jobs = [
                 asyncio.create_task(tracked("low", 9)),
                 asyncio.create_task(tracked("high", 1)),
                 asyncio.create_task(tracked("mid", 5)),
             ]
             await asyncio.sleep(0.01)  # all three enqueued
-            await asyncio.gather(blocker, *jobs)
-        return order
+            queued = (await client.health())["result"]["queue_depth"]
+            responses = await asyncio.gather(blocker, *jobs)
+            assert responses[0]["ok"], responses[0]
+        return order, queued
 
-    order = run_async(scenario())
+    order, queued = run_async(scenario())
+    assert queued == 3
     assert order == ["high", "mid", "low"]
 
 

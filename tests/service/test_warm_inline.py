@@ -1,4 +1,4 @@
-"""Warm requests run on the worker loop, everything else on the executor.
+"""Warm requests run on the event loop, everything else on the executor.
 
 A request is warm when its kernel is resolved, its compile is an
 in-memory cache hit, it is noiseless on the ``statevector`` backend,
@@ -21,7 +21,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import pipeline
-from repro.evaluation import asdf_kernel
 from repro.exec import parallel
 from repro.exec.faults import (
     FaultPlan,
@@ -525,3 +524,156 @@ def test_warm_inline_answers_equal_the_dispatcher():
     finally:
         loop.run_until_complete(service.drain())
         loop.close()
+
+
+def _record_puts(service: ExecutionService) -> list:
+    """Record every admission-queue entry the service makes from now."""
+    puts = []
+    real_put = service._queue.put_nowait
+
+    def recording_put(item):
+        puts.append(item[2].request.id)
+        return real_put(item)
+
+    service._queue.put_nowait = recording_put
+    return puts
+
+
+def test_warm_request_with_an_idle_executor_never_enters_the_queue():
+    fields = dict(kernel="grover", n=4, shots=64, seed=11)
+    depth = service_module._QUEUE_DEPTH
+
+    async def scenario():
+        async with ExecutionService(_config()) as service:
+            client = ServiceClient(service)
+            assert (await client.run(id="compile", **fields))["ok"]
+            clear_marginal_memo()
+            puts = _record_puts(service)
+            hits = [compile_cache_info()["hits"]]
+            tracer = tracing.enable_tracing()
+            try:
+                cold = await client.run(id="cold", **fields)
+                hits.append(compile_cache_info()["hits"])
+                before = service.counters
+                warm = await client.run(id="warm", **fields)
+                after = service.counters
+                hits.append(compile_cache_info()["hits"])
+            finally:
+                tracing.disable_tracing()
+            gauge = depth.value(service=service._label)
+            lookups = [b - a for a, b in zip(hits, hits[1:])]
+            return cold, warm, puts, tracer, before, after, gauge, lookups
+
+    cold, warm, puts, tracer, before, after, gauge, lookups = asyncio.run(
+        scenario()
+    )
+    assert cold["ok"] and warm["ok"], (cold, warm)
+    # The cold request (a memo miss) went through the queue to an
+    # executor; the warm one was answered on the submitting task.  The
+    # check ran once for each: one counted compile hit apiece.
+    assert puts == ["cold"]
+    assert lookups == [1, 1]
+    assert gauge == 0
+    dequeued = tracer.by_name("service.dequeue")
+    requests = {
+        span["span_id"]: span["attrs"]["request_id"]
+        for span in tracer.by_name("service.request")
+    }
+    assert [requests[span["parent_id"]] for span in dequeued] == ["cold"]
+    # The warm request still traces its execute span under its request.
+    executes = tracer.by_name("service.execute")
+    assert [span["attrs"]["request_id"] for span in executes] == [
+        "cold", "warm"
+    ]
+    assert requests[executes[1]["parent_id"]] == "warm"
+    delta = {event: after[event] - before[event] for event in after}
+    assert delta == dict.fromkeys(delta, 0) | {
+        "received": 1, "accepted": 1, "completed": 1
+    }
+    assert warm["result"]["counts"] == cold["result"]["counts"]
+
+
+def test_warm_requests_behind_a_busy_executor_queue_by_priority():
+    # One executor, held by a request whose scoped hang plan keeps it
+    # off the warm path: warm requests that arrive meanwhile queue, and
+    # the worker drains them by priority, each on its loop.
+    fields = dict(kernel="bv", n=4, shots=16, seed=9)
+
+    async def scenario():
+        config = _config(executors=1, parallel_workers=1)
+        async with ExecutionService(config) as service:
+            client = ServiceClient(service)
+            assert (await client.run(id="warm-up", **fields))["ok"]
+            calls = _count_submits(service)
+            puts = _record_puts(service)
+            order = []
+
+            async def tracked(request_id, priority):
+                response = await client.run(
+                    id=request_id, priority=priority, **fields
+                )
+                order.append(request_id)
+                return response
+
+            with inject_faults(worker_hang=1.0, hang_seconds=0.3):
+                blocker = asyncio.create_task(
+                    client.run(id="blocker", kernel="grover", n=5, shots=32)
+                )
+            while (await client.health())["result"]["in_flight"] == 0:
+                await asyncio.sleep(0.001)
+            jobs = [
+                asyncio.create_task(tracked(request_id, priority))
+                for request_id, priority in (
+                    ("low", 9), ("high", 1), ("mid", 5)
+                )
+            ]
+            await asyncio.sleep(0.01)  # all three admitted
+            depth = (await client.health())["result"]["queue_depth"]
+            responses = await asyncio.gather(blocker, *jobs)
+            return responses, order, depth, calls, puts
+
+    responses, order, depth, calls, puts = asyncio.run(scenario())
+    assert all(response["ok"] for response in responses), responses
+    assert depth == 3
+    assert puts == ["blocker", "low", "high", "mid"]
+    assert order == ["high", "mid", "low"]
+    assert len(calls) == 1  # only the blocker used an executor thread
+    warm = [response["result"]["counts"] for response in responses[1:]]
+    assert warm[0] == warm[1] == warm[2] and len(warm[0]) == 1
+
+
+def test_warm_request_behind_queued_work_queues_too():
+    # A cold request is queued but its worker has not woken yet when a
+    # warm one arrives: the warm one queues behind it, by priority, even
+    # though no executor is busy yet.
+    warm_fields = dict(kernel="bv", n=4, shots=16, seed=9)
+
+    async def scenario():
+        config = _config(executors=1, parallel_workers=1)
+        async with ExecutionService(config) as service:
+            client = ServiceClient(service)
+            clear_marginal_memo()  # the cold request must evolve
+            assert (await client.run(id="warm-up", **warm_fields))["ok"]
+            puts = _record_puts(service)
+            order = []
+
+            async def tracked(request_id, priority, fields):
+                response = await client.run(
+                    id=request_id, priority=priority, **fields
+                )
+                order.append(request_id)
+                return response
+
+            cold = asyncio.create_task(
+                tracked("cold", 1, dict(kernel="grover", n=5, shots=32))
+            )
+            # The same loop tick: the cold request is queued, not yet
+            # dequeued, when this one is submitted.
+            warm = asyncio.create_task(tracked("warm", 5, warm_fields))
+            responses = await asyncio.gather(cold, warm)
+            return responses, puts, order
+
+    responses, puts, order = asyncio.run(scenario())
+    assert all(response["ok"] for response in responses), responses
+    assert puts == ["cold", "warm"]
+    assert order == ["cold", "warm"]

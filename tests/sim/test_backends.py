@@ -517,6 +517,156 @@ def test_scatter_outcomes_equals_the_loop_reference():
         ), index
 
 
+def _random_plan(rng, max_qubits=20, max_bits=22):
+    """A random terminal plan: repeated qubits and bits, unmeasured and
+    reordered output bits."""
+    num_qubits = int(rng.integers(1, max_qubits))
+    num_bits = int(rng.integers(1, max_bits))
+    circuit = Circuit(num_qubits=num_qubits, num_bits=num_bits)
+    plan = [
+        Measurement(int(rng.integers(num_qubits)), int(rng.integers(num_bits)))
+        for _ in range(int(rng.integers(1, 2 * num_bits + 1)))
+    ]
+    if rng.random() < 0.4:
+        kept = rng.permutation(num_bits)[: int(rng.integers(1, num_bits + 1))]
+        circuit.output_bits = [int(bit) for bit in kept]
+    return circuit, plan
+
+
+def _counts_by_scatter(outcomes, circuit, plan):
+    from repro.service.protocol import counts_of
+    from repro.sim.backend import scatter_outcomes
+
+    return list(counts_of(scatter_outcomes(outcomes, circuit, plan)).items())
+
+
+def test_layout_counts_equal_the_scattered_counts():
+    # Layout keys (cached or made) must be counts_of's keys, in
+    # first-drawn order, merged where an output bit drops a qubit.
+    from repro.sim.backend import OutputLayout, outcome_counts
+
+    rng = np.random.default_rng(11)
+    merging = 0
+    for index in range(300):
+        circuit, plan = _random_plan(rng)
+        layout = OutputLayout(circuit, plan)
+        width = len({m.qubit for m in plan})
+        for _ in range(2):  # the second draw mostly hits the cache
+            outcomes = rng.integers(
+                0, 2**width, size=int(rng.integers(1, 400))
+            )
+            expected = _counts_by_scatter(outcomes, circuit, plan)
+            assert list(outcome_counts(outcomes, layout).items()) == (
+                expected
+            ), index
+        # merges is exactly "two outcomes can share a key".
+        every = np.arange(2**width) if width <= 12 else None
+        if every is not None:
+            keys = [key for key, _ in _counts_by_scatter(every, circuit, plan)]
+            assert layout.merges == (len(keys) < 2**width), index
+            merging += layout.merges
+    assert merging  # the random plans did drop qubits
+
+
+def test_layout_counts_of_hand_built_plans():
+    from repro.sim.backend import OutputLayout, outcome_counts
+
+    # Qubit 1 unmeasured, qubit 0 measured twice into bits 0 and 2
+    # (bit 2 keeps the later measurement of qubit 2), bit 1 unmeasured.
+    circuit = Circuit(num_qubits=3, num_bits=3)
+    plan = [Measurement(0, 0), Measurement(0, 2), Measurement(2, 2)]
+    layout = OutputLayout(circuit, plan)
+    assert not layout.merges
+    outcomes = np.array([3, 0, 1, 3, 2, 2, 1])
+    counts = outcome_counts(outcomes, layout)
+    assert list(counts.items()) == _counts_by_scatter(outcomes, circuit, plan)
+    assert list(counts.items()) == [("101", 2), ("000", 1), ("001", 2),
+                                    ("100", 2)]
+    # Only bit 2 kept: outcomes that differ on qubit 0 share a key.
+    circuit.output_bits = [2]
+    layout = OutputLayout(circuit, plan)
+    assert layout.merges
+    counts = outcome_counts(outcomes, layout)
+    assert list(counts.items()) == [("1", 4), ("0", 3)]
+    assert list(counts.items()) == _counts_by_scatter(outcomes, circuit, plan)
+    # Nothing measured: every shot is the all-zero register.
+    circuit = Circuit(num_qubits=2, num_bits=2)
+    layout = OutputLayout(circuit, [])
+    assert list(outcome_counts(np.zeros(5, int), layout).items()) == [
+        ("00", 5)
+    ]
+
+
+def test_layout_key_cache_stays_at_its_bound():
+    import pickle
+
+    from repro.sim import backend
+
+    circuit = Circuit(num_qubits=14, num_bits=14)
+    plan = [Measurement(q, q) for q in range(14)]
+    layout = backend.OutputLayout(circuit, plan)
+    bound = backend.OUTPUT_KEY_CACHE_ENTRIES
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        outcomes = rng.integers(0, 2**14, size=3 * bound)
+        assert len(np.unique(outcomes)) > bound
+        counts = backend.outcome_counts(outcomes, layout)
+        assert list(counts.items()) == _counts_by_scatter(
+            outcomes, circuit, plan
+        )
+        assert len(layout._keys) == bound
+    # The cache is not pickled; the layout is.
+    loaded = pickle.loads(pickle.dumps(layout))
+    assert loaded._keys == {} and not loaded.merges
+    assert np.array_equal(loaded.shifts, layout.shifts)
+    assert loaded.dtype == layout.dtype
+    assert list(backend.outcome_counts(outcomes, loaded).items()) == list(
+        counts.items()
+    )
+
+
+def test_layout_key_cache_under_concurrent_counts():
+    # Threads counting through one layout while its cache fills: every
+    # histogram is still counts_of's, and the cache keeps its bound.
+    import sys
+    import threading
+
+    from repro.sim import backend
+
+    circuit = Circuit(num_qubits=13, num_bits=13)
+    plan = [Measurement(q, 12 - q) for q in range(13)]
+    layout = backend.OutputLayout(circuit, plan)
+    draws = [
+        np.random.default_rng(seed).integers(0, 2**13, size=700)
+        for seed in range(48)
+    ]
+    expected = [_counts_by_scatter(draw, circuit, plan) for draw in draws]
+    wrong = []
+
+    def count(offset):
+        for index in range(offset, len(draws), 6):
+            counts = backend.outcome_counts(draws[index], layout)
+            if list(counts.items()) != expected[index]:
+                wrong.append(index)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=count, args=(offset,))
+            for offset in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert 0 < len(layout._keys) <= backend.OUTPUT_KEY_CACHE_ENTRIES
+
+
 def test_memoized_marginal_peeks_without_counting(fresh_memo):
     from repro.obs import metrics
     from repro.sim import backend
@@ -587,6 +737,7 @@ def test_run_facts_count_steps_and_fusion_savings():
     circuit = _memo_circuit(theta=0.4, num_qubits=5)
     for run in (circuit, fuse_adjacent_gates(circuit)):
         facts = backend.run_facts(run)
+        assert facts.layout is facts.layout  # made once, then kept
         steps = [
             inst for inst in run.instructions
             if not isinstance(inst, Measurement)
