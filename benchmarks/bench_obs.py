@@ -51,7 +51,6 @@ def _workload(circuit, noise):
         seed=13,
         workers=WORKERS,
         noise_model=noise,
-        use_processes=False,
     )
     assert len(results) == SHOTS
 

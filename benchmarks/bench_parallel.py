@@ -1,14 +1,12 @@
-"""Multicore shot sharding + the persistent compile cache (repro.exec).
+"""Chunked shot runs + the persistent compile cache (repro.exec).
 
-Two claims, both recorded in BENCH_parallel.json:
+Recorded in BENCH_parallel.json:
 
 - **Shard throughput**: a trajectory workload (mid-circuit measurement,
-  so the terminal fast path cannot collapse it to one evolution) sharded
-  across a process pool scales with the worker count.  CI runners have
-  multiple cores, so the 2-worker run must be >= 1.5x the 1-worker run
-  and the 4-worker run >= 2x; on a single-core machine the rows are
-  still recorded (the perf trajectory stays complete) but the speedup
-  assertions are vacuous.
+  so the terminal fast path cannot collapse it to one evolution) run as
+  1, 2 and 4 in-process chunks.  The rows record what the chunk count
+  costs on one core's worth of work; nothing is asserted about their
+  ratio, since every chunk runs in the calling process.
 - **Persistent compile cache**: a *fresh process* whose disk cache is
   warm must compile >= 5x faster than the cold first process — the
   whole point of persisting compile artifacts across processes.  Both
@@ -16,9 +14,9 @@ Two claims, both recorded in BENCH_parallel.json:
   measurement is honest end-to-end (unpickle + source-fingerprint salt
   included) and never touches the developer's real cache.
 
-The 1-worker leg runs all shots as one in-process chunk; the sharded
-legs split the same shots into one chunk per worker, on the same
-batched engine, so the comparison isolates process dispatch.
+The 1-worker leg runs all shots as one chunk; the other legs split the
+same shots into one chunk per worker, on the same batched engine, so
+the rows isolate the per-chunk cost.
 """
 
 import json
@@ -29,7 +27,7 @@ import time
 
 from conftest import REPO_ROOT, bench_record, write_bench_json, write_result
 
-from repro.exec import parallel_run_with_info, shutdown_pools
+from repro.exec import parallel_run_with_info
 from repro.qcircuit.circuit import Circuit, CircuitGate, Measurement
 
 #: Shard-throughput workload geometry: 2048 shots of an 11-qubit
@@ -61,7 +59,7 @@ def _trajectory_workload(n: int = 11, layers: int = 2) -> Circuit:
 
 def test_shard_throughput_vs_workers():
     circuit = _trajectory_workload()
-    # Pay pool/process warmup outside the timed region, like the
+    # Pay first-run costs outside the timed region, like the
     # long-lived service the executor is built for.
     for workers in WORKER_COUNTS:
         parallel_run_with_info(circuit, 8, seed=1, workers=workers)
@@ -86,23 +84,17 @@ def test_shard_throughput_vs_workers():
                 evolutions=info.evolutions,
             )
         )
-    shutdown_pools()
     write_bench_json("parallel", records)
     lines = [
         f"workers={workers}: {wall[workers] * 1e3:8.1f} ms "
-        f"({wall[1] / wall[workers]:4.2f}x vs 1 worker)"
+        f"({wall[1] / wall[workers]:4.2f}x vs 1 chunk)"
         for workers in WORKER_COUNTS
     ]
     write_result(
         "parallel_shard_throughput.txt",
         f"trajectory workload: {circuit.num_qubits} qubits, "
-        f"{SHOTS} shots, 8 chunks\n" + "\n".join(lines) + "\n",
+        f"{SHOTS} shots, in-process chunks\n" + "\n".join(lines) + "\n",
     )
-    cores = os.cpu_count() or 1
-    if cores >= 2:
-        assert wall[1] / wall[2] >= 1.5, wall
-    if cores >= 4:
-        assert wall[1] / wall[4] >= 2.0, wall
 
 
 def _compile_in_fresh_process(cache_dir) -> dict:

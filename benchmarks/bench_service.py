@@ -9,12 +9,12 @@ Two claims, both recorded in BENCH_service.json:
   recorded at each level.  Zero requests may fail — backpressure is
   configured away (queue bound >= batch), so every response must be
   ``ok``.
-- **Graceful degradation has a floor**: the same batch with a 5%
+- **Chaos has a floor**: the same batch with a 5%
   deterministic ``worker_crash`` plan must (a) complete **100%** of
   requests successfully, (b) return **bit-identical histograms** to
   the clean run for every request id, and (c) sustain at least **70%**
   of the clean run's throughput — recovery is retries absorbing
-  faults, not a collapse to serial or a pile of errors.
+  faults, not a pile of errors.
 
 A third test times the warm request path without a service around
 it, so the perf gate sees the compile-cache hit path: a suite-kernel
@@ -23,22 +23,21 @@ hit (``compile-cache-hit``) and a repeated ``source`` resolve plus hit
 1,000 calls, which keeps its wall time above the gate's 5 ms floor.
 A fourth times the largest warm request a server answers on its event
 loop (``warm-sample``): a marginal-memo hit at ``MAX_SHOTS`` shots,
-two in-process chunks as on a ``--serial`` server, plus ``counts_of``.
+two in-process chunks as on a default server, plus ``counts_of``.
 ``warm-sample-inline`` times the same request the way the service
 answers it, counting both chunks' draws from the held CDF
 (``parallel_draw_with_info``).  A fifth times the warm path as a whole
 (``warm-inline``): 2,000 warm 256-shot requests through an in-process
-client on a ``--serial``-configured service, answered on its loop.  A
+client on a default-config service, answered on its loop.  A
 sixth (``warm-request``) adds the wire format around the same path, as
-a ``--serial`` server runs it: 2,000 request lines, each parsed,
+a server runs it: 2,000 request lines, each parsed,
 submitted and its response encoded, over the suite at n = 6-8 and a
 ``source`` kernel.
 
-Chunks run in-process (``use_processes=False``): the benchmark
-measures the service machinery (admission, deadlines, retry waves),
-not process-pool spawn time, and injected crashes raise
-:class:`~repro.errors.FaultInjectedError` deterministically.  Real
-``BrokenProcessPool`` recovery is covered by tests/exec/test_faults.py.
+Chunks run in the service's process, so the benchmark measures the
+service machinery (admission, deadlines, retries), and injected
+crashes raise :class:`~repro.errors.FaultInjectedError`
+deterministically.
 """
 
 import asyncio
@@ -103,7 +102,6 @@ def kernel(f: cfunc[N, 1]) -> bit[N]:
 
 def _config(fault_plan=None) -> ServiceConfig:
     return ServiceConfig(
-        use_processes=False,
         parallel_workers=2,
         executors=4,
         queue_limit=2 * REQUESTS,
@@ -310,7 +308,7 @@ def test_warm_sample_at_max_shots():
 
     def warm_request():
         bits, info = parallel_run_with_info(
-            circuit, shots, seed=1, workers=2, use_processes=False
+            circuit, shots, seed=1, workers=2
         )
         return protocol.counts_of(bits), info
 
@@ -348,7 +346,7 @@ def test_warm_sample_inline_at_max_shots():
     facts = run_facts(circuit)
     cdf = memoized_marginal(facts)
     expected, _ = parallel_run_with_info(
-        circuit, shots, seed=1, workers=2, use_processes=False
+        circuit, shots, seed=1, workers=2
     )
     expected = list(protocol.counts_of(expected).items())
     best = float("inf")
@@ -378,7 +376,7 @@ def test_warm_sample_inline_at_max_shots():
 
 
 def test_warm_requests_inline():
-    config = ServiceConfig(use_processes=False)  # as `--serial`
+    config = ServiceConfig()
     kernels = [dict(kernel=name, n=N) for name in INLINE_KERNELS]
 
     async def sample(client) -> float:
@@ -423,14 +421,14 @@ def test_warm_requests_inline():
         "service_warm_inline.txt",
         f"{INLINE_REQUESTS} warm {INLINE_SHOTS}-shot requests "
         f"({', '.join(INLINE_KERNELS)} at n={N}) through an in-process "
-        f"client on a --serial-configured service: {best * 1e3:.1f} ms, "
+        f"client on a default-config service: {best * 1e3:.1f} ms, "
         f"{best / INLINE_REQUESTS * 1e6:.0f} us per request "
         f"(best of {INLINE_SAMPLES})\n",
     )
 
 
 def test_warm_requests_through_the_wire_format():
-    config = ServiceConfig(use_processes=False)  # as `--serial`
+    config = ServiceConfig()
     catalog = [
         dict(kernel=name, n=n) for name in INLINE_KERNELS for n in WIRE_SIZES
     ] + [dict(source=BV_SOURCE)]
@@ -482,7 +480,7 @@ def test_warm_requests_through_the_wire_format():
         "service_warm_request.txt",
         f"{INLINE_REQUESTS} warm {INLINE_SHOTS}-shot request lines "
         f"({', '.join(INLINE_KERNELS)} at n={WIRE_SIZES}, a source "
-        f"kernel) parsed, submitted and encoded on a --serial-configured "
+        f"kernel) parsed, submitted and encoded on a default-config "
         f"service: {best * 1e3:.1f} ms, "
         f"{best / INLINE_REQUESTS * 1e6:.0f} us per request "
         f"(best of {INLINE_SAMPLES})\n",

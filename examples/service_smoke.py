@@ -53,10 +53,7 @@ def start_server(chaos: bool) -> "tuple[subprocess.Popen, int]":
         ["src"] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.service",
-            "--port", "0", "--serial",
-        ],
+        [sys.executable, "-m", "repro.service", "--port", "0"],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,

@@ -93,8 +93,7 @@ async def run_teleport(plan: FaultPlan) -> dict:
     config = ServiceConfig(
         executors=1,
         parallel_workers=WORKERS,
-        use_processes=False,
-        retry=RetryPolicy(max_attempts=3, budget=8, timeout=None),
+        retry=RetryPolicy(max_attempts=3, budget=8),
         fault_plan=plan,
     )
     async with ExecutionService(config) as service:
@@ -124,7 +123,7 @@ async def run_fig11() -> int:
     from repro.evaluation import ALGORITHMS
 
     config = ServiceConfig(
-        executors=2, parallel_workers=WORKERS, use_processes=False
+        executors=2, parallel_workers=WORKERS
     )
     requests = 0
     async with ExecutionService(config) as service:

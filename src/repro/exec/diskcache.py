@@ -76,7 +76,7 @@ DISK_CACHE_ENV = "REPRO_DISK_CACHE"
 
 #: Bump when the on-disk format changes incompatibly.  v2:
 #: :class:`repro.sim.backend.RunInfo` grew robustness counters
-#: (``retries`` / ``faults_injected`` / ``degraded``); bumping the
+#: (``retries`` / ``faults_injected``); bumping the
 #: version salts every key so artifacts pickled before the counters
 #: existed invalidate cleanly instead of resurfacing as
 #: attribute-less records.
@@ -287,7 +287,7 @@ def store(digest: str, artifact: object) -> bool:
     except Exception:
         # Includes RecursionError: a deeply nested artifact (large-n
         # kernels carry deeply recursive IR) can exceed pickle's
-        # recursion limit, and that must degrade to "not cached", not
+        # recursion limit, and that must fall back to "not cached", not
         # break the compile that produced the artifact.
         _DISK_WRITES.inc(layer="disk", outcome="error")
         if tmp_name is not None:

@@ -6,11 +6,10 @@ not the first time a production worker segfaults.  This module is the
 one switchboard those paths consult:
 
 - ``worker_crash`` — a chunk execution fails (raises
-  :class:`~repro.errors.FaultInjectedError`), or, in ``crash_mode
-  "exit"`` inside a pool worker, the worker process hard-exits so the
-  parent observes a genuine ``BrokenProcessPool``;
+  :class:`~repro.errors.FaultInjectedError`), and the retry layer runs
+  it again;
 - ``worker_hang`` — a chunk sleeps ``hang_seconds`` before running,
-  long enough to trip the retry layer's per-wave timeout;
+  long enough to outlast a short service deadline;
 - ``diskcache_corrupt`` — a persistent compile-cache read sees a
   truncated blob, exercising the real corrupt-entry path (counted,
   deleted, treated as a miss);
@@ -27,17 +26,18 @@ transient fault behaves and what lets retry tests converge.
 Activation is layered: :func:`inject_faults` sets a contextvar for the
 enclosing block (tests, benchmarks); the ``REPRO_FAULTS`` environment
 variable (``"worker_crash=0.05,worker_hang=0.01"``, with
-``REPRO_FAULTS_SEED`` / ``REPRO_FAULTS_HANG_SECONDS`` /
-``REPRO_FAULTS_CRASH_MODE``) covers whole processes (the CI
-service-smoke job).  Pool workers never read ambient state: the chunk
-dispatcher ships the active plan on the task itself, so injection
-works identically under ``fork`` and ``spawn``.  See docs/service.md.
+``REPRO_FAULTS_SEED`` / ``REPRO_FAULTS_HANG_SECONDS``) covers whole
+processes (the CI service-smoke job).  The chunk dispatcher reads the
+active plan once per run and carries it on each chunk task, so the
+service's executor threads see the plan of the request they run.  See
+docs/service.md.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -74,26 +74,21 @@ FAULT_KINDS = (
 FAULTS_ENV = "REPRO_FAULTS"
 FAULTS_SEED_ENV = "REPRO_FAULTS_SEED"
 FAULTS_HANG_SECONDS_ENV = "REPRO_FAULTS_HANG_SECONDS"
-FAULTS_CRASH_MODE_ENV = "REPRO_FAULTS_CRASH_MODE"
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """An immutable, picklable description of what to inject.
+    """An immutable description of what to inject.
 
     ``rates`` maps fault kind to a probability in ``[0, 1]``;
     ``seed`` derandomizes every decision; ``hang_seconds`` bounds the
-    injected hang (a worker must always wake up eventually — an
-    unbounded sleep would outlive the test run and block interpreter
-    exit); ``crash_mode`` is ``"exception"`` (the chunk fails, the
-    pool survives) or ``"exit"`` (the worker process dies, the parent
-    sees ``BrokenProcessPool``).
+    injected hang (a chunk must always wake up eventually — an
+    unbounded sleep would hold its thread past the test run).
     """
 
     rates: Mapping[str, float] = field(default_factory=dict)
     seed: int = 0
     hang_seconds: float = 0.25
-    crash_mode: str = "exception"
 
     def __post_init__(self) -> None:
         for kind, rate in self.rates.items():
@@ -107,11 +102,6 @@ class FaultPlan:
                     f"fault rate for {kind!r} must be in [0, 1], "
                     f"got {rate!r}"
                 )
-        if self.crash_mode not in ("exception", "exit"):
-            raise ValueError(
-                f"crash_mode must be 'exception' or 'exit', "
-                f"got {self.crash_mode!r}"
-            )
 
     def should(self, kind: str, key: object) -> bool:
         """Whether the site identified by ``key`` fires for ``kind``.
@@ -165,7 +155,6 @@ def plan_from_env(environ: Optional[Mapping[str, str]] = None) -> (
         rates=rates,
         seed=int(environ.get(FAULTS_SEED_ENV, "0")),
         hang_seconds=float(environ.get(FAULTS_HANG_SECONDS_ENV, "0.25")),
-        crash_mode=environ.get(FAULTS_CRASH_MODE_ENV, "exception"),
     )
 
 
@@ -185,7 +174,6 @@ def inject_faults(
     *,
     seed: int = 0,
     hang_seconds: float = 0.25,
-    crash_mode: str = "exception",
     **rates: float,
 ):
     """Activate fault injection for the enclosing block.
@@ -196,12 +184,7 @@ def inject_faults(
             service_runs_with_5pct_chunk_crashes()
     """
     if plan is None:
-        plan = FaultPlan(
-            rates=rates,
-            seed=seed,
-            hang_seconds=hang_seconds,
-            crash_mode=crash_mode,
-        )
+        plan = FaultPlan(rates=rates, seed=seed, hang_seconds=hang_seconds)
     elif rates:
         raise ValueError("pass a FaultPlan or keyword rates, not both")
     token = _ACTIVE.set(plan)
@@ -276,23 +259,16 @@ def maybe_inject_chunk_fault(
 ) -> None:
     """The chunk runner's injection site (crash and hang).
 
-    Called at the top of every chunk execution with the plan shipped on
-    the task (never ambient state — pool workers must behave
-    identically under ``fork`` and ``spawn``).  A hang sleeps
-    ``plan.hang_seconds`` and then *continues normally*: if the retry
-    layer's timeout is shorter, the chunk reads as hung and is retried;
-    the sleeping worker wakes, finishes, and its late result is
-    discarded.  A crash raises :class:`FaultInjectedError`, or in
-    ``"exit"`` mode inside a pool worker hard-exits the process so the
-    parent observes the real ``BrokenProcessPool`` it must recover
-    from.
+    Called at the top of every chunk execution with the plan carried on
+    the chunk task.  A hang sleeps ``plan.hang_seconds`` and then
+    *continues normally*: the chunk completes with the same bits, only
+    later.  A crash raises :class:`FaultInjectedError`, which the retry
+    layer absorbs.
     """
     if plan is None:
         return
     key = chunk_fault_key(seed, index, attempt)
     if plan.should("worker_hang", key):
-        import time
-
         _note_injection(
             "worker_hang", seed=seed, chunk=index, attempt=attempt,
             hang_seconds=plan.hang_seconds,
@@ -301,13 +277,7 @@ def maybe_inject_chunk_fault(
     if plan.should("worker_crash", key):
         _note_injection(
             "worker_crash", seed=seed, chunk=index, attempt=attempt,
-            crash_mode=plan.crash_mode,
         )
-        if plan.crash_mode == "exit":
-            import multiprocessing
-
-            if multiprocessing.parent_process() is not None:
-                os._exit(17)
         raise FaultInjectedError(
             f"injected worker_crash (seed {seed}, chunk {index}, "
             f"attempt {attempt})"

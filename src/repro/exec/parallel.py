@@ -1,4 +1,4 @@
-"""The parallel shot executor: the one way shots are run.
+"""The chunked shot executor: the one way shots are run.
 
 Every shot-running entry point — ``run_circuit``,
 ``run_circuit_with_info``, ``simulate_kernel(_with_info)``,
@@ -12,18 +12,16 @@ so there is one seed convention and one dispatcher:
 - chunk *i* draws from its own **counter-based stream**,
   :func:`chunk_stream` ``(seed, i)`` = ``Generator(Philox(key=(seed,
   i)))``: keys that differ give independent Philox streams, so the
-  sharded histogram is statistically equivalent to a single-process run
+  sharded histogram is statistically equivalent to a one-chunk run
   and *fully deterministic* for a fixed ``(seed, workers)`` pair.  The
   engines receive that generator as their ``seed`` (their
   ``np.random.default_rng(seed)`` passes it through);
-- every chunk is dispatched by
-  :func:`repro.exec.retry.execute_with_retry`, in-process for one
-  worker and on a cached :class:`~concurrent.futures.ProcessPoolExecutor`
-  otherwise;
-- per-chunk ``(shots, output bits)`` uint8 arrays (what pool workers
-  pickle back) concatenate in plan order and per-chunk
-  :class:`~repro.sim.backend.RunInfo` telemetry merges via
-  :meth:`RunInfo.merge`, with ``workers``/``chunks`` recorded.
+- every chunk runs in the calling process, dispatched by
+  :func:`repro.exec.retry.execute_with_retry`;
+- per-chunk ``(shots, output bits)`` uint8 arrays concatenate in plan
+  order and per-chunk :class:`~repro.sim.backend.RunInfo` telemetry
+  merges via :meth:`RunInfo.merge`, with ``workers``/``chunks``
+  recorded.
 
 The one shortcut is :func:`parallel_draw_with_info`, for a caller that
 already holds a circuit's memoized marginal (the service's warm
@@ -31,34 +29,16 @@ requests): it draws the same plan's chunks from the same streams and
 dispatches nothing, so its counts are those of the dispatcher's bits.
 
 Determinism contract: the output depends only on the chunk plan and
-the chunk streams — **not** on which process (or whether a process at
-all) executed a chunk, nor on how many attempts it took.  A pool that
-cannot start (sandboxed environments, missing semaphores) degrades to
-in-process execution of the identical plan and produces bit-identical
-results.
-
-Statelessness: the worker entry point re-resolves everything it needs
-from explicit task fields — backend *name* (resolved in the parent, so
-a monkeypatched ``DEFAULT_BACKEND`` cannot diverge between parent and
-worker), the pickled circuit and noise model.  In-tree backends
-register at import time, so workers started with **any** start method
-behave identically; custom backends registered only in the parent are
-visible under ``fork`` but must be registered at import time (module
-level) to work under ``spawn``.
-
-Pools are cached per ``(workers, start method)`` and reused across
-calls, so the process-warmup cost is paid once.  See
-docs/performance.md ("Parallel execution & the persistent cache").
+the chunk streams — **not** on which thread ran a chunk, nor on how
+many attempts it took.  See docs/performance.md ("Parallel execution &
+the persistent cache").
 """
 
 from __future__ import annotations
 
-import atexit
 import dataclasses
-import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -84,17 +64,6 @@ from repro.sim.backend import (
     get_backend,
     outcome_counts,
 )
-
-#: Environment override for the multiprocessing start method used by
-#: the shared pools ("fork", "spawn", "forkserver").  Unset keeps the
-#: platform default.  Results are identical either way (see the
-#: determinism contract above); this only trades startup cost against
-#: fork-safety.
-START_METHOD_ENV = "REPRO_PARALLEL_START_METHOD"
-
-#: The retry policy of library calls: the service's bounds, but no
-#: per-wave timeout, so a long library run is never killed as hung.
-LIBRARY_RETRY = RetryPolicy(timeout=None)
 
 #: Request seeds are unsigned 64-bit integers, ``0 <= seed <
 #: SEED_LIMIT``: chunk *i* is keyed ``(seed, i)`` and a Philox key is
@@ -169,8 +138,8 @@ def chunk_stream(seed: int, index: int) -> np.random.Generator:
     ``Generator(Philox(key=(seed, index)))``.
 
     Counter-based: a stream is a pure function of its key, so chunk
-    *i* draws the same numbers in a worker process, in the serial
-    fallback and in a retry, and the streams of distinct chunks are
+    *i* draws the same numbers on every attempt, on every thread, and
+    in the warm draw, and the streams of distinct chunks are
     independent (Salmon et al., SC'11).  ``seed`` must pass
     :func:`check_seed`.
     """
@@ -211,17 +180,14 @@ def _rekeyed_stream(seed: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class _ChunkTask:
-    """Everything a worker needs, explicit and picklable.
+    """One chunk of a run.
 
     ``seed`` and ``index`` (the run seed and the chunk's place in the
     plan) name the chunk's :func:`chunk_stream`, its fault sites and
-    its retry jitter.  ``faults`` ships the parent's active
-    :class:`FaultPlan` (ambient contextvar/env state never crosses into
-    ``spawn`` workers); ``attempt`` is the retry ordinal, folded into
+    its retry jitter.  ``faults`` is the dispatcher's active
+    :class:`FaultPlan`; ``attempt`` is the retry ordinal, folded into
     fault decisions only — the stream never changes across attempts,
     which is what makes retried runs bit-identical to fault-free ones.
-    ``trace`` ships the dispatcher's span context the same way, so
-    worker-side ``exec.chunk`` spans stitch into the parent trace.
     """
 
     circuit: Circuit
@@ -232,10 +198,10 @@ class _ChunkTask:
     noise_model: Optional[object]
     faults: Optional[FaultPlan] = None
     attempt: int = 0
-    trace: Optional[_trace.TraceContext] = None
 
 
-def _run_chunk_body(task: _ChunkTask) -> tuple[np.ndarray, RunInfo]:
+def _run_chunk(task: _ChunkTask) -> tuple[np.ndarray, RunInfo]:
+    """Run one chunk attempt in the calling thread."""
     with _trace.span(
         "exec.chunk",
         shots=task.shots, seed=task.seed, chunk=task.index,
@@ -252,87 +218,6 @@ def _run_chunk_body(task: _ChunkTask) -> tuple[np.ndarray, RunInfo]:
         )
 
 
-def _run_chunk(
-    task: _ChunkTask,
-) -> tuple[np.ndarray, RunInfo, Optional[list[dict]]]:
-    """Worker entry point: one chunk, no ambient state consulted.
-
-    Returns ``(results, info, spans)``.  ``spans`` is non-``None`` only
-    when this runs *in a pool worker* under a shipped trace context: a
-    worker cannot append to the parent's tracer, so it records into a
-    throwaway local one (:func:`repro.obs.trace.recording`) and ships
-    the span dicts back with the result for the dispatcher to
-    :func:`~repro.obs.trace.absorb_spans`.  In the serial/in-process
-    path the ambient tracer receives spans directly and ``spans`` is
-    ``None``.
-    """
-    if (
-        task.trace is not None
-        and multiprocessing.parent_process() is not None
-    ):
-        with _trace.recording(task.trace) as tracer:
-            results, info = _run_chunk_body(task)
-        return results, info, tracer.spans
-    results, info = _run_chunk_body(task)
-    return results, info, None
-
-
-# ----------------------------------------------------------------------
-# Shared worker pools (one per (workers, start method), reused).
-# ----------------------------------------------------------------------
-_POOLS: dict[tuple[int, str], ProcessPoolExecutor] = {}
-
-
-def _mp_context():
-    method = os.environ.get(START_METHOD_ENV)
-    return (
-        multiprocessing.get_context(method)
-        if method
-        else multiprocessing.get_context()
-    )
-
-
-def _get_pool(workers: int) -> ProcessPoolExecutor:
-    context = _mp_context()
-    key = (workers, context.get_start_method())
-    pool = _POOLS.get(key)
-    if pool is None:
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-        _POOLS[key] = pool
-    return pool
-
-
-def shutdown_pools() -> None:
-    """Shut down every cached worker pool (tests, service teardown)."""
-    while _POOLS:
-        _, pool = _POOLS.popitem()
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-def recycle_pool(workers: int) -> None:
-    """Discard the cached pool(s) for ``workers``, killing stragglers.
-
-    Used after a ``BrokenProcessPool`` or a hung-chunk timeout: a
-    broken pool never recovers, and a hung worker would otherwise hold
-    its slot (and block interpreter exit) indefinitely.  Surviving
-    worker processes are terminated outright — their chunks are
-    re-dispatched by the caller, and per-chunk streams make the re-run
-    bit-identical, so killing them loses nothing.
-    """
-    for key in [k for k in _POOLS if k[0] == workers]:
-        pool = _POOLS.pop(key)
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except (OSError, ValueError):
-                pass
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-atexit.register(shutdown_pools)
-
-
 def parallel_run_with_info(
     circuit: Circuit,
     shots: int,
@@ -340,11 +225,10 @@ def parallel_run_with_info(
     workers: Optional[int] = None,
     backend: "str | SimBackend | None" = None,
     noise_model=None,
-    use_processes: bool = True,
-    retry: RetryPolicy = LIBRARY_RETRY,
+    retry: RetryPolicy = RetryPolicy(),
     cancel_event=None,
 ) -> tuple[np.ndarray, RunInfo]:
-    """Run ``shots`` sharded across ``workers`` processes.
+    """Run ``shots`` as ``workers`` chunks in the calling process.
 
     Returns ``(results, info)`` where ``results`` is the ``(shots,
     output bits)`` uint8 array of the chunks' arrays concatenated in
@@ -354,27 +238,17 @@ def parallel_run_with_info(
     different worker counts give statistically equivalent histograms
     drawn from independent chunk streams (:func:`chunk_stream`).
     ``seed`` must be an integer in ``[0, 2**64)``.  ``workers=None``
-    means one worker (one chunk, run in-process); ``0`` means one per
-    core.
-
-    ``backend`` may be a registry name or a (picklable) instance;
-    ``None`` resolves to the registry default *here in the parent*, so
-    workers can never disagree with the dispatcher about the default.
-    ``use_processes=False`` executes the same plan in-process
-    (bit-identical results).
+    means one chunk; ``0`` means one per core.  ``backend`` may be a
+    registry name or an instance; ``None`` is the registry default.
 
     Chunks are dispatched by :func:`repro.exec.retry.execute_with_retry`
-    under ``retry`` (a :class:`~repro.exec.retry.RetryPolicy`):
-    per-wave timeouts, bounded retry with backoff, pool recycling on
-    ``BrokenProcessPool``, and graceful serial degradation — with the
-    recovery telemetry merged into ``info`` (``retries`` /
-    ``faults_injected`` / ``degraded``).  The default,
-    :data:`LIBRARY_RETRY`, sets no timeout.  ``cancel_event`` (a
+    under ``retry`` (a :class:`~repro.exec.retry.RetryPolicy`): bounded
+    retry with backoff, with the recovery telemetry merged into
+    ``info`` (``retries`` / ``faults_injected``).  ``cancel_event`` (a
     :class:`threading.Event`) cooperatively cancels the remaining work
-    between chunk waves (the service's deadline path).  The parent's
-    active fault plan (:func:`repro.exec.faults.active_fault_plan`) is
-    shipped on every chunk task, so injected faults reach pool workers
-    under any start method.
+    between chunk attempts (the service's deadline path).  Injected
+    chunk faults come from the active fault plan
+    (:func:`repro.exec.faults.active_fault_plan`).
     """
     check_seed(seed)
     workers = resolve_workers(workers)
@@ -389,37 +263,25 @@ def parallel_run_with_info(
         "exec.dispatch",
         shots=shots, chunks=len(plan), workers=workers,
     ) as dispatch_span:
-        trace_ctx = _trace.current_context()
         tasks = [
             _ChunkTask(
                 circuit, chunk_shots, seed, index,
                 resolved_backend, noise_model, fault_plan,
-                trace=trace_ctx,
             )
             for index, chunk_shots in enumerate(plan)
         ]
         _DISPATCHES.inc()
         _CHUNKS.inc(len(tasks))
         outcomes, telemetry = execute_with_retry(
-            tasks, workers, retry,
-            use_processes=use_processes,
-            cancel_event=cancel_event,
+            tasks, _run_chunk, retry, cancel_event=cancel_event
         )
-        parts: list[np.ndarray] = []
-        infos: list[RunInfo] = []
-        for chunk_results, chunk_info, chunk_spans in outcomes:
-            parts.append(chunk_results)
-            infos.append(chunk_info)
-            _trace.absorb_spans(chunk_spans)
+        parts = [chunk_results for chunk_results, _ in outcomes]
         results = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        dispatch_span.set(
-            retries=telemetry.retries, degraded=telemetry.degraded
-        )
+        dispatch_span.set(retries=telemetry.retries)
     merged = dataclasses.replace(
-        RunInfo.merge(infos, workers=workers),
+        RunInfo.merge([info for _, info in outcomes], workers=workers),
         retries=telemetry.retries,
         faults_injected=telemetry.faults_injected,
-        degraded=telemetry.degraded,
     )
     return results, merged
 
@@ -457,8 +319,7 @@ def parallel_draw_with_info(
     sizes = chunk_plan(shots, workers)
     with _trace.span(
         "exec.dispatch",
-        shots=shots, chunks=len(sizes), workers=workers,
-        retries=0, degraded=False,
+        shots=shots, chunks=len(sizes), workers=workers, retries=0,
     ), _trace.span(
         "sim.sweep",
         engine="fast-path", shots=shots, qubits=facts.circuit.num_qubits,

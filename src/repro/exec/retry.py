@@ -1,41 +1,32 @@
-"""Fault-tolerant chunk dispatch: timeouts, bounded retry, recycling.
+"""Fault-tolerant chunk dispatch: bounded retry with backoff.
 
 :func:`execute_with_retry` is the one chunk dispatcher: every shot run
 (:func:`repro.exec.parallel.parallel_run_with_info`) sends its chunks
-through it.  One worker or one chunk runs in-process; otherwise chunks
-go to a cached process pool, with **chunk-granular recovery**:
+through it, and it runs them one after another in the calling thread,
+with **chunk-granular recovery**:
 
-- every pending chunk is submitted as its own future and the wave is
-  awaited with :func:`concurrent.futures.wait` under
-  ``RetryPolicy.timeout`` — a hung worker (injected ``worker_hang``,
-  a wedged BLAS call) turns into a timed-out wave, not a forever-block;
-- a failed or hung chunk is retried with **decorrelated-jitter
-  exponential backoff** (seeded by the chunk's run seed and index, so
-  even the sleep schedule is deterministic), bounded twice:
-  ``max_attempts`` per chunk and a per-request ``budget`` across all
-  chunks.
-  Exhaustion raises :class:`~repro.errors.RetryBudgetExhaustedError`
-  — a coded, rendered diagnostic, not a hang;
-- a ``BrokenProcessPool`` or a timed-out wave recycles the pool
-  (killing stragglers) and re-dispatches only the unfinished chunks;
-  after ``degrade_after`` recycles the dispatcher **degrades
-  gracefully** to serial in-process execution — slower, but it
-  completes, and the run is flagged ``degraded`` in its telemetry;
-- only *retryable* failures are retried:
-  :class:`~repro.errors.FaultInjectedError`, pool breakage, and
-  timeouts.  A genuine error raised by a chunk (a backend bug, an
-  invalid circuit) propagates immediately — retrying a deterministic
-  bug burns the budget to mask it.
+- a chunk whose attempt fails with an injected fault is retried with
+  **decorrelated-jitter exponential backoff** (seeded by the chunk's
+  run seed and index, so even the sleep schedule is deterministic),
+  bounded twice: ``max_attempts`` per chunk and a per-request
+  ``budget`` across all chunks.  Exhaustion raises
+  :class:`~repro.errors.RetryBudgetExhaustedError` — a coded, rendered
+  diagnostic, not a hang;
+- only :class:`~repro.errors.FaultInjectedError` is retried.  A
+  genuine error raised by a chunk (a backend bug, an invalid circuit)
+  propagates immediately — retrying a deterministic bug burns the
+  budget to mask it.  An injected hang just sleeps and then completes;
+  the service's deadline bounds it.
 
-Because a chunk's *data* seed never changes across attempts (only the
-fault-decision key does), a run that absorbed crashes, hangs, and
-recycles returns results **bit-identical** to a fault-free run — the
-property the chaos tests and ``BENCH_service.json`` assert.
+Because a chunk's *data* stream never changes across attempts (only
+the fault-decision key does), a run that absorbed crashes and hangs
+returns results **bit-identical** to a fault-free run — the property
+the chaos tests and ``BENCH_service.json`` assert.
 
 Cooperative cancellation: pass a :class:`threading.Event`; it is
-checked between waves, and a set event cancels pending futures and
-raises :class:`concurrent.futures.CancelledError` — the service's
-deadline path actually stops the pool work instead of abandoning it.
+checked before every chunk attempt, and a set event raises
+:class:`concurrent.futures.CancelledError` — the service's deadline
+path stops the remaining chunks instead of running them to the end.
 """
 
 from __future__ import annotations
@@ -43,13 +34,11 @@ from __future__ import annotations
 import random
 import threading
 import time
-from concurrent.futures import CancelledError, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import CancelledError
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.errors import FaultInjectedError, RetryBudgetExhaustedError
-from repro.obs import logging as _obs_logging
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 
@@ -57,23 +46,6 @@ _RETRIES = _metrics.counter(
     "repro_exec_retries_total",
     "Chunk retry attempts granted by the recovery path",
 )
-_RECYCLES = _metrics.counter(
-    "repro_exec_pool_recycles_total",
-    "Worker-pool recycles after breakage or a hung wave",
-)
-_DEGRADATIONS = _metrics.counter(
-    "repro_exec_degradations_total",
-    "Fallbacks to serial in-process execution",
-)
-
-
-def _note_degradation(reason: str, recycles: int) -> None:
-    _DEGRADATIONS.inc()
-    _trace.event("retry.degrade", reason=reason, recycles=recycles)
-    _obs_logging.get_logger("exec.retry").warning(
-        "degrading to serial in-process execution",
-        extra={"fields": {"reason": reason, "recycles": recycles}},
-    )
 
 
 @dataclass(frozen=True)
@@ -83,21 +55,15 @@ class RetryPolicy:
     ``max_attempts`` caps executions *per chunk* (first try included);
     ``budget`` caps retries (attempts beyond the first) summed over
     the whole request, so a request-wide fault storm fails fast
-    instead of multiplying per-chunk limits.  ``timeout`` is the
-    per-wave wall-clock bound in seconds (``None`` waits forever —
-    the library default, :data:`repro.exec.parallel.LIBRARY_RETRY`, so
-    a long run is never killed as hung); ``backoff_base`` /
+    instead of multiplying per-chunk limits.  ``backoff_base`` /
     ``backoff_cap`` shape the decorrelated-jitter sleep between a
-    chunk's attempts; ``degrade_after`` is how many pool recycles are
-    tolerated before falling back to serial in-process execution.
+    chunk's attempts.
     """
 
     max_attempts: int = 3
     budget: int = 16
-    timeout: Optional[float] = 30.0
     backoff_base: float = 0.01
     backoff_cap: float = 0.5
-    degrade_after: int = 2
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -112,8 +78,6 @@ class RetryTelemetry:
 
     retries: int = 0
     faults_injected: int = 0
-    pool_recycles: int = 0
-    degraded: bool = False
 
 
 def backoff_delay(
@@ -162,165 +126,48 @@ def _budget_error(
     return error
 
 
-def runs_in_process(workers: int, chunks: int, use_processes: bool) -> bool:
-    """Whether a run's chunks execute in the calling process: with
-    ``use_processes=False``, one worker, or a one-chunk plan."""
-    return not use_processes or workers <= 1 or chunks <= 1
-
-
-def _fault_plan_is_active(tasks: Sequence) -> bool:
-    return any(task.faults is not None for task in tasks)
-
-
 def execute_with_retry(
     tasks: Sequence,
-    workers: int,
+    run: Callable,
     policy: RetryPolicy,
     *,
-    use_processes: bool = True,
     cancel_event: Optional[threading.Event] = None,
 ) -> tuple[list, RetryTelemetry]:
-    """Run chunk tasks with recovery; returns ``(outcomes, telemetry)``.
+    """Run every chunk task with ``run`` and recovery; returns
+    ``(outcomes, telemetry)``, with ``outcomes`` in plan order.
 
-    ``outcomes`` preserves plan order.  ``tasks`` are
-    :class:`repro.exec.parallel._ChunkTask` instances (shipped with
-    their fault plan and ``attempt=0``).  One worker, one task, or
-    ``use_processes=False`` runs in-process.
+    ``tasks`` are :class:`repro.exec.parallel._ChunkTask` instances
+    with ``attempt=0``; ``run`` receives each attempt's copy.
     """
-    from repro.exec.parallel import _get_pool, _run_chunk, recycle_pool
-
     telemetry = RetryTelemetry()
-    results: list = [None] * len(tasks)
-    pending: dict[int, int] = {i: 0 for i in range(len(tasks))}  # -> attempt
     budget_left = policy.budget
-    chaos = _fault_plan_is_active(tasks)
-
-    def note_retry(index: int, *, injected: bool) -> None:
-        nonlocal budget_left
-        attempt = pending[index]
-        if injected:
-            telemetry.faults_injected += 1
-        if attempt + 1 >= policy.max_attempts or budget_left <= 0:
-            raise _budget_error(
-                replace(tasks[index], attempt=attempt),
-                attempt + 1,
-                telemetry,
-                policy,
-            )
-        budget_left -= 1
-        telemetry.retries += 1
-        pending[index] = attempt + 1
-        _RETRIES.inc()
-        _trace.event(
-            "retry.attempt",
-            seed=tasks[index].seed,
-            chunk=index,
-            attempt=attempt + 1,
-            injected=injected,
-        )
-
-    serial = runs_in_process(workers, len(tasks), use_processes)
-
-    while pending:
-        _check_cancel(cancel_event)
-        if serial or telemetry.degraded:
-            _serial_wave(
-                tasks, pending, results, note_retry, policy, cancel_event
-            )
-            continue
-
-        try:
-            pool = _get_pool(workers)
-        except OSError:
-            # The pool cannot start here at all (sandbox): degrade.
-            telemetry.degraded = True
-            _note_degradation("pool failed to start", telemetry.pool_recycles)
-            continue
-
-        wave = {}
-        broken = False
-        for index in sorted(pending):
-            task = replace(tasks[index], attempt=pending[index])
-            try:
-                wave[pool.submit(_run_chunk, task)] = index
-            except (BrokenProcessPool, RuntimeError):
-                # submit() after breakage/shutdown; retry this wave on
-                # a fresh pool.
-                broken = True
-                break
-
-        if wave:
-            done, not_done = wait(wave, timeout=policy.timeout)
-            for future in done:
-                index = wave[future]
-                try:
-                    results[index] = future.result()
-                    del pending[index]
-                except FaultInjectedError:
-                    note_retry(index, injected=True)
-                except BrokenProcessPool:
-                    broken = True
-                    note_retry(index, injected=chaos)
-                except CancelledError:
-                    pass  # re-dispatched (or surfaced) next wave
-            if not_done:
-                # Hung chunks: count a retry for each, then recycle the
-                # pool below so their stuck workers are killed.
-                for future in not_done:
-                    future.cancel()
-                    note_retry(wave[future], injected=chaos)
-                broken = True
-
-        if broken:
-            recycle_pool(workers)
-            telemetry.pool_recycles += 1
-            _RECYCLES.inc()
-            _trace.event(
-                "retry.pool_recycle", recycles=telemetry.pool_recycles
-            )
-            if telemetry.pool_recycles >= policy.degrade_after:
-                telemetry.degraded = True
-                _note_degradation(
-                    "recycle limit reached", telemetry.pool_recycles
-                )
-        if pending:
-            _check_cancel(cancel_event)
-            index = min(pending)
-            delay = backoff_delay(
-                policy, tasks[index].seed, index, pending[index]
-            )
-            if delay > 0:
-                time.sleep(delay)
-
-    return results, telemetry
-
-
-def _serial_wave(
-    tasks, pending, results, note_retry, policy, cancel_event
-) -> None:
-    """One in-process pass over the pending chunks (degraded mode).
-
-    No timeouts apply — there is no process to kill — but injected
-    hangs are bounded by ``FaultPlan.hang_seconds``, so the pass always
-    terminates; crashes retry exactly like the pooled path.
-    """
-    from repro.exec.parallel import _run_chunk
-
-    for index in sorted(pending):
+    outcomes: list = []
+    for task in tasks:
+        attempt = 0
         while True:
             _check_cancel(cancel_event)
-            task = replace(tasks[index], attempt=pending[index])
             try:
-                results[index] = _run_chunk(task)
-                del pending[index]
+                outcomes.append(run(replace(task, attempt=attempt)))
                 break
             except FaultInjectedError:
-                note_retry(index, injected=True)
-                delay = backoff_delay(
-                    policy, task.seed, task.index, pending[index]
-                )
-                if delay > 0:
-                    time.sleep(delay)
+                telemetry.faults_injected += 1
+                if attempt + 1 >= policy.max_attempts or budget_left <= 0:
+                    raise _budget_error(task, attempt + 1, telemetry, policy)
+            budget_left -= 1
+            telemetry.retries += 1
+            attempt += 1
+            _RETRIES.inc()
+            _trace.event(
+                "retry.attempt",
+                seed=task.seed,
+                chunk=task.index,
+                attempt=attempt,
+                injected=True,
+            )
+            delay = backoff_delay(policy, task.seed, task.index, attempt)
+            if delay > 0:
+                time.sleep(delay)
+    return outcomes, telemetry
 
 
 __all__ = [
@@ -328,5 +175,4 @@ __all__ = [
     "RetryTelemetry",
     "backoff_delay",
     "execute_with_retry",
-    "runs_in_process",
 ]

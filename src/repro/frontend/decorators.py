@@ -372,8 +372,8 @@ class QpuKernel:
         ``params`` maps :class:`repro.parameters.Parameter` names (or
         Parameter objects) to concrete angles; the kernel is compiled
         once symbolically and bound per call (docs/variational.md).
-        ``parallel_workers`` shards the shot chunks across a process
-        pool (:mod:`repro.exec`; ``0`` = one worker per core,
+        ``parallel_workers`` splits the shots into that many in-process
+        chunks (:mod:`repro.exec`; ``0`` = one per core,
         docs/performance.md).
         """
         from repro.pipeline import simulate_kernel

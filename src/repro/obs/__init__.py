@@ -3,7 +3,7 @@
 One substrate for everything the repo measures (docs/observability.md):
 
 - :mod:`repro.obs.trace` — contextvar-based spans with parent/child
-  nesting, cross-process stitching for pool workers, and a Chrome
+  nesting, stitching across the service's threads, and a Chrome
   trace-event exporter (``REPRO_TRACE=trace.json`` / ``trace_to``)
   loadable in Perfetto;
 - :mod:`repro.obs.metrics` — a process-wide Counter/Gauge/Histogram

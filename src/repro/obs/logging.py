@@ -19,7 +19,7 @@ reads the listening announcement from the first line.
 
 Extra structured fields ride on the standard ``extra`` mechanism::
 
-    log.warning("degrading to serial", extra={"fields": {"recycles": 2}})
+    log.warning("retry budget low", extra={"fields": {"retries": 2}})
 """
 
 from __future__ import annotations

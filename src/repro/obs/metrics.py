@@ -116,7 +116,7 @@ class Counter(_Instrument):
 
 
 class Gauge(_Instrument):
-    """A settable point-in-time value (queue depth, pool size)."""
+    """A settable point-in-time value (queue depth)."""
 
     kind = "gauge"
 

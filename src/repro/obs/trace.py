@@ -1,4 +1,4 @@
-"""Contextvar-based span tracing with cross-process stitching.
+"""Contextvar-based span tracing, stitched across threads.
 
 A *span* is one named, timed region with attributes — ``span("compile.pass",
 **{"pass": "peephole"})`` — and spans nest: the contextvar
@@ -21,15 +21,11 @@ Enabling:
 - :func:`trace_to` scopes tracing to a block and exports on exit;
 - :func:`enable_tracing` / :func:`disable_tracing` for manual control.
 
-Cross-process stitching: pool workers cannot append to the parent's
-tracer, so the chunk dispatcher ships a picklable
-:class:`TraceContext` on every ``_ChunkTask``; the worker records its
-spans into a throwaway local tracer under that context
-(:func:`recording`) and returns them with the chunk result, and the
-parent folds them in with :func:`absorb_spans`.  Span ids embed the
-recording pid, so ids never collide across processes and the exported
-trace shows worker chunks on their own process tracks, linked to the
-parent request by ``trace_id``/``parent_id``.
+Thread stitching: the service's executor threads do not inherit the
+submitting task's contextvars, so the service carries a
+:class:`TraceContext` on each request and re-attaches it there
+(:func:`attached`); their spans land under the request's span, in the
+one process-wide tracer.
 
 :func:`timed_span` is the **one timing source** rule
 (docs/observability.md): it always measures wall time (one
@@ -44,23 +40,20 @@ from __future__ import annotations
 import atexit
 import itertools
 import json
-import multiprocessing
 import os
 import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 #: Environment variable: a path enables process-wide tracing and
 #: exports a Chrome trace-event JSON file there at interpreter exit.
 TRACE_ENV = "REPRO_TRACE"
 
-#: Maps ``perf_counter`` readings onto the epoch, so span timestamps
-#: from different processes land on one comparable timeline.  Each
-#: process computes its own anchor; the skew between them is far below
-#: the span durations being visualized.
+#: Maps ``perf_counter`` readings onto the epoch, so exported span
+#: timestamps are wall-clock microseconds.
 _EPOCH_ANCHOR = time.time() - time.perf_counter()
 
 _IDS = itertools.count(1)
@@ -72,14 +65,13 @@ _CTX: ContextVar[Optional[tuple[str, str]]] = ContextVar(
 
 
 def _new_id() -> str:
-    """A process-unique span/trace id (pid-prefixed, never colliding
-    across the parent and its pool workers)."""
+    """A span/trace id, unique within the process (pid-prefixed)."""
     return f"{os.getpid():x}.{next(_IDS):x}"
 
 
 @dataclass(frozen=True)
 class TraceContext:
-    """The picklable parent context shipped to pool workers."""
+    """A parent span context, carried to another thread."""
 
     trace_id: str
     span_id: str
@@ -88,8 +80,8 @@ class TraceContext:
 class Tracer:
     """A process-local span sink (thread-safe append-only list).
 
-    Span records are plain dicts — picklable for worker shipping,
-    directly serializable for export — with keys ``name``,
+    Span records are plain dicts — directly serializable for
+    export — with keys ``name``,
     ``trace_id``, ``span_id``, ``parent_id``, ``start_us``, ``dur_us``,
     ``pid``, ``tid``, ``attrs``.
     """
@@ -101,11 +93,6 @@ class Tracer:
     def record(self, span: dict) -> None:
         with self._lock:
             self.spans.append(span)
-
-    def absorb(self, spans: Iterable[dict]) -> None:
-        """Fold worker-recorded span dicts into this tracer."""
-        with self._lock:
-            self.spans.extend(spans)
 
     def kinds(self) -> set[str]:
         """The distinct span names recorded so far."""
@@ -122,7 +109,7 @@ class Tracer:
 
         Nesting within a (pid, tid) track is inferred by the viewer
         from timestamp containment; the explicit ids ride in ``args``
-        so cross-process parentage stays inspectable.
+        so cross-thread parentage stays inspectable.
         """
         events = []
         for span in self.spans:
@@ -278,7 +265,7 @@ def timed_span(name: str, **attrs) -> _Span:
 
 def event(name: str, **attrs) -> None:
     """An instant (zero-duration) span under the current context —
-    retry attempts, fault injections, pool recycles."""
+    retry attempts, fault injections."""
     tracer = _TRACER
     if tracer is None:
         return
@@ -345,11 +332,12 @@ def trace_to(path):
 
 
 # ----------------------------------------------------------------------
-# Context propagation: threads and pool workers.
+# Context propagation across threads.
 # ----------------------------------------------------------------------
 def current_context() -> Optional[TraceContext]:
-    """The shippable parent context, or ``None`` when tracing is off
-    or no span is open."""
+    """The current span's context for another thread to
+    :func:`attach <attached>`, or ``None`` when tracing is off or no
+    span is open."""
     if _TRACER is None:
         return None
     ctx = _CTX.get()
@@ -369,7 +357,7 @@ def attached(ctx: Optional[TraceContext]):
 
     Used where contextvars do not flow by themselves: the service's
     executor threads (``run_in_executor`` does not copy context) and
-    the serial chunk fallback.  A ``None`` context is a no-op.
+    worker loops.  A ``None`` context is a no-op.
     """
     if ctx is None:
         yield
@@ -381,46 +369,10 @@ def attached(ctx: Optional[TraceContext]):
         _CTX.reset(token)
 
 
-@contextmanager
-def recording(ctx: TraceContext):
-    """Worker-side span collection under a shipped parent context.
-
-    Installs a throwaway local tracer (never the worker's own ambient
-    one — a forked worker inherits the parent's ``_TRACER`` object and
-    appending there would be lost with the process) and attaches
-    ``ctx``; yields the tracer whose ``.spans`` the worker returns
-    with its result for the parent to :func:`absorb_spans`.
-    """
-    global _TRACER
-    previous = _TRACER
-    tracer = Tracer()
-    _TRACER = tracer
-    token = _CTX.set((ctx.trace_id, ctx.span_id))
-    try:
-        yield tracer
-    finally:
-        _CTX.reset(token)
-        _TRACER = previous
-
-
-def absorb_spans(spans: Optional[Iterable[dict]]) -> None:
-    """Parent-side: fold worker-returned span records into the active
-    trace (no-op when tracing is off or ``spans`` is empty)."""
-    if _TRACER is not None and spans:
-        _TRACER.absorb(spans)
-
-
 def _maybe_enable_from_env() -> None:
-    """``REPRO_TRACE=path``: enable now, export at interpreter exit.
-
-    Only in the *parent* process: pool workers inherit the environment
-    but must ship spans back on chunk results instead of racing to
-    overwrite the parent's export file.
-    """
+    """``REPRO_TRACE=path``: enable now, export at interpreter exit."""
     path = os.environ.get(TRACE_ENV)
     if not path:
-        return
-    if multiprocessing.parent_process() is not None:
         return
     tracer = enable_tracing()
     atexit.register(tracer.export_chrome, path)
@@ -433,7 +385,6 @@ __all__ = [
     "TRACE_ENV",
     "TraceContext",
     "Tracer",
-    "absorb_spans",
     "attached",
     "current_context",
     "current_ids",
@@ -441,7 +392,6 @@ __all__ = [
     "enable_tracing",
     "event",
     "get_tracer",
-    "recording",
     "span",
     "timed_span",
     "trace_to",

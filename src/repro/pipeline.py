@@ -868,10 +868,10 @@ def simulate_kernel(
 
     Every run goes through the parallel shot executor
     (:mod:`repro.exec`), the same path the service takes:
-    ``parallel_workers`` shards the shot chunks across a process pool
-    with one random stream per chunk (``None`` means one worker; ``0``
-    means one worker per core).  Results are deterministic per
-    ``(seed, workers)``; sharding is best for trajectory workloads::
+    ``parallel_workers`` splits the shots into that many in-process
+    chunks with one random stream per chunk (``None`` means one chunk;
+    ``0`` means one per core).  Results are deterministic per
+    ``(seed, workers)``::
 
         simulate_kernel(kernel, shots=100_000, parallel_workers=4)
     """

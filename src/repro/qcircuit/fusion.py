@@ -139,7 +139,7 @@ class FusedUnitary:
         object.__setattr__(self, "matrix", matrix)
 
     def __setstate__(self, state: dict) -> None:
-        # Unpickling (a disk-cache load, a pool worker's task) bypasses
+        # Unpickling (a disk-cache load) bypasses
         # __init__; validate and freeze again.  Pickle protocol 5 loads
         # a read-only array as a read-only view over immutable bytes,
         # which is kept as is, so blocks that shared one matrix before

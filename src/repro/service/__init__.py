@@ -3,7 +3,7 @@
 A thin, stdlib-only service tier over the execution substrate of
 :mod:`repro.exec`: compile/run requests go through a bounded priority
 queue with deadline enforcement, chunk-granular retry, and graceful
-degradation, and come back as structured JSON responses with stable
+drain, and come back as structured JSON responses with stable
 ``QWnnn`` diagnostic codes.
 
 - :mod:`repro.service.protocol` — the JSON-lines wire format and

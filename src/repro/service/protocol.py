@@ -59,9 +59,9 @@ OPS = ("run", "health", "stats", "metrics")
 #: the executor for unbounded time; split larger sweeps client-side).
 MAX_SHOTS = 1 << 20
 
-#: Hard ceiling on per-request shot-sharding workers.  The worker count
-#: sizes a process pool, and each distinct count caches one more pool
-#: for the life of the server, so it must not be client-unbounded.
+#: Hard ceiling on per-request chunk counts (``workers``).  Every chunk
+#: costs its own dispatch, stream and engine call on the thread that
+#: runs the request, so the count must not be client-unbounded.
 MAX_WORKERS = 32
 
 #: Noise-channel vocabulary: request ``noise`` keys map to the

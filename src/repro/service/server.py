@@ -11,7 +11,7 @@ framed), answers its in-flight requests, and closes.
 
 Graceful shutdown: :func:`serve` installs SIGINT/SIGTERM handlers
 that drain the service (stop admitting -> ``QW605``, finish queued
-work, tear down pools) before the sockets close, so an orchestrator's
+work, stop the executor threads) before the sockets close, so an orchestrator's
 stop signal never kills half-executed requests.
 
 Run it standalone::
@@ -169,18 +169,18 @@ def main(argv: "Optional[list[str]]" = None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=ServiceConfig.parallel_workers,
-        help="shot-sharding process workers per run",
+        help="default shot chunks per run (every chunk runs in-process)",
     )
     parser.add_argument(
         "--serial", action="store_true",
-        help="run shot chunks in-process (no process pool)",
+        help="accepted for compatibility and ignored: shot chunks always "
+        "run in-process",
     )
     args = parser.parse_args(argv)
     config = ServiceConfig(
         queue_limit=args.queue_limit,
         executors=args.executors,
         parallel_workers=args.workers,
-        use_processes=not args.serial,
     )
     try:
         asyncio.run(serve(args.host, args.port, config))

@@ -18,8 +18,8 @@ Robustness model
   queue wait counts against it.  Expiry anywhere — still queued, or
   mid-execution via :func:`asyncio.timeout` — produces ``QW602`` and
   sets the request's cancel event, which the retry layer honors
-  between chunk waves by cancelling pool futures: the deadline
-  actually stops the work instead of abandoning a zombie computation.
+  before every chunk attempt: the deadline stops the remaining work
+  instead of abandoning a zombie computation.
 - **Warm requests skip the hand-off.**  A request that only draws
   shots from memory (see :meth:`ExecutionService._warm`) runs on the
   event loop rather than an executor thread: on the submitting task
@@ -29,13 +29,10 @@ Robustness model
   past its deadline its result is discarded and the reply is still
   ``QW602``.
 - **Retries with a budget.**  Chunk execution goes through
-  :mod:`repro.exec.retry`; transient faults (crashes, hangs, pool
-  breakage) are absorbed and reported in ``RunInfo.retries`` /
-  ``faults_injected``, exhaustion surfaces as ``QW603``.
-- **Graceful degradation.**  A run that had to recycle broken pools
-  flags itself ``degraded``; after ``degrade_runs`` consecutive
-  degraded runs the service pins itself to serial in-process execution
-  (slow but alive) until :meth:`ExecutionService.reset_degradation`.
+  :mod:`repro.exec.retry`, on the executor thread that runs the
+  request; injected chunk crashes are absorbed and reported in
+  ``RunInfo.retries`` / ``faults_injected``, exhaustion surfaces as
+  ``QW603``.
 - **Graceful drain.**  :meth:`drain` stops admission (``QW605``),
   lets queued work finish within ``drain_timeout``, then cancels
   workers and shuts the thread pool down.
@@ -60,19 +57,41 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro import noise as noise_mod
 from repro.errors import (
     BadRequestError,
     DeadlineExceededError,
+    NoiseError,
     QueueFullError,
     QwertyError,
     ServiceUnavailableError,
 )
-from repro.exec.faults import FaultPlan, active_fault_plan, inject_faults
-from repro.exec.retry import RetryPolicy, runs_in_process
+from repro.evaluation import ALGORITHMS, asdf_kernel
+from repro.exec import parallel
+from repro.exec.faults import (
+    FaultPlan,
+    active_fault_plan,
+    fires_on_first_attempt,
+    inject_faults,
+)
+from repro.exec.retry import RetryPolicy
+from repro.frontend.decorators import QpuKernel
 from repro.obs import logging as obslog
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as tracing
+from repro.pipeline import (
+    _compile_with_provenance,
+    _kernel_fingerprint,
+    _run_circuit,
+    compile_cache_info,
+    compile_cache_max_entries,
+)
 from repro.service import protocol
+from repro.sim.backend import (
+    DEFAULT_BACKEND,
+    VectorizedStatevectorBackend,
+    memoized_marginal,
+)
 
 #: Sequential per-process instance labels: two services in one test
 #: process (or a restarted one) get distinct series, so per-instance
@@ -91,7 +110,6 @@ _COUNTER_EVENTS = (
     "failed",
     "retries",
     "faults_injected",
-    "degraded_runs",
 )
 
 _EVENTS = obs_metrics.counter(
@@ -122,11 +140,11 @@ class ServiceConfig:
 
     ``queue_limit`` bounds admission (beyond it: ``QW601`` shedding);
     ``executors`` is how many requests execute concurrently (each gets
-    one thread driving the chunk dispatcher); ``parallel_workers`` /
-    ``use_processes`` configure per-run shot sharding;
+    one thread driving the chunk dispatcher); ``parallel_workers`` is
+    the default chunk count of a run, whose chunks all run on the
+    thread (or loop) that runs the request;
     ``default_deadline`` / ``max_deadline`` are seconds;
-    ``retry`` bounds per-chunk recovery; ``degrade_runs`` is how many
-    consecutive degraded runs pin the service to serial execution;
+    ``retry`` bounds per-chunk recovery;
     ``fault_plan`` forces a fault plan for every request (benchmarks —
     normally the ambient plan from :mod:`repro.exec.faults` applies).
     """
@@ -134,12 +152,10 @@ class ServiceConfig:
     queue_limit: int = 64
     executors: int = 2
     parallel_workers: int = 2
-    use_processes: bool = True
     default_deadline: float = 30.0
     max_deadline: float = 300.0
     drain_timeout: float = 10.0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    degrade_runs: int = 2
     fault_plan: Optional[FaultPlan] = None
 
 
@@ -189,8 +205,6 @@ class ExecutionService:
         self._started = False
         self._started_at = 0.0
         self._in_flight = 0
-        self._consecutive_degraded = 0
-        self._serial_mode = False
         self._label = str(next(_INSTANCE_SEQ))
         # This instance's series, bound once (a warm request makes
         # about ten updates).
@@ -447,7 +461,7 @@ class ExecutionService:
             )
         except asyncio.TimeoutError:
             # Cooperative cancellation: the retry layer checks the
-            # event between chunk waves and cancels pool futures.
+            # event before every chunk attempt.
             work.cancel_event.set()
             self._count("deadline_exceeded")
             return self._error(
@@ -501,33 +515,22 @@ class ExecutionService:
         self._count("retries", result["info"]["retries"])
         self._count("faults_injected", result["info"]["faults_injected"])
         self._latency.observe(time.monotonic() - work.admitted_at)
-        if result["info"]["degraded"]:
-            self._count("degraded_runs")
-            self._consecutive_degraded += 1
-            if self._consecutive_degraded >= self.config.degrade_runs:
-                self._serial_mode = True
-        else:
-            self._consecutive_degraded = 0
         return protocol.ok_response(work.request.id, result)
 
-    def _run_settings(self, request: protocol.RunRequest) -> tuple:
-        """The run's requested worker count and whether its chunks may
-        go to a process pool."""
-        return (
-            request.workers or self.config.parallel_workers,
-            self.config.use_processes and not self._serial_mode,
-        )
+    def _workers_of(self, request: protocol.RunRequest) -> int:
+        """The run's chunk count, as requested or configured."""
+        return request.workers or self.config.parallel_workers
 
     def _warm(self, work: _Work) -> bool:
-        """Whether ``work`` only draws shots from memory, in-process.
+        """Whether ``work`` only draws shots from memory.
 
         A warm request's kernel is resolved, its compile is an
         in-memory cache hit, it runs noiseless on the ``statevector``
-        backend, its chunks run in-process, no fault of its plan (if
-        any) fires on its first attempt, and its execution circuit's
-        marginal is memoized.  Such a run costs less than the executor
-        hop, so the event loop runs it itself (:meth:`_run_warm`),
-        drawing from the ``work.marginal`` this check found.  It runs
+        backend, no fault of its plan (if any) fires on its first
+        attempt, and its execution circuit's marginal is memoized.
+        Such a run costs less than the executor hop, so the event loop
+        runs it itself (:meth:`_run_warm`), drawing from the
+        ``work.marginal`` this check found.  It runs
         once per request, in ``submit`` when an executor is idle and
         nothing is queued, else when a worker dequeues the request.
 
@@ -539,30 +542,17 @@ class ExecutionService:
         this check cannot judge (an unknown preset, say) takes the
         executor path, which reports the error.
         """
-        from repro.exec.faults import fires_on_first_attempt
-        from repro.exec.parallel import chunk_plan, resolve_workers
-        from repro.pipeline import _compile_with_provenance
-        from repro.sim.backend import (
-            DEFAULT_BACKEND,
-            VectorizedStatevectorBackend,
-            memoized_marginal,
-        )
-
         request = work.request
         if request.noise:
             return False
         backend = request.backend or DEFAULT_BACKEND
         if backend != VectorizedStatevectorBackend.name:
             return False
-        workers, use_processes = self._run_settings(request)
-        workers = resolve_workers(workers)
-        chunks = len(chunk_plan(request.shots, workers))
-        if not runs_in_process(workers, chunks, use_processes):
-            return False
-        if work.fault_plan is not None and fires_on_first_attempt(
-            work.fault_plan, request.seed, chunks
-        ):
-            return False
+        if work.fault_plan is not None:
+            workers = parallel.resolve_workers(self._workers_of(request))
+            chunks = len(parallel.chunk_plan(request.shots, workers))
+            if fires_on_first_attempt(work.fault_plan, request.seed, chunks):
+                return False
         try:
             kernel = _resolved_kernel(request)
             if kernel is not None:
@@ -595,10 +585,8 @@ class ExecutionService:
             return self._run_request(work)
 
     def _run_request(self, work: _Work) -> dict:
-        from repro.exec import parallel
-
         request = work.request
-        workers, use_processes = self._run_settings(request)
+        workers = self._workers_of(request)
         if work.marginal is not None:
             # Warm: count draws from the CDF the check holds, which an
             # eviction since cannot take away, so this never evolves.
@@ -607,9 +595,7 @@ class ExecutionService:
             )
             provenance = work.compiled[1]
         else:
-            results, info, provenance = self._dispatch(
-                work, workers, use_processes
-            )
+            results, info, provenance = self._dispatch(work, workers)
             counts = protocol.counts_of(results)
         return {
             "counts": counts,
@@ -620,19 +606,13 @@ class ExecutionService:
                 "chunks": info.chunks,
                 "retries": info.retries,
                 "faults_injected": info.faults_injected,
-                "degraded": info.degraded,
                 "compile_cache": provenance,
             },
         }
 
-    def _dispatch(
-        self, work: _Work, workers: int, use_processes: bool
-    ) -> tuple:
+    def _dispatch(self, work: _Work, workers: int) -> tuple:
         """Compile (unless the warm check found the compile), then run
         the request's chunks through the shot executor's dispatcher."""
-        from repro.exec.parallel import parallel_run_with_info
-        from repro.pipeline import _compile_with_provenance, _run_circuit
-
         request = work.request
         plan_scope = (
             inject_faults(work.fault_plan)
@@ -655,14 +635,13 @@ class ExecutionService:
             circuit = _run_circuit(compiled, noise_model)
             if work.cancel_event.is_set():
                 raise CancelledError("cancelled before execution")
-            results, info = parallel_run_with_info(
+            results, info = parallel.parallel_run_with_info(
                 circuit,
                 request.shots,
                 request.seed,
                 workers=workers,
                 backend=request.backend,
                 noise_model=noise_model,
-                use_processes=use_processes,
                 retry=self.config.retry,
                 cancel_event=work.cancel_event,
             )
@@ -676,17 +655,13 @@ class ExecutionService:
     # ------------------------------------------------------------------
     def health(self) -> dict:
         return {
-            "status": "draining" if self._draining else (
-                "degraded" if self._serial_mode else "ok"
-            ),
+            "status": "draining" if self._draining else "ok",
             "queue_depth": self._queue.qsize(),
             "queue_limit": self.config.queue_limit,
             "in_flight": self._in_flight,
         }
 
     def stats(self) -> dict:
-        from repro.pipeline import compile_cache_info
-
         cache = compile_cache_info()
         disk = cache.get("disk", {})
         lookups = cache.get("hits", 0) + cache.get("misses", 0)
@@ -695,7 +670,6 @@ class ExecutionService:
             "uptime_s": round(time.monotonic() - self._started_at, 3),
             "counters": dict(self.counters),
             "error_codes": dict(self.error_codes),
-            "serial_mode": self._serial_mode,
             "compile_cache": {
                 "memory_hits": cache.get("hits", 0),
                 "memory_hit_rate": (
@@ -716,11 +690,6 @@ class ExecutionService:
             "exposition": obs_metrics.render(),
             "content_type": "text/plain; version=0.0.4; charset=utf-8",
         }
-
-    def reset_degradation(self) -> None:
-        """Re-enable process pools after operator intervention."""
-        self._serial_mode = False
-        self._consecutive_degraded = 0
 
     def _error(self, request_id: Any, error: Exception) -> dict:
         response = protocol.error_response(request_id, error)
@@ -744,9 +713,6 @@ _SOURCE_LOCK = threading.Lock()
 
 
 def _resolve_kernel(request: protocol.RunRequest):
-    from repro.evaluation import ALGORITHMS
-    from repro.pipeline import compile_cache_max_entries
-
     kernel = _resolved_kernel(request)
     if kernel is not None:
         return kernel
@@ -781,8 +747,6 @@ def _resolved_kernel(request: protocol.RunRequest):
     """The request's kernel if resolving it needs no ``exec``: a suite
     kernel (memoized by ``asdf_kernel``) or a cached ``source``, which
     becomes the most recently used; otherwise ``None``."""
-    from repro.evaluation import ALGORITHMS, asdf_kernel
-
     if request.kernel is not None:
         if request.kernel not in ALGORITHMS:
             return None
@@ -801,9 +765,6 @@ def _source_filename(digest: str) -> str:
 
 def _exec_source(source: str, filename: str):
     """Exec a ``source`` request's text; return its one ``@qpu`` kernel."""
-    from repro.frontend.decorators import QpuKernel
-    from repro.pipeline import _kernel_fingerprint
-
     namespace: dict = {}
     exec("from repro import *", namespace)  # noqa: S102 — trusted tier
     # The frontend reparses kernels with inspect.getsource, which for
@@ -839,11 +800,7 @@ def _exec_source(source: str, filename: str):
 def _build_noise_model(noise):
     if not noise:
         return None
-    from repro import noise as noise_mod
-    from repro.errors import NoiseError
-    from repro.noise import NoiseModel
-
-    model = NoiseModel()
+    model = noise_mod.NoiseModel()
     for name, parameter in noise.items():
         constructor = getattr(noise_mod, name)
         try:

@@ -50,7 +50,6 @@ bit ``(x >> (n - 1 - q)) & 1``.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -106,16 +105,6 @@ _MARGINAL_MEMO: "OrderedDict[_MemoKey, tuple[np.ndarray, int]]" = (
     OrderedDict()
 )
 _MARGINAL_MEMO_LOCK = threading.Lock()
-
-
-def _reset_marginal_memo_lock() -> None:
-    # A pool worker forked while another thread held the lock would
-    # otherwise inherit it locked.
-    global _MARGINAL_MEMO_LOCK
-    _MARGINAL_MEMO_LOCK = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_reset_marginal_memo_lock)
 
 
 class _MemoKey:
@@ -359,12 +348,11 @@ class RunInfo:
     (:attr:`repro.pipeline.CompileResult.provenance`); ``None`` for
     circuit-level runs that never touched the compiler.
 
-    ``retries`` / ``faults_injected`` / ``degraded`` are the
-    robustness counters filled in by the fault-tolerant dispatch path
-    (:mod:`repro.exec.retry`): chunk attempts beyond the first, fault
-    injections the run absorbed, and whether the dispatcher fell back
-    to serial in-process execution after repeated pool breakage.  All
-    zero/False on the ordinary path.
+    ``retries`` / ``faults_injected`` are the robustness counters
+    filled in by the fault-tolerant dispatch path
+    (:mod:`repro.exec.retry`): chunk attempts beyond the first and
+    fault injections the run absorbed.  Both zero on the ordinary
+    path.
     """
 
     backend: str
@@ -381,7 +369,6 @@ class RunInfo:
     compile_cache: Optional[str] = None
     retries: int = 0
     faults_injected: int = 0
-    degraded: bool = False
 
     @staticmethod
     def merge(
@@ -393,7 +380,7 @@ class RunInfo:
         ``channel_applications``, ``readout_applications``,
         ``gates_fused``, ``fused_ops``, ``chunks``, ``retries``,
         ``faults_injected``) sum exactly; ``fast_path`` holds only if
-        every chunk took it, ``batched`` and ``degraded`` if any did;
+        every chunk took it, ``batched`` if any did;
         ``fused_ops`` stays ``None`` unless every chunk reported it.
         All chunks must come from one backend.  ``workers`` defaults
         to the max the inputs carry.
@@ -437,7 +424,6 @@ class RunInfo:
             ),
             retries=sum(info.retries for info in infos),
             faults_injected=sum(info.faults_injected for info in infos),
-            degraded=any(info.degraded for info in infos),
         )
 
 
@@ -461,8 +447,7 @@ class SimBackend:
     ) -> tuple[np.ndarray, RunInfo]:
         """Sample ``shots`` runs of ``circuit``; returns ``(bits,
         RunInfo)`` with the shots as one ``(shots, output bits)`` uint8
-        array: what the shot executor runs, merges and ships between
-        processes.
+        array: what the shot executor runs and concatenates.
 
         ``seed`` is an integer or a :class:`numpy.random.Generator`
         (the shot executor passes each chunk's
@@ -807,14 +792,12 @@ def run_circuit_with_info(
 
     Every run goes through the parallel shot executor
     (:func:`repro.exec.parallel.parallel_run_with_info`): the shots
-    split into at most ``parallel_workers`` chunks, each with a seed
-    derived from ``seed``, so results are deterministic per
-    ``(seed, workers)``.  ``None`` means one worker (one in-process
-    chunk), ``0`` one worker per core.  Sharding pays off for
-    trajectory workloads (mid-circuit measurement or noise); the
-    terminal-measurement fast path already makes shots near-free in
-    one process: it evolves a circuit once per process and every later
-    chunk only samples its memoized marginal.
+    split into at most ``parallel_workers`` chunks, run in this
+    process, each with a stream derived from ``seed``, so results are
+    deterministic per ``(seed, workers)``.  ``None`` means one chunk,
+    ``0`` one per core.  The terminal-measurement fast path evolves a
+    circuit once per process and every later chunk only samples its
+    memoized marginal.
     """
     from repro.exec.parallel import parallel_run_with_info
 

@@ -246,6 +246,6 @@ def test_format_version_bump_salts_every_key(cache_dir, monkeypatch):
 
 
 def test_format_version_is_v2_for_runinfo_counters(cache_dir):
-    # v1 pickles predate RunInfo's retries/faults_injected/degraded
+    # v1 pickles predate RunInfo's retries/faults_injected
     # fields; the bump keeps them from resurfacing via the disk cache.
     assert diskcache.CACHE_FORMAT_VERSION >= 2

@@ -5,10 +5,10 @@ The load-bearing assertions are the determinism contracts:
 
 - a ``FaultPlan`` decision is a pure function of ``(seed, kind, key)``
   — same answer in every process and on every re-run;
-- a run that absorbed injected crashes, hangs, or a genuinely broken
-  process pool returns results **bit-identical** to the same-seed
-  fault-free run, because retries change only the fault-decision key
-  (``seed/chunk@attempt``), never the chunk's random stream;
+- a run that absorbed injected crashes or hangs returns results
+  **bit-identical** to the same-seed fault-free run, because retries
+  change only the fault-decision key (``seed/chunk@attempt``), never
+  the chunk's random stream;
 - exhausting the retry budget is a coded ``QW603`` diagnostic, and
   genuine (non-injected) chunk errors propagate immediately instead of
   burning the budget.
@@ -16,7 +16,6 @@ The load-bearing assertions are the determinism contracts:
 
 import dataclasses
 import threading
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -116,8 +115,9 @@ def test_plan_rejects_unknown_kind_bad_rate_bad_mode():
         FaultPlan({"worker_crahs": 0.1})
     with pytest.raises(ValueError, match="must be in"):
         FaultPlan({"worker_crash": 1.5})
-    with pytest.raises(ValueError, match="crash_mode"):
-        FaultPlan({}, crash_mode="segfault")
+    # Every crash raises in the calling process: a plan has no mode.
+    with pytest.raises(TypeError, match="crash_mode"):
+        FaultPlan({}, crash_mode="exit")
 
 
 def test_plan_rate_roughly_matches_empirical_frequency():
@@ -155,12 +155,9 @@ def test_plan_from_env_parses_spec_and_knobs(monkeypatch):
     )
     monkeypatch.setenv(faults_mod.FAULTS_SEED_ENV, "42")
     monkeypatch.setenv(faults_mod.FAULTS_HANG_SECONDS_ENV, "0.5")
-    monkeypatch.setenv(faults_mod.FAULTS_CRASH_MODE_ENV, "exit")
     plan = plan_from_env()
     assert plan.rates == {"worker_crash": 0.05, "worker_hang": 0.01}
-    assert (plan.seed, plan.hang_seconds, plan.crash_mode) == (
-        42, 0.5, "exit",
-    )
+    assert (plan.seed, plan.hang_seconds) == (42, 0.5)
     assert active_fault_plan() == plan  # env reaches the ambient lookup
 
 
@@ -223,12 +220,14 @@ def test_chunk_crash_raises_coded_fault():
     assert excinfo.value.code == "QW510"
 
 
-def test_chunk_exit_mode_raises_outside_pool_workers():
-    # In the parent process os._exit must never run; "exit" mode falls
-    # back to the exception so a misconfigured test cannot kill pytest.
-    plan = FaultPlan({"worker_crash": 1.0}, crash_mode="exit")
+def test_chunk_exit_mode_raises_outside_pool_workers(monkeypatch):
+    # Chunks run in the calling process, so an injected crash must
+    # raise, never end the process: an environment that still names
+    # the old "exit" crash mode changes nothing.
+    monkeypatch.setenv(faults_mod.FAULTS_ENV, "worker_crash=1.0")
+    monkeypatch.setenv("REPRO_FAULTS_CRASH_MODE", "exit")
     with pytest.raises(FaultInjectedError):
-        maybe_inject_chunk_fault(plan, seed=7, index=0, attempt=0)
+        maybe_inject_chunk_fault(plan_from_env(), seed=7, index=0, attempt=0)
 
 
 def test_chunk_hang_sleeps_then_continues():
@@ -251,20 +250,19 @@ def test_no_plan_is_a_no_op():
 def test_inprocess_crash_recovery_is_bit_identical():
     circuit = _circuit()
     clean, clean_info = parallel_run_with_info(
-        circuit, 96, seed=5, workers=2, use_processes=False,
+        circuit, 96, seed=5, workers=2,
         retry=RetryPolicy(),
     )
     plan_seed = _crash_seed(circuit, 96, 5, 2)
     with inject_faults(worker_crash=0.5, seed=plan_seed):
         chaos, info = parallel_run_with_info(
-            circuit, 96, seed=5, workers=2, use_processes=False,
+            circuit, 96, seed=5, workers=2,
             retry=RetryPolicy(),
         )
     assert np.array_equal(chaos, clean)
     assert info.retries >= 1
     assert info.faults_injected >= 1
     assert (clean_info.retries, clean_info.faults_injected) == (0, 0)
-    assert not info.degraded
 
 
 @settings(max_examples=25, deadline=None)
@@ -278,13 +276,13 @@ def test_recovered_chaos_runs_equal_clean_runs(seed, workers, shots):
     # (seed, chunk index) stream, so recovering changes no bit.
     circuit = _TELEPORT
     clean, clean_info = parallel_run_with_info(
-        circuit, shots, seed, workers=workers, use_processes=False,
+        circuit, shots, seed, workers=workers,
         retry=RetryPolicy(),
     )
     plan_seed = _crash_seed(circuit, shots, seed, workers)
     with inject_faults(worker_crash=0.5, seed=plan_seed):
         chaos, info = parallel_run_with_info(
-            circuit, shots, seed, workers=workers, use_processes=False,
+            circuit, shots, seed, workers=workers,
             retry=RetryPolicy(),
         )
     assert np.array_equal(chaos, clean)
@@ -297,39 +295,17 @@ def test_recovered_chaos_runs_equal_clean_runs(seed, workers, shots):
 def test_hang_recovery_is_bit_identical_and_bounded():
     circuit = _circuit()
     clean, _ = parallel_run_with_info(
-        circuit, 96, seed=5, workers=2, use_processes=False,
+        circuit, 96, seed=5, workers=2,
         retry=RetryPolicy(),
     )
-    # Serial path: the injected hang is bounded by hang_seconds and the
-    # chunk then completes normally — no retry needed, same bits.
+    # The injected hang is bounded by hang_seconds and the chunk then
+    # completes normally — no retry needed, same bits.
     with inject_faults(worker_hang=1.0, seed=0, hang_seconds=0.01):
         hung, info = parallel_run_with_info(
-            circuit, 96, seed=5, workers=2, use_processes=False,
-            retry=RetryPolicy(timeout=5.0),
+            circuit, 96, seed=5, workers=2, retry=RetryPolicy(),
         )
     assert np.array_equal(hung, clean)
-
-
-@pytest.mark.slow
-def test_pooled_exit_crash_recovery_is_bit_identical():
-    circuit = _circuit()
-    clean, _ = parallel_run_with_info(
-        circuit, 96, seed=5, workers=2, use_processes=True,
-    )
-    plan_seed = _crash_seed(circuit, 96, 5, 2)
-    plan = FaultPlan(
-        {"worker_crash": 0.5}, seed=plan_seed, crash_mode="exit"
-    )
-    try:
-        with inject_faults(plan):
-            chaos, info = parallel_run_with_info(
-                circuit, 96, seed=5, workers=2, use_processes=True,
-                retry=RetryPolicy(timeout=60.0),
-            )
-    finally:
-        parallel_mod.shutdown_pools()
-    assert np.array_equal(chaos, clean)
-    assert info.retries >= 1
+    assert info.retries == 0
 
 
 def test_budget_exhaustion_is_a_coded_diagnostic():
@@ -337,7 +313,7 @@ def test_budget_exhaustion_is_a_coded_diagnostic():
     with inject_faults(worker_crash=1.0):
         with pytest.raises(RetryBudgetExhaustedError) as excinfo:
             parallel_run_with_info(
-                circuit, 64, seed=5, workers=2, use_processes=False,
+                circuit, 64, seed=5, workers=2,
                 retry=RetryPolicy(max_attempts=2, budget=3),
             )
     assert excinfo.value.code == "QW603"
@@ -355,15 +331,12 @@ def test_genuine_chunk_errors_propagate_unretried(monkeypatch):
         calls.append(task)
         raise ValueError("a deterministic backend bug")
 
-    monkeypatch.setattr(parallel_mod, "_run_chunk", explode)
     tasks = [
         parallel_mod._ChunkTask(circuit, size, 5, index, None, None)
         for index, size in enumerate(chunk_plan(64, 2))
     ]
     with pytest.raises(ValueError, match="deterministic backend bug"):
-        execute_with_retry(
-            tasks, 2, RetryPolicy(), use_processes=False
-        )
+        execute_with_retry(tasks, explode, RetryPolicy())
     assert len(calls) == 1  # failed once, never retried
 
 
@@ -375,9 +348,64 @@ def test_cancel_event_stops_between_waves():
     event.set()
     with pytest.raises(concurrent.futures.CancelledError):
         parallel_run_with_info(
-            circuit, 64, seed=5, workers=2, use_processes=False,
+            circuit, 64, seed=5, workers=2,
             retry=RetryPolicy(), cancel_event=event,
         )
+
+
+def test_cancel_event_set_during_a_chunk_stops_the_next_one():
+    # The event is checked before every chunk attempt: set while the
+    # first chunk runs, it stops the run before the second starts.
+    import concurrent.futures
+
+    circuit = _circuit()
+    event = threading.Event()
+    ran = []
+
+    def run_then_cancel(task):
+        ran.append(task.index)
+        event.set()
+        return parallel_mod._run_chunk(task)
+
+    tasks = [
+        parallel_mod._ChunkTask(circuit, size, 5, index, "statevector", None)
+        for index, size in enumerate(chunk_plan(64, 2))
+    ]
+    with pytest.raises(concurrent.futures.CancelledError):
+        execute_with_retry(
+            tasks, run_then_cancel, RetryPolicy(), cancel_event=event
+        )
+    assert ran == [0]
+
+
+def test_retry_budget_is_shared_by_every_chunk_of_a_run():
+    # Both chunks crash on their first attempt and not on their second:
+    # the run needs two retries, which a budget of one cannot grant.
+    circuit = _circuit()
+    chunks = range(len(chunk_plan(64, 2)))
+    plan = next(
+        plan
+        for plan in (
+            FaultPlan({"worker_crash": 0.5}, seed=plan_seed)
+            for plan_seed in range(2000)
+        )
+        if all(
+            plan.should("worker_crash", chunk_fault_key(5, i, 0))
+            and not plan.should("worker_crash", chunk_fault_key(5, i, 1))
+            for i in chunks
+        )
+    )
+    clean, _ = parallel_run_with_info(circuit, 64, seed=5, workers=2)
+    with inject_faults(plan):
+        recovered, info = parallel_run_with_info(
+            circuit, 64, seed=5, workers=2, retry=RetryPolicy(budget=2)
+        )
+        with pytest.raises(RetryBudgetExhaustedError):
+            parallel_run_with_info(
+                circuit, 64, seed=5, workers=2, retry=RetryPolicy(budget=1)
+            )
+    assert np.array_equal(recovered, clean)
+    assert (info.retries, info.faults_injected) == (2, 2)
 
 
 def test_backoff_is_deterministic_bounded_and_decorrelated():
@@ -399,7 +427,7 @@ def test_retry_policy_validation():
 
 
 # ----------------------------------------------------------------------
-# The compile site and the narrowed pool dispatch (satellite fixes).
+# The compile site and library calls.
 # ----------------------------------------------------------------------
 def test_compile_error_injection_is_coded_and_scoped():
     kernel = bernstein_vazirani(alternating_secret(4))
@@ -408,41 +436,6 @@ def test_compile_error_injection_is_coded_and_scoped():
             compile_kernel(kernel)
     assert excinfo.value.code == "QW510"
     assert compile_kernel(kernel).circuit is not None  # scope ended
-
-
-def test_pool_startup_failure_degrades_to_serial(monkeypatch):
-    def no_pool(workers):
-        raise OSError("no process spawning here")
-
-    monkeypatch.setattr(parallel_mod, "_get_pool", no_pool)
-    circuit = _circuit()
-    clean = parallel_run_with_info(
-        circuit, 64, seed=5, workers=2, use_processes=False
-    )[0]
-    pooled, _ = parallel_run_with_info(
-        circuit, 64, seed=5, workers=2, use_processes=True
-    )
-    assert np.array_equal(pooled, clean)
-
-
-def test_genuine_pool_dispatch_errors_propagate(monkeypatch):
-    # Only injected faults, BrokenProcessPool and hung waves are
-    # retried; a genuine error a pooled chunk raises must surface, not
-    # be masked by a retry or a serial re-run.
-    class AngryPool:
-        def submit(self, fn, task):
-            future = Future()
-            future.set_exception(RuntimeError("a genuine dispatch bug"))
-            return future
-
-    monkeypatch.setattr(
-        parallel_mod, "_get_pool", lambda workers: AngryPool()
-    )
-    circuit = _circuit()
-    with pytest.raises(RuntimeError, match="genuine dispatch bug"):
-        parallel_run_with_info(
-            circuit, 64, seed=5, workers=2, use_processes=True
-        )
 
 
 def test_library_run_recovers_from_injected_crashes():
@@ -464,18 +457,17 @@ def test_runinfo_merge_tolerates_old_pickles_missing_counters():
 
     modern = RunInfo(
         backend="statevector", shots=32, evolutions=1, fast_path=False,
-        retries=2, faults_injected=1, degraded=True,
+        retries=2, faults_injected=1,
     )
     legacy = RunInfo(
         backend="statevector", shots=32, evolutions=1, fast_path=False,
     )
-    for name in ("retries", "faults_injected", "degraded"):
+    for name in ("retries", "faults_injected"):
         object.__delattr__(legacy, name)  # as unpickled from format v1
     merged = RunInfo.merge([modern, legacy])
     assert merged.shots == 64
     assert merged.retries == 2
     assert merged.faults_injected == 1
-    assert merged.degraded is True
 
 
 def test_fault_kinds_is_the_closed_vocabulary():

@@ -6,9 +6,9 @@ Three layers of coverage:
   ``check_seed``, ``resolve_workers``) and the exact ``RunInfo.merge``
   arithmetic;
 - the determinism contract — fixed ``(seed, workers)`` is bit-stable,
-  the in-process fallback (``use_processes=False``) is bit-identical
-  to the pooled run, and different worker counts give statistically
-  equivalent histograms (margins from tests/stats.py);
+  a chunked run is its chunks' streams run one by one, and different
+  worker counts give statistically equivalent histograms (margins from
+  tests/stats.py);
 - the ``parallel_workers=`` threading through every public entry point
   (``run_circuit``, ``simulate_kernel``, ``kernel.histogram()``),
   which all run shots through the one chunk plan:
@@ -18,7 +18,9 @@ Three layers of coverage:
 import asyncio
 import dataclasses
 import os
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -52,6 +54,7 @@ from repro.sim.backend import (
     RunInfo,
     bit_tuples,
     clear_marginal_memo,
+    get_backend,
     memoized_marginal,
     run_circuit_with_info,
     run_facts,
@@ -271,18 +274,20 @@ def test_same_seed_and_workers_is_bit_stable():
     assert len(first) == 400
 
 
-def test_serial_fallback_is_bit_identical_to_pooled_run():
+def test_chunked_run_is_its_chunk_streams_concatenated():
+    # The output depends only on the plan and the chunk streams: a
+    # two-chunk run is each chunk run alone on its stream, in order.
     circuit = teleport_circuit()
-    pooled, pooled_info = parallel_run_with_info(
-        circuit, 400, seed=5, workers=2
-    )
-    serial, serial_info = parallel_run_with_info(
-        circuit, 400, seed=5, workers=2, use_processes=False
-    )
-    assert np.array_equal(pooled, serial)
-    assert pooled_info == serial_info
-    assert pooled_info.workers == 2
-    assert pooled_info.chunks == 2
+    bits, info = parallel_run_with_info(circuit, 400, seed=5, workers=2)
+    parts = [
+        get_backend("statevector").run_array_with_info(
+            circuit, size, chunk_stream(5, index)
+        )
+        for index, size in enumerate(chunk_plan(400, 2))
+    ]
+    assert np.array_equal(bits, np.concatenate([part for part, _ in parts]))
+    assert info == RunInfo.merge([part for _, part in parts], workers=2)
+    assert (info.workers, info.chunks) == (2, 2)
 
 
 def test_worker_counts_give_statistically_equivalent_histograms():
@@ -290,10 +295,10 @@ def test_worker_counts_give_statistically_equivalent_histograms():
     # the outputs differ bit-for-bit but must agree as distributions.
     circuit = teleport_circuit()
     one, _ = parallel_run_with_info(
-        circuit, 4000, seed=11, workers=1, use_processes=False
+        circuit, 4000, seed=11, workers=1
     )
     four, _ = parallel_run_with_info(
-        circuit, 4000, seed=11, workers=4, use_processes=False
+        circuit, 4000, seed=11, workers=4
     )
     assert not np.array_equal(one, four)
     assert_histograms_close(
@@ -313,7 +318,7 @@ def test_noise_model_rides_through_the_parallel_path():
     model = NoiseModel().add_channel(depolarizing(0.05))
     results, info = parallel_run_with_info(
         conditioned_fanout_circuit(), 600, seed=9, workers=3,
-        noise_model=model, use_processes=False,
+        noise_model=model,
     )
     assert len(results) == 600
     assert info.chunks == 3
@@ -321,10 +326,36 @@ def test_noise_model_rides_through_the_parallel_path():
     assert info.channel_applications > 0
     repeat, repeat_info = parallel_run_with_info(
         conditioned_fanout_circuit(), 600, seed=9, workers=3,
-        noise_model=model, use_processes=False,
+        noise_model=model,
     )
     assert np.array_equal(results, repeat)
     assert info == repeat_info
+
+
+def test_threaded_noisy_runs_equal_one_by_one_runs():
+    # Every chunk runs on its caller's thread, so runs from several
+    # threads at once share this process's engines, and each one's bits
+    # still depend only on its own seed and plan.
+    model = NoiseModel().add_channel(depolarizing(0.05))
+    jobs = [(seed, workers) for seed in range(4) for workers in (1, 2, 3)]
+
+    def run(job):
+        seed, workers = job
+        return parallel_run_with_info(
+            conditioned_fanout_circuit(), 200, seed, workers=workers,
+            noise_model=model,
+        )[0]
+
+    one_by_one = [run(job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as threads:
+            futures = [threads.submit(run, job) for job in jobs]
+            threaded = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(map(np.array_equal, threaded, one_by_one))
 
 
 def test_unknown_backend_fails_fast_in_the_parent():
@@ -336,7 +367,7 @@ def test_unknown_backend_fails_fast_in_the_parent():
 def test_density_matrix_backend_through_the_parallel_path():
     results, info = parallel_run_with_info(
         teleport_circuit(), 200, seed=2, workers=2,
-        backend="density_matrix", use_processes=False,
+        backend="density_matrix",
     )
     assert info.backend == "density_matrix"
     assert info.shots == 200
@@ -424,9 +455,7 @@ def test_simulate_kernel_matches_the_service_for_seed_and_workers():
     )
 
     async def via_service():
-        config = ServiceConfig(
-            use_processes=False, parallel_workers=2, executors=1
-        )
+        config = ServiceConfig(parallel_workers=2, executors=1)
         async with ExecutionService(config) as service:
             return await ServiceClient(service).run(
                 kernel="simon", n=6, shots=256, seed=7, workers=2
@@ -481,7 +510,7 @@ def test_warm_draw_counts_equal_the_dispatchers_bits(
 ):
     circuit = _hand_built_plan(circuit_seed)
     bits, info = parallel_run_with_info(
-        circuit, shots, seed, workers=workers, use_processes=False
+        circuit, shots, seed, workers=workers
     )
     facts = run_facts(circuit)
     cdf = memoized_marginal(facts)
@@ -504,7 +533,7 @@ def test_warm_draw_merges_outcomes_an_output_bit_drops():
     circuit.add(Measurement(1, 1))
     circuit.output_bits = [1]
     bits, _ = parallel_run_with_info(
-        circuit, 500, 3, workers=2, use_processes=False
+        circuit, 500, 3, workers=2
     )
     facts = run_facts(circuit)
     counts, _ = parallel_draw_with_info(

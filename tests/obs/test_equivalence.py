@@ -25,7 +25,7 @@ SHOTS = 32
 
 
 def make_config(**overrides) -> ServiceConfig:
-    defaults = dict(use_processes=False, parallel_workers=2, executors=1)
+    defaults = dict(parallel_workers=2, executors=1)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 

@@ -6,9 +6,8 @@ The contract under test, per docs/observability.md:
   records it as parent, and ids stay unique;
 - tracing off is the no-op fast path: one shared do-nothing span, no
   contextvar traffic, while ``timed_span`` still measures;
-- worker processes ship their spans back on the chunk result and the
-  parent absorbs them into ONE trace (tested under ``spawn``, the
-  start method that inherits nothing);
+- every chunk of a sharded run records its span in the calling
+  process, under the dispatch span, in ONE trace;
 - the export is loadable Chrome trace-event JSON.
 """
 
@@ -110,8 +109,7 @@ def test_thread_contexts_are_isolated_unless_attached():
         trace.disable_tracing()
 
 
-def test_spawn_workers_ship_spans_back_into_one_trace(monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL_START_METHOD", "spawn")
+def test_chunk_spans_stitch_under_the_dispatch_span():
     circuit = compile_kernel(
         bernstein_vazirani(alternating_secret(5))
     ).execution_circuit
@@ -132,9 +130,8 @@ def test_spawn_workers_ship_spans_back_into_one_trace(monkeypatch):
             span["parent_id"] == dispatch["span_id"]
             for span in chunk_spans
         )
-        # Spawn workers recorded on their own pids and shipped back.
-        worker_pids = {span["pid"] for span in chunk_spans}
-        assert worker_pids and os.getpid() not in worker_pids
+        # Every chunk ran in this process.
+        assert {span["pid"] for span in chunk_spans} == {os.getpid()}
     finally:
         trace.disable_tracing()
 

@@ -200,7 +200,7 @@ def test_fused_unitary_matrix_is_read_only():
     viewed = FusedUnitary(base[:4, :4], (0, 1))
     base[0, 0] = 2
     assert viewed.matrix[0, 0] == 1
-    # Unpickling (disk cache, pool workers) re-freezes the matrix.
+    # Unpickling (a disk-cache load) re-freezes the matrix.
     restored = pickle.loads(pickle.dumps(block))
     assert restored == block
     with pytest.raises(ValueError, match="read-only"):

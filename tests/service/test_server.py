@@ -13,6 +13,7 @@ import json
 from repro.exec.faults import FaultPlan
 from repro.exec.retry import RetryPolicy
 from repro.service import ExecutionService, ServiceConfig
+from repro.service import server as server_module
 from repro.service.server import MAX_LINE_BYTES, handle_connection
 
 
@@ -37,9 +38,7 @@ async def _with_server(config, scenario):
 
 
 def _config(**overrides):
-    defaults = dict(
-        use_processes=False, parallel_workers=2, executors=2,
-    )
+    defaults = dict(parallel_workers=2, executors=2)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 
@@ -181,3 +180,17 @@ async def _chaos_compare(reader, writer):
             },
         )
     return await _collect(reader, 6)
+
+
+def test_serial_flag_is_accepted_and_configures_nothing(monkeypatch):
+    # Chunks always run in-process; --serial stays a valid flag for
+    # scripts that pass it, and builds the same config as without it.
+    configs = []
+
+    async def fake_serve(host, port, config):
+        configs.append(config)
+
+    monkeypatch.setattr(server_module, "serve", fake_serve)
+    assert server_module.main(["--port", "0", "--workers", "3"]) == 0
+    assert server_module.main(["--port", "0", "--workers", "3", "--serial"]) == 0
+    assert configs[0] == configs[1] == ServiceConfig(parallel_workers=3)

@@ -23,6 +23,7 @@ from repro.algorithms import alternating_secret, bernstein_vazirani
 from repro.exec.faults import FaultPlan, chunk_fault_key, inject_faults
 from repro.exec.parallel import chunk_plan, parallel_run_with_info
 from repro.exec.retry import RetryPolicy
+from repro.obs import metrics
 from repro.pipeline import (
     clear_compile_cache,
     compile_cache_info,
@@ -41,7 +42,7 @@ def run_async(coroutine):
 
 def make_config(**overrides) -> ServiceConfig:
     defaults = dict(
-        use_processes=False, parallel_workers=2, executors=2,
+        parallel_workers=2, executors=2,
     )
     defaults.update(overrides)
     return ServiceConfig(**defaults)
@@ -54,7 +55,7 @@ def direct_counts(n=N, shots=SHOTS, seed=SEED, workers=2):
         bernstein_vazirani(alternating_secret(n))
     ).execution_circuit
     results, _ = parallel_run_with_info(
-        circuit, shots, seed, workers=workers, use_processes=False
+        circuit, shots, seed, workers=workers
     )
     return counts_of(results)
 
@@ -95,7 +96,7 @@ def test_run_matches_direct_execution_bit_for_bit():
     assert response["result"]["counts"] == direct_counts()
     assert response["result"]["shots"] == SHOTS
     info = response["result"]["info"]
-    assert info["retries"] == 0 and not info["degraded"]
+    assert (info["retries"], info["faults_injected"]) == (0, 0)
 
 
 def test_repeat_requests_hit_the_compile_cache():
@@ -327,7 +328,6 @@ def test_deadline_cancels_mid_execution_promptly():
     async def scenario():
         config = make_config(
             default_deadline=0.3,
-            retry=RetryPolicy(timeout=0.1),
             fault_plan=FaultPlan(
                 {"worker_hang": 1.0}, hang_seconds=0.4
             ),
@@ -386,7 +386,6 @@ def test_deadline_is_capped_by_the_server_maximum():
         # The injected hang makes the run outlast the cap.
         config = make_config(
             max_deadline=0.2,
-            retry=RetryPolicy(timeout=0.1),
             fault_plan=FaultPlan(
                 {"worker_hang": 1.0}, hang_seconds=0.4
             ),
@@ -636,6 +635,30 @@ def test_stats_counts_injected_faults_service_wide():
     counters = stats["result"]["counters"]
     assert counters["retries"] >= 1
     assert counters["faults_injected"] >= 1
+
+
+def test_noisy_chunks_count_their_sweeps_in_the_service_registry():
+    # Every chunk runs in the service's process, so the batched sweeps
+    # of a noisy two-chunk request land in the registry the service's
+    # "metrics" op exposes: one per chunk.
+    sweeps = metrics.instruments()["repro_sim_sweeps_total"]
+
+    async def scenario():
+        async with ExecutionService(ServiceConfig()) as service:
+            client = ServiceClient(service)
+            before = sweeps.value(engine="batched")
+            response = await client.run(
+                id=1, kernel="bv", n=4, shots=256, seed=3, workers=2,
+                noise={"depolarizing": 0.02},
+            )
+            exposition = (await client.metrics())["result"]["exposition"]
+            return response, sweeps.value(engine="batched") - before, exposition
+
+    response, swept, exposition = run_async(scenario())
+    assert response["ok"], response
+    assert response["result"]["info"]["chunks"] == 2
+    assert swept == 2
+    assert 'repro_sim_sweeps_total{engine="batched"}' in exposition
 
 
 def test_responses_resolve_concurrently_not_serially():

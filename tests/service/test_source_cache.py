@@ -71,7 +71,7 @@ def exec_calls(monkeypatch):
 def _run_all(*payloads):
     async def scenario():
         config = ServiceConfig(
-            use_processes=False, parallel_workers=2, executors=1
+            parallel_workers=2, executors=1
         )
         async with ExecutionService(config) as service:
             client = ServiceClient(service)

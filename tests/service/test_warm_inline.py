@@ -2,8 +2,8 @@
 
 A request is warm when its kernel is resolved, its compile is an
 in-memory cache hit, it is noiseless on the ``statevector`` backend,
-its chunks run in-process, no fault of its plan fires on its first
-attempt, and its execution circuit's marginal is memoized
+no fault of its plan fires on its first attempt, and its execution
+circuit's marginal is memoized
 (docs/service.md).  These tests watch the service's thread pool: a
 warm request never reaches its ``submit``, every other request does
 exactly once.  A warm request draws every chunk from the CDF its check
@@ -54,7 +54,7 @@ def kernel(f: cfunc[N, 1]) -> bit[N]:
 
 
 def _config(**overrides) -> ServiceConfig:
-    fields = dict(use_processes=False, parallel_workers=2, executors=2)
+    fields = dict(parallel_workers=2, executors=2)
     fields.update(overrides)
     return ServiceConfig(**fields)
 
@@ -138,14 +138,21 @@ def test_each_request_traces_one_memory_lookup():
 
 def test_concurrent_mixed_paths_match_serial_answers():
     # With an empty memo, the first request for each circuit takes the
-    # executor while repeats may already run inline; a short switch
-    # interval makes the executor threads and the loop interleave.
+    # executor while repeats may already run inline; noisy requests
+    # always take the executor, and their chunks run on its threads in
+    # this one process.  A short switch interval makes the executor
+    # threads and the loop interleave.
     catalog = [
         dict(kernel=kernel, n=n, shots=64, seed=seed)
         for kernel in ("bv", "grover", "simon")
         for n in (3, 4)
         for seed in (1, 2)
-    ] * 3
+    ] * 3 + [
+        dict(kernel=kernel, n=3, shots=64, seed=seed, noise=noise)
+        for kernel in ("bv", "grover")
+        for seed in (1, 2)
+        for noise in ({"depolarizing": 0.05}, {"amplitude_damping": 0.1})
+    ] * 2
 
     async def answers(concurrently):
         async with ExecutionService(_config(executors=3)) as service:
@@ -343,29 +350,30 @@ def test_cold_source_is_execd_on_a_service_thread(monkeypatch):
     assert warm["result"]["counts"] == cold["result"]["counts"]
 
 
-def test_pool_dispatched_plans_take_the_executor():
-    fields = dict(kernel="dj", n=4, shots=64, seed=6)
+def test_default_config_answers_repeats_on_the_warm_path():
+    # A default-config service runs two chunks per request in its own
+    # process, so a repeated request draws both from the memoized
+    # marginal on the loop: one memo hit each, no executor hop.
+    fields = dict(kernel="grover", n=5, shots=256, seed=6)
+    memo = metrics.instruments()["repro_sim_marginal_memo_total"]
 
     async def scenario():
-        config = _config(use_processes=True)
-        async with ExecutionService(config) as service:
+        async with ExecutionService(ServiceConfig()) as service:
             client = ServiceClient(service)
-            # One worker is one in-process chunk: it warms this
-            # process's memo and, warm, runs inline on a pool server.
-            await client.run(id=0, workers=1, **fields)
+            cold = await client.run(id=0, **fields)
             calls = _count_submits(service)
-            single = await client.run(id=1, workers=1, **fields)
-            inline_calls = len(calls)
-            pooled = await client.run(id=2, workers=2, **fields)
-            return single, pooled, inline_calls, len(calls)
+            before = memo.value(outcome="hit"), memo.value(outcome="miss")
+            warm = [await client.run(id=index, **fields) for index in (1, 2)]
+            after = memo.value(outcome="hit"), memo.value(outcome="miss")
+            return cold, warm, calls, (after[0] - before[0], after[1] - before[1])
 
-    try:
-        single, pooled, inline_calls, total_calls = asyncio.run(scenario())
-    finally:
-        parallel.shutdown_pools()
-    assert single["ok"] and pooled["ok"], (single, pooled)
-    assert pooled["result"]["info"]["chunks"] == 2
-    assert (inline_calls, total_calls) == (0, 1)
+    cold, warm, calls, lookups = asyncio.run(scenario())
+    assert cold["ok"] and all(response["ok"] for response in warm), warm
+    assert calls == []
+    assert lookups == (2, 0)
+    for response in warm:
+        assert response["result"]["info"]["chunks"] == 2
+        assert response["result"]["counts"] == cold["result"]["counts"]
 
 
 def test_warm_request_finishing_past_its_deadline_gets_qw602(monkeypatch):
@@ -501,7 +509,6 @@ def test_warm_inline_answers_equal_the_dispatcher():
             assert response["ok"], response
             bits, info = parallel.parallel_run_with_info(
                 circuits[index], shots, seed, workers=workers,
-                use_processes=False,
             )
             assert info.evolutions == 0
             # Equal counts, keys in the same first-drawn order.
@@ -515,7 +522,6 @@ def test_warm_inline_answers_equal_the_dispatcher():
                 "chunks": info.chunks,
                 "retries": info.retries,
                 "faults_injected": info.faults_injected,
-                "degraded": info.degraded,
                 "compile_cache": "memory",
             }
 

@@ -820,7 +820,7 @@ def test_memo_keeps_service_warm_counts_identical(fresh_memo):
 
     async def scenario():
         config = ServiceConfig(
-            use_processes=False, parallel_workers=2, executors=2
+            parallel_workers=2, executors=2
         )
         async with ExecutionService(config) as service:
             client = ServiceClient(service)

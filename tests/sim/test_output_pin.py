@@ -194,7 +194,7 @@ def _warm_service_record():
 
     async def scenario():
         config = ServiceConfig(
-            use_processes=False, parallel_workers=2, executors=1
+            parallel_workers=2, executors=1
         )
         async with ExecutionService(config) as service:
             client = ServiceClient(service)
@@ -225,7 +225,7 @@ def _chunked_records():
                     clear_marginal_memo()
                     bits, info = parallel_run_with_info(
                         circuit, 24, seed, workers=workers,
-                        noise_model=model, use_processes=False,
+                        noise_model=model,
                     )
                     records.append(
                         [
